@@ -50,7 +50,7 @@ from .errors import DivergenceError, DomainError, ParameterError
 from .funcdsl import Func1D, Func2D
 from .hilbert import OperatorParams, apply_H
 from .quad import SingularityHints
-from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck
+from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck, verdict_report
 from .specfun import beta as beta_fn
 
 __all__ = [
@@ -165,17 +165,16 @@ def _slice_p_norms(f: Func2D, p: float, v: np.ndarray, tol: float) -> np.ndarray
     return np.asarray(vals) ** (1.0 / p)
 
 
-def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D,
-               *, sup_grid: int = 241, sup_iters: int = 80) -> float:
+def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """||f||_{p,q,nu} = (int_0^inf (int_R |f|^p dx)^{q/p} y^nu dy)^{1/q},
-    with the sup-over-y convention when q = inf (the same grid-plus-
-    refinement heuristic as the half-line essential sup)."""
+    with the sup-over-y convention when q = inf (the heuristic of the
+    half-line essential sup, quad.log_grid_sup, on a 241-point grid over
+    [1e-6, 1e6] with 80 refinement steps)."""
     p, q, nu = spec.p, spec.q, spec.nu
     if math.isinf(p):
         raise ParameterError("p = inf mixed norms are not supported; use pointwise sup checks")
     if math.isinf(q):
-        return _sup_over_y(lambda v: _slice_p_norms(f, p, v, tol / 10.0),
-                           n_grid=sup_grid, iters=sup_iters)
+        return quad.log_grid_sup(lambda v: _slice_p_norms(f, p, v, tol / 10.0), 1e-6, 1e6, 241, 80)
     inner_tol = max(tol / 20.0, 1e-13)
 
     def outer(v):
@@ -188,29 +187,6 @@ def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D,
     )
     val = float(quad.integrate_semiaxis(outer, hints, tol))
     return val ** (1.0 / q)
-
-
-def _sup_over_y(slice_fn, lo: float = 1e-6, hi: float = 1e6, n_grid: int = 241, iters: int = 80) -> float:
-    """Heuristic sup over y of a slice functional: log-grid scan plus
-    golden-section refinement (a lower bound by construction)."""
-    ys = np.geomspace(lo, hi, n_grid)
-    vals = np.asarray(slice_fn(ys))
-    i = int(np.argmax(vals))
-    la, lb = math.log(ys[max(i - 1, 0)]), math.log(ys[min(i + 1, n_grid - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = lb - phi * (lb - la), la + phi * (lb - la)
-    fc = float(slice_fn(np.array([math.exp(c)]))[0])
-    fd = float(slice_fn(np.array([math.exp(d)]))[0])
-    for _ in range(iters):
-        if fc >= fd:
-            lb, d, fd = d, c, fc
-            c = lb - phi * (lb - la)
-            fc = float(slice_fn(np.array([math.exp(c)]))[0])
-        else:
-            la, c, fc = c, d, fd
-            d = la + phi * (lb - la)
-            fd = float(slice_fn(np.array([math.exp(d)]))[0])
-    return max(float(np.max(vals)), fc, fd)
 
 
 # --------------------------------------------------------------------------
@@ -458,8 +434,8 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
         relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
         ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
                  InequalityCheck("beta > -1", be, lower=-1.0))
-        return _report(op, "Linf -> Linf", relation, ineqs,
-                       notes=("exact norm B(1/2,gamma/2)B(beta+1,alpha) when bounded",))
+        return verdict_report(op, "Linf -> Linf", relation, ineqs,
+                              notes=("exact norm B(1/2,gamma/2)B(beta+1,alpha) when bounded",))
 
     if p == 1.0 and q == 1.0 and r == 1.0:
         if a is None or b is None or a != b:
@@ -467,8 +443,8 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
         relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
         ineqs = (InequalityCheck("-alpha < a+1", a + 1.0, lower=-al),
                  InequalityCheck("a+1 < beta+1", a + 1.0, upper=be + 1.0))
-        return _report(op, "L1_a -> L1_a", relation, ineqs,
-                       notes=("exact norm B(1/2,gamma/2)B(beta-a,alpha+a+1) when bounded",))
+        return verdict_report(op, "L1_a -> L1_a", relation, ineqs,
+                              notes=("exact norm B(1/2,gamma/2)B(beta-a,alpha+a+1) when bounded",))
 
     if not 1.0 < p < math.inf:
         raise ParameterError(f"unsupported inner exponent p = {p}")
@@ -487,7 +463,7 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
             InequalityCheck("-r*alpha < b+1", b + 1.0, lower=-r * al),
             InequalityCheck("b+1 < r(gamma-alpha)", b + 1.0, upper=r * (ga - al)),
         )
-        return _report(op, "Lpq_a -> Lpr_b (finite)", relation, ineqs, cross=cross)
+        return verdict_report(op, "Lpq_a -> Lpr_b (finite)", relation, ineqs, cross=cross)
 
     if 1.0 < q < math.inf and math.isinf(r):
         relation = RelationCheck("gamma = alpha+beta+1-(a+1)/q", ga, al + be + 1.0 - (a + 1.0) / q)
@@ -496,7 +472,7 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
         # the alpha > 0 clause is stored; the equivalent window form is
         # computed and displayed for cross-checking
         cross = (InequalityCheck("-q(gamma-beta-1) < a+1", a + 1.0, lower=-q * (ga - be - 1.0)),)
-        return _report(op, "Lpq_a -> Lp,inf", relation, ineqs, cross=cross)
+        return verdict_report(op, "Lpq_a -> Lp,inf", relation, ineqs, cross=cross)
 
     if q == 1.0:
         if a != 0.0:
@@ -505,24 +481,24 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
             relation = RelationCheck("gamma = alpha+beta", ga, al + be)
             ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
                      InequalityCheck("beta > 0", be, lower=0.0))
-            return _report(op, "Lp1 -> Lp,inf", relation, ineqs)
+            return verdict_report(op, "Lp1 -> Lp,inf", relation, ineqs)
         if r == 1.0:
             if b != 0.0:
                 raise ParameterError("the L^{p,1} -> L^{p,1} case is unweighted (nu = 0)")
             relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
             ineqs = (InequalityCheck("alpha > -1", al, lower=-1.0),
                      InequalityCheck("beta > 0", be, lower=0.0))
-            return _report(op, "Lp1 -> Lp1", relation, ineqs)
+            return verdict_report(op, "Lp1 -> Lp1", relation, ineqs)
         relation = RelationCheck("gamma = alpha+beta+(b+1)/r", ga, al + be + (b + 1.0) / r)
         ineqs = (InequalityCheck("gamma > beta", be, upper=ga),
                  InequalityCheck("beta > 0", be, lower=0.0))
-        return _report(op, "Lp1 -> Lpr_b", relation, ineqs)
+        return verdict_report(op, "Lp1 -> Lpr_b", relation, ineqs)
 
     if math.isinf(q) and math.isinf(r):
         relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
         ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
                  InequalityCheck("beta > -1", be, lower=-1.0))
-        return _report(op, "Lp,inf -> Lp,inf", relation, ineqs)
+        return verdict_report(op, "Lp,inf -> Lp,inf", relation, ineqs)
 
     raise ParameterError(
         f"unsupported regime: source q={q}, target r={r} (q = inf sources pair only with r = inf)")
@@ -540,7 +516,7 @@ def _projection_verdict(req: BergmanVerdictRequest) -> ConditionReport:
 
     if p == 1.0 and q == 1.0 and r == 1.0 and a is not None and a == b:
         ineqs = (InequalityCheck("a < beta", a, upper=be),)
-        return _report("projection", "L1_a -> A1_a", None, ineqs)
+        return verdict_report("projection", "L1_a -> A1_a", None, ineqs)
 
     if not 1.0 < p < math.inf:
         raise ParameterError(f"unsupported inner exponent p = {p} for the projection")
@@ -548,32 +524,18 @@ def _projection_verdict(req: BergmanVerdictRequest) -> ConditionReport:
     if 1.0 < q <= r < math.inf:
         relation = RelationCheck("(a+1)/q = (b+1)/r", (a + 1.0) / q, (b + 1.0) / r)
         ineqs = (InequalityCheck("a+1 < q(beta+1)", a + 1.0, upper=q * (be + 1.0)),)
-        return _report("projection", "Lpq_a -> Apr_b", relation, ineqs)
+        return verdict_report("projection", "Lpq_a -> Apr_b", relation, ineqs)
 
     if q == 1.0 and a == 0.0 and 1.0 < r < math.inf:
         relation = RelationCheck("r = b+1", float(r), b + 1.0)
         ineqs = (InequalityCheck("beta > 0", be, lower=0.0),)
-        return _report("projection", "Lp1 -> Apr_b", relation, ineqs)
+        return verdict_report("projection", "Lp1 -> Apr_b", relation, ineqs)
 
     if q == 1.0 and a == 0.0 and r == 1.0 and b == 0.0:
         ineqs = (InequalityCheck("beta > 0", be, lower=0.0),)
-        return _report("projection", "Lp1 -> Ap1", None, ineqs)
+        return verdict_report("projection", "Lp1 -> Ap1", None, ineqs)
 
     raise ParameterError("unsupported regime for the projection corollaries")
-
-
-def _report(operator, regime, relation, ineqs, cross=(), notes=()) -> ConditionReport:
-    bounded = (relation is None or relation.holds) and all(c.holds for c in ineqs)
-    if relation is not None and not relation.holds:
-        decided = f"balance relation fails: {relation.name}"
-    else:
-        decided = next((f"inequality fails: {c.name}" for c in ineqs if not c.holds),
-                       f"{regime} criterion")
-    return ConditionReport(
-        operator=operator, regime=regime, bounded=bounded, decided_by=decided,
-        relation=relation, inequalities=tuple(ineqs), cross_checks=tuple(cross),
-        notes=tuple(notes),
-    )
 
 
 def bergman_verdict(req: BergmanVerdictRequest) -> ConditionReport:

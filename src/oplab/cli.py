@@ -43,9 +43,11 @@ from .errors import (
     CertificateVerificationError,
     DivergenceError,
     OplabError,
+    ParameterError,
 )
 from .funcdsl import func1d
 from .hilbert import OperatorParams, WeightedSpaceSpec
+from .reports import jsonable
 
 SCHEMA = 1
 
@@ -55,28 +57,13 @@ EXIT_DIVERGENCE = 3
 EXIT_ACCURACY = 4
 
 
-def _jsonable(obj):
-    """Make infinities JSON-safe ('inf'/'-inf') recursively."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(float(obj))
-    return obj
-
-
 def num(value: float, tol: float) -> dict:
     """A numeric report field: the value together with its tolerance."""
     return {"value": value, "tol": tol}
 
 
 def emit(report: dict, out: str | None = None) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -105,11 +92,6 @@ def resolve_tol(flag_value: float | None, default: float) -> float:
     return default
 
 
-def _float(text: str) -> float:
-    # accepts "inf" for the extended-real exponents
-    return float(text)
-
-
 def _add_params(ap: argparse.ArgumentParser):
     ap.add_argument("--alpha", type=float, required=True)
     ap.add_argument("--beta", type=float, required=True)
@@ -117,8 +99,8 @@ def _add_params(ap: argparse.ArgumentParser):
 
 
 def _add_spaces(ap: argparse.ArgumentParser, weights=True):
-    ap.add_argument("--p", type=_float, required=True)
-    ap.add_argument("--q", type=_float, required=True)
+    ap.add_argument("--p", type=float, required=True)
+    ap.add_argument("--q", type=float, required=True)
     if weights:
         ap.add_argument("--a", type=float, default=None)
         ap.add_argument("--b", type=float, default=None)
@@ -138,29 +120,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spaces(vh)
     _add_params(vh)
     vh.add_argument("--out")
+    vh.set_defaults(func=_cmd_verdict_hilbert)
     vb = vsub.add_parser("bergman")
     vb.add_argument("--operator", choices=["tplus", "t", "projection"], default="tplus")
-    vb.add_argument("--p", type=_float, required=True)
-    vb.add_argument("--q", type=_float, required=True)
-    vb.add_argument("--r", type=_float, required=True)
+    vb.add_argument("--p", type=float, required=True)
+    vb.add_argument("--q", type=float, required=True)
+    vb.add_argument("--r", type=float, required=True)
     vb.add_argument("--a", type=float, default=None)
     vb.add_argument("--b", type=float, default=None)
     vb.add_argument("--alpha", type=float, default=0.0)
     vb.add_argument("--beta", type=float, required=True)
     vb.add_argument("--gamma", type=float, default=None)
     vb.add_argument("--out")
+    vb.set_defaults(func=_cmd_verdict_bergman)
 
     # sharp-norm
     sn = sub.add_parser("sharp-norm", help="closed-form diagonal operator norm")
-    sn.add_argument("--p", type=_float, required=True)
+    sn.add_argument("--p", type=float, required=True)
     sn.add_argument("--a", type=float, default=None)
     _add_params(sn)
     sn.add_argument("--out")
+    sn.set_defaults(func=_cmd_sharp_norm)
 
     # certify (make | verify)
     ce = sub.add_parser("certify", help="construct or verify a Schur-type certificate")
-    ce.add_argument("--p", type=_float)
-    ce.add_argument("--q", type=_float)
+    ce.add_argument("--p", type=float)
+    ce.add_argument("--q", type=float)
     ce.add_argument("--a", type=float)
     ce.add_argument("--b", type=float)
     ce.add_argument("--alpha", type=float)
@@ -168,12 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--gamma", type=float)
     ce.add_argument("--d", type=float, default=None, help="force the exponent gap d = r - s")
     ce.add_argument("--out")
+    ce.set_defaults(func=_cmd_certify)
     cesub = ce.add_subparsers(dest="mode")
     cv = cesub.add_parser("verify")
     cv.add_argument("--cert", required=True, help="certificate JSON document")
     cv.add_argument("--samples", type=int, default=100)
     cv.add_argument("--tol", type=float, default=None)
     cv.add_argument("--out")
+    cv.set_defaults(func=_cmd_certify_verify)
 
     # estimate
     es = sub.add_parser("estimate", help="apply the operator to an --expr function")
@@ -183,15 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--points", default="0.5,1,2", help="comma-separated probe abscissae")
     es.add_argument("--tol", type=float, default=None)
     es.add_argument("--out")
+    es.set_defaults(func=_cmd_estimate)
 
     # extremal
     ex = sub.add_parser("extremal", help="xi-sweep of the extremal Rayleigh quotient")
-    ex.add_argument("--p", type=_float, required=True)
+    ex.add_argument("--p", type=float, required=True)
     ex.add_argument("--a", type=float, required=True)
     _add_params(ex)
     ex.add_argument("--xi", type=float, action="append", required=True)
     ex.add_argument("--tol", type=float, default=None)
     ex.add_argument("--out")
+    ex.set_defaults(func=_cmd_extremal)
 
     # dilate
     di = sub.add_parser("dilate", help="dilation growth-exponent experiment")
@@ -203,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--cutoff", type=float, default=10.0)
     di.add_argument("--tol", type=float, default=None)
     di.add_argument("--out")
+    di.set_defaults(func=_cmd_dilate)
 
     # sweep
     sw = sub.add_parser("sweep", help="vary one parameter on a grid, CSV out")
@@ -211,14 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
     sw.add_argument("--num", type=int, required=True)
-    sw.add_argument("--p", type=_float)
-    sw.add_argument("--q", type=_float)
+    sw.add_argument("--p", type=float)
+    sw.add_argument("--q", type=float)
     sw.add_argument("--a", type=float)
     sw.add_argument("--b", type=float)
     sw.add_argument("--alpha", type=float)
     sw.add_argument("--beta", type=float)
     sw.add_argument("--gamma", type=float)
     sw.add_argument("--out")
+    sw.set_defaults(func=_cmd_sweep)
 
     # bergman subcommands
     bg = sub.add_parser("bergman", help="upper half-plane checks")
@@ -228,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--power", type=int, default=3)
     br.add_argument("--tol", type=float, default=None)
     br.add_argument("--out")
+    br.set_defaults(func=_cmd_bergman_reproduce)
 
     # solve-gamma
     sg = sub.add_parser("solve-gamma", help="gamma balancing the relation exactly")
@@ -235,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--alpha", type=float, required=True)
     sg.add_argument("--beta", type=float, required=True)
     sg.add_argument("--out")
+    sg.set_defaults(func=_cmd_solve_gamma)
 
     return ap
 
@@ -243,17 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
 # command bodies
 # --------------------------------------------------------------------------
 
-def _cmd_verdict(args, argv, t0) -> int:
-    if args.family == "hilbert":
-        params = OperatorParams(args.alpha, args.beta, args.gamma)
-        rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
-        inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
-                  "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-        results = {"verdict": "bounded" if rep.bounded else "unbounded",
-                   "report": rep.to_dict()}
-        emit(_report("verdict hilbert", argv, inputs, results,
-                     {"relation_epsilon": 1e-12}, t0), args.out)
-        return EXIT_OK
+def _cmd_verdict_hilbert(args, argv, t0) -> int:
+    params = OperatorParams(args.alpha, args.beta, args.gamma)
+    rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
+    inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
+              "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
+    results = {"verdict": "bounded" if rep.bounded else "unbounded",
+               "report": rep.to_dict()}
+    emit(_report("verdict hilbert", argv, inputs, results,
+                 {"relation_epsilon": 1e-12}, t0), args.out)
+    return EXIT_OK
+
+
+def _cmd_verdict_bergman(args, argv, t0) -> int:
     gamma = args.gamma
     if args.operator == "projection" and gamma is None:
         gamma = args.beta + 1.0
@@ -285,23 +280,26 @@ def _cmd_sharp_norm(args, argv, t0) -> int:
     return EXIT_OK
 
 
-def _cmd_certify(args, argv, t0) -> int:
-    if getattr(args, "mode", None) == "verify":
+def _cmd_certify_verify(args, argv, t0) -> int:
+    try:
         with open(args.cert) as fh:
             doc = json.load(fh)
-        if doc.get("kind") != "schur-certificate" and "results" in doc:
-            doc = doc["results"]["certificate"]  # accept a full report too
-        cert = schur.SchurCertificate.from_dict(doc)
-        cert.validate()
-        tol = resolve_tol(args.tol, 1e-8)
-        rep = schur.verify_certificate(
-            cert, cert.p, cert.q, cert.a, cert.b, cert.params,
-            n_samples=args.samples, tol=tol)
-        inputs = {"certificate": cert.to_dict()}
-        results = {"verification": rep.to_dict(),
-                   "max_residual": num(rep.max_residual, tol)}
-        emit(_report("certify verify", argv, inputs, results, {"tol": tol}, t0), args.out)
-        return EXIT_OK
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read certificate document {args.cert!r}: {exc}") from exc
+    cert = schur.SchurCertificate.from_dict(doc)
+    cert.validate()
+    tol = resolve_tol(args.tol, 1e-8)
+    rep = schur.verify_certificate(
+        cert, cert.p, cert.q, cert.a, cert.b, cert.params,
+        n_samples=args.samples, tol=tol)
+    inputs = {"certificate": cert.to_dict()}
+    results = {"verification": rep.to_dict(),
+               "max_residual": num(rep.max_residual, tol)}
+    emit(_report("certify verify", argv, inputs, results, {"tol": tol}, t0), args.out)
+    return EXIT_OK
+
+
+def _cmd_certify(args, argv, t0) -> int:
     required = ("p", "q", "a", "b", "alpha", "beta", "gamma")
     missing = [k for k in required if getattr(args, k) is None]
     if missing:
@@ -322,7 +320,10 @@ def _cmd_estimate(args, argv, t0) -> int:
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
     params = OperatorParams(args.alpha, args.beta, args.gamma)
     f = func1d(args.expr)
-    points = [float(s) for s in args.points.split(",") if s.strip()]
+    try:
+        points = [float(s) for s in args.points.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"--points must be comma-separated numbers: {exc}") from exc
     values = hilbert.apply_H_many(params, f, np.array(points), tol)
     src = WeightedSpaceSpec(args.p, args.a)
     nf = hilbert.weighted_lp_norm(f, src, tol)
@@ -369,6 +370,8 @@ def _cmd_dilate(args, argv, t0) -> int:
     tol = resolve_tol(args.tol, 1e-9)
     params = OperatorParams(args.alpha, args.beta, args.gamma)
     f = func1d(args.expr)
+    if args.r_num < 2:
+        raise ParameterError(f"--r-num must be at least 2, got {args.r_num}")
     half = args.r_decades / 2.0
     grid = np.logspace(-half, half, args.r_num)
     slope = hilbert.growth_exponent(args.p, args.q, args.a, args.b, params,
@@ -435,7 +438,7 @@ def _cmd_sweep(args, argv, t0) -> int:
     return EXIT_OK
 
 
-def _cmd_bergman(args, argv, t0) -> int:
+def _cmd_bergman_reproduce(args, argv, t0) -> int:
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_2D)
     rows = bergman.reproduce_check(args.nu, args.power, tol=tol)
     worst = max(r["abs_error"] for r in rows)
@@ -457,29 +460,10 @@ def _cmd_solve_gamma(args, argv, t0) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "verdict":
-            return _cmd_verdict(args, argv, t0)
-        if args.command == "sharp-norm":
-            return _cmd_sharp_norm(args, argv, t0)
-        if args.command == "certify":
-            return _cmd_certify(args, argv, t0)
-        if args.command == "estimate":
-            return _cmd_estimate(args, argv, t0)
-        if args.command == "extremal":
-            return _cmd_extremal(args, argv, t0)
-        if args.command == "dilate":
-            return _cmd_dilate(args, argv, t0)
-        if args.command == "sweep":
-            return _cmd_sweep(args, argv, t0)
-        if args.command == "bergman":
-            return _cmd_bergman(args, argv, t0)
-        if args.command == "solve-gamma":
-            return _cmd_solve_gamma(args, argv, t0)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args, argv, t0)
     except DivergenceError as exc:
         print(json.dumps({"error": "divergence", "detail": str(exc)}), file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -489,7 +473,6 @@ def main(argv=None) -> int:
     except OplabError as exc:
         print(json.dumps({"error": "parameters", "detail": str(exc)}), file=sys.stderr)
         return EXIT_PARAMS
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from . import quad
 from .errors import DomainError, ParameterError
 from .funcdsl import Func1D, func1d
 from .quad import SingularityHints
-from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck
+from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck, verdict_report
 from .specfun import beta as beta_fn
 
 __all__ = [
@@ -195,41 +195,15 @@ def apply_H_adjoint(params: OperatorParams, a: float, b: float, f: Func1D, y: fl
 # weighted norms
 # --------------------------------------------------------------------------
 
-def _essential_sup(fn, lo: float = 1e-6, hi: float = 1e6, n_grid: int = 481, iters: int = 90) -> float:
-    """Heuristic essential sup on (0, inf): coarse log-grid scan followed by
-    golden-section refinement around the best point.  A lower bound by
-    construction; documented as such."""
-    xs = np.geomspace(lo, hi, n_grid)
-    vals = np.abs(np.asarray(fn(xs)))
-    i = int(np.argmax(vals))
-    la, lb = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, n_grid - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = lb - phi * (lb - la)
-    d = la + phi * (lb - la)
-    fc = float(np.abs(fn(np.array([math.exp(c)]))[0]))
-    fd = float(np.abs(fn(np.array([math.exp(d)]))[0]))
-    for _ in range(iters):
-        if fc >= fd:
-            lb, d, fd = d, c, fc
-            c = lb - phi * (lb - la)
-            fc = float(np.abs(fn(np.array([math.exp(c)]))[0]))
-        else:
-            la, c, fc = c, d, fd
-            d = la + phi * (lb - la)
-            fd = float(np.abs(fn(np.array([math.exp(d)]))[0]))
-    return max(float(np.max(vals)), fc, fd)
-
-
-def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFAULT_TOL_1D,
-                     *, sup_grid: int = 481, sup_iters: int = 90) -> float:
+def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFAULT_TOL_1D) -> float:
     """|| f ||_{p,a} = (int_0^inf |f|^p x^a dx)^(1/p), or the essential sup.
 
-    The p = inf norm is a documented heuristic lower bound: a coarse
-    log-grid scan over [1e-6, 1e6] refined by golden section around the
-    best point (grid size and refinement depth configurable).
+    The p = inf norm is a documented heuristic lower bound: a 481-point
+    log-grid scan over [1e-6, 1e6] refined by 90 golden-section steps
+    around the best point (quad.log_grid_sup).
     """
     if math.isinf(space.p):
-        return _essential_sup(lambda x: f(x), n_grid=sup_grid, iters=sup_iters)
+        return quad.log_grid_sup(f, 1e-6, 1e6, 481, 90)
     p, a = space.p, space.a
     hints = SingularityHints(
         f.breakpoints,
@@ -352,13 +326,9 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
             InequalityCheck("alpha > 0", al, lower=0.0),
             InequalityCheck("beta > -1", be, lower=-1.0),
         )
-        bounded = relation.holds and all(c.holds for c in ineqs)
-        decided = _decider(relation, ineqs, "sup-to-sup criterion")
-        return ConditionReport(
-            operator="hilbert", regime="Linf -> Linf", bounded=bounded,
-            decided_by=decided, relation=relation, inequalities=ineqs,
-            notes=("sharp norm B(beta+1, alpha) available when bounded",),
-        )
+        return verdict_report("hilbert", "Linf -> Linf", relation, ineqs,
+                              notes=("sharp norm B(beta+1, alpha) available when bounded",),
+                              accepted="sup-to-sup criterion")
 
     if math.isinf(q):
         if not 1.0 < p:
@@ -368,12 +338,8 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
             InequalityCheck("alpha > 0", al, lower=0.0),
             InequalityCheck("a+1 < p(beta+1)", a + 1.0, upper=p * (be + 1.0)),
         )
-        bounded = relation.holds and all(c.holds for c in ineqs)
-        decided = _decider(relation, ineqs, "finite-to-sup criterion")
-        return ConditionReport(
-            operator="hilbert", regime="Lp_a -> Linf", bounded=bounded,
-            decided_by=decided, relation=relation, inequalities=ineqs,
-        )
+        return verdict_report("hilbert", "Lp_a -> Linf", relation, ineqs,
+                              accepted="finite-to-sup criterion")
 
     relation = RelationCheck(
         "gamma = alpha+beta+1-(a+1)/p+(b+1)/q",
@@ -387,21 +353,8 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
         InequalityCheck("-q*alpha < b+1", b + 1.0, lower=-q * al),
         InequalityCheck("b+1 < q(gamma-alpha)", b + 1.0, upper=q * (ga - al)),
     )
-    bounded = relation.holds and all(c.holds for c in ineqs)
-    decided = _decider(relation, ineqs, "finite-regime criterion")
-    return ConditionReport(
-        operator="hilbert", regime="Lp_a -> Lq_b (finite)", bounded=bounded,
-        decided_by=decided, relation=relation, inequalities=ineqs, cross_checks=cross,
-    )
-
-
-def _decider(relation, ineqs, accepted_name: str) -> str:
-    if not relation.holds:
-        return f"balance relation fails: {relation.name}"
-    for c in ineqs:
-        if not c.holds:
-            return f"inequality fails: {c.name}"
-    return accepted_name
+    return verdict_report("hilbert", "Lp_a -> Lq_b (finite)", relation, ineqs, cross=cross,
+                          accepted="finite-regime criterion")
 
 
 # --------------------------------------------------------------------------
@@ -571,6 +524,8 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
     if R_grid is None:
         R_grid = np.logspace(-1.5, 1.5, 7)
     R_grid = np.asarray(R_grid, dtype=float)
+    if len(set(R_grid.tolist())) < 2:
+        raise ParameterError(f"the growth fit needs at least 2 distinct R, got {R_grid.tolist()}")
     space = WeightedSpaceSpec(p, a)
     logs = []
     for R in R_grid:

@@ -11,16 +11,20 @@ domain is split at every declared breakpoint (and at 1 on the half-line),
 so integrands are smooth inside each panel and endpoint power
 singularities y^sigma, sigma > -1, are absorbed by the transform.
 
-Tails are handled with a logarithmic change of variables y = T*exp(s),
-s in [0, S] with S = 30, followed by a power-law completion term
+There is one panel type: a tanh-sinh rule on [a, b], optionally applied
+through a change of variables x = phi(s).  Finite pieces use no map.
+The half-line tail uses y = T*exp(s) and the first half-line panel its
+mirror image y = knot*exp(-s), both with s in [0, S], S = 30; the
+real-line tails use u = base +/- (exp(s) - 1) on the same range.  Each
+tail is followed by a power-law completion term
 
     int_Y^inf f(y) dy  ~=  f(Y) * Y / (tau - 1),      Y = T*e^S,
 
-where tau is the declared decay exponent; the first half-line panel is
-the mirror image (y = knot*exp(-s) plus an origin completion driven by
-the left exponent).  The completions make near-critical endpoint powers
-(tau or -sigma equal to 1 -+ xi with tiny xi) computable to full
-precision, which plain node clustering cannot do in double precision;
+where tau is the declared decay exponent, and the origin panel by the
+mirror-image completion driven by the left exponent.  The completions
+make near-critical endpoint powers (tau or -sigma equal to 1 -+ xi with
+tiny xi) computable to full precision, which plain node clustering
+cannot do in double precision;
 their model error is O(1/Y) relative to the endpoint mass for
 integrands with an asymptotic power law, i.e. ~1e-13.
 
@@ -57,6 +61,7 @@ __all__ = [
     "integrate_interval",
     "integrate_real_line",
     "integrate_halfplane",
+    "log_grid_sup",
 ]
 
 DEFAULT_TOL_1D = 1e-10
@@ -65,6 +70,7 @@ DEFAULT_TOL_2D = 1e-6
 _T_MAX = 6.0          # tanh-sinh parameter range; weights underflow beyond
 _LOG_TAIL_SPAN = 30.0  # tails integrated numerically out to T*e^30
 _PI_HALF = math.pi / 2.0
+_MIN_LEVEL = 3         # refinement levels always run before convergence counts
 
 
 @dataclass(frozen=True)
@@ -96,11 +102,13 @@ class SingularityHints:
 # tanh-sinh node tables
 # --------------------------------------------------------------------------
 
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_node_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
 
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dist_from_left, dist_from_right, weight) for the nodes new at `level`.
+def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
+    """(near_left, dist_from_left, dist_from_right, weight) for the nodes new
+    at `level`; near_left (dist_from_left <= 1) is cached with the table so
+    that panels do not recompute it at every drive.
 
     Distances are relative to the half-width of the panel and lie in (0, 2);
     they are computed through exp(-2u) so that nodes double-exponentially
@@ -123,74 +131,42 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d_right = np.where(u >= 0, near, far)
     w = _PI_HALF * np.cosh(t) / np.cosh(u) ** 2
     good = w > 0.0
-    result = (d_left[good], d_right[good], w[good])
+    result = (d_left[good] <= 1.0, d_left[good], d_right[good], w[good])
     _node_cache[level] = result
     return result
 
 
-class _FinitePanel:
-    """Plain tanh-sinh panel on [a, b]."""
+class _Panel:
+    """Tanh-sinh panel on [a, b], optionally through a change of variables.
 
-    def __init__(self, a: float, b: float):
-        self.a = a
-        self.b = b
-        self.hw = 0.5 * (b - a)
-
-    def nodes(self, level):
-        d_left, d_right, w = _level_nodes(level)
-        x = np.where(d_left <= 1.0, self.a + self.hw * d_left, self.b - self.hw * d_right)
-        return x, self.hw * w
-
-
-class _LogTailPanel:
-    """Tail of the half-line: y = T * e^s, s in [0, S]."""
-
-    def __init__(self, start: float, span: float = _LOG_TAIL_SPAN):
-        self.start = start
-        self.span = span
-        self.hw = 0.5 * span
-
-    def nodes(self, level):
-        d_left, d_right, w = _level_nodes(level)
-        s = np.where(d_left <= 1.0, self.hw * d_left, self.span - self.hw * d_right)
-        y = self.start * np.exp(s)
-        return y, self.hw * w * y
-
-
-class _OriginLogPanel:
-    """First panel of the half-line: y = edge * e^(-s), s in [0, S].
-
-    The logarithmic map turns a power singularity y^sigma into a plain
+    Without a map the nodes are the abscissae themselves.  With one,
+    ``phi(s)`` returns ``(x, |dx/ds|)`` for the panel variable s.  The
+    logarithmic origin map turns a power singularity y^sigma into a plain
     exponential e^(-(1+sigma)s), so together with the origin completion
     it stays accurate arbitrarily close to sigma = -1.
     """
 
-    def __init__(self, edge: float, span: float = _LOG_TAIL_SPAN):
-        self.edge = edge
-        self.span = span
-        self.hw = 0.5 * span
+    def __init__(self, a: float, b: float, phi=None):
+        self.a = a
+        self.b = b
+        self.hw = 0.5 * (b - a)
+        self.phi = phi
 
     def nodes(self, level):
-        d_left, d_right, w = _level_nodes(level)
-        s = np.where(d_left <= 1.0, self.hw * d_left, self.span - self.hw * d_right)
-        y = self.edge * np.exp(-s)
-        return y, self.hw * w * y
+        near_left, d_left, d_right, w = _level_nodes(level)
+        s = np.where(near_left, self.a + self.hw * d_left, self.b - self.hw * d_right)
+        if self.phi is None:
+            return s, self.hw * w
+        x, jac = self.phi(s)
+        return x, self.hw * w * jac
 
 
-class _ShiftedLogTailPanel:
-    """Real-line tail: u = base +/- (e^s - 1), s in [0, S]."""
-
-    def __init__(self, base: float, sign: float, span: float = _LOG_TAIL_SPAN):
-        self.base = base
-        self.sign = sign
-        self.span = span
-        self.hw = 0.5 * span
-
-    def nodes(self, level):
-        d_left, d_right, w = _level_nodes(level)
-        s = np.where(d_left <= 1.0, self.hw * d_left, self.span - self.hw * d_right)
-        u = self.base + self.sign * np.expm1(s)
-        return u, self.hw * w * np.exp(s)
+def _log_panel(scale: float, sign: float) -> _Panel:
+    """y = scale * e^(sign*s), s in [0, S]: the log tail (+1) or origin (-1) panel."""
+    def phi(s):
+        y = scale * np.exp(sign * s)
+        return y, y
+    return _Panel(0.0, _LOG_TAIL_SPAN, phi)
 
 
 def _sanitize(vals: np.ndarray) -> np.ndarray:
@@ -203,7 +179,7 @@ def _sanitize(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
-def _drive(panels, integrand, tol, max_level, completion=0.0, min_level=3):
+def _drive(panels, integrand, tol, max_level, completion=0.0):
     """Run all panels in lockstep, refining until the total settles."""
     if not (0.0 < tol < 0.5):
         raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
@@ -232,7 +208,7 @@ def _drive(panels, integrand, tol, max_level, completion=0.0, min_level=3):
             # the mass floor recognizes cancellation-to-zero: nothing below
             # machine epsilon times the L1 mass is resolvable anyway
             floor = 1e-15 * (2.0 ** (-level)) * float(np.max(mass)) + 1e-300
-            if level >= min_level and change <= max(tol * float(np.max(np.abs(total))), floor):
+            if level >= _MIN_LEVEL and change <= max(tol * float(np.max(np.abs(total))), floor):
                 return total
         prev = total
     raise AccuracyError(
@@ -265,20 +241,7 @@ def _origin_completion(integrand, first_knot: float, left_exponent: float):
 # public entry points
 # --------------------------------------------------------------------------
 
-def _check_semiaxis_hints(hints: SingularityHints):
-    if not hints.left_exponent > -1.0:
-        raise DivergenceError(
-            f"integral diverges at the origin: left exponent {hints.left_exponent} <= -1",
-            endpoint="origin",
-        )
-    if not hints.decay_exponent > 1.0:
-        raise DivergenceError(
-            f"integral diverges at infinity: decay exponent {hints.decay_exponent} <= 1",
-            endpoint="infinity",
-        )
-
-
-def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None = None) -> list[float]:
+def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None) -> list[float]:
     top = upper if upper is not None else max(1.0, breakpoints[-1] if breakpoints else 1.0)
     knots = {0.0, top}
     knots.update(b for b in breakpoints if b < top)
@@ -286,6 +249,30 @@ def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None = None) ->
         knots.add(1.0)
     return sorted(knots)
 
+
+def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: float | None):
+    """Integral of f over (0, cutoff], or over (0, inf) when cutoff is None."""
+    if not hints.left_exponent > -1.0:
+        raise DivergenceError(
+            f"integral diverges at the origin: left exponent {hints.left_exponent} <= -1",
+            endpoint="origin",
+        )
+    if cutoff is None and not hints.decay_exponent > 1.0:
+        raise DivergenceError(
+            f"integral diverges at infinity: decay exponent {hints.decay_exponent} <= 1",
+            endpoint="infinity",
+        )
+    knots = _semiaxis_knots(hints.breakpoints, cutoff)
+    panels = [_log_panel(knots[1], -1.0)]
+    panels.extend(_Panel(a, b) for a, b in zip(knots[1:], knots[2:]))
+    completion = _origin_completion(f, knots[1], hints.left_exponent)
+    if cutoff is None:
+        panels.append(_log_panel(knots[-1], 1.0))
+        completion = _tail_completion(f, knots[-1], hints.decay_exponent) + completion
+    return _drive(panels, f, tol, max_level, completion)
+
+
+# Neither public entry point calls the other: each one runs exactly one drive.
 
 def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
     """Integral of f over (0, inf) to relative tolerance ``tol``.
@@ -295,15 +282,7 @@ def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, 
     Raises DivergenceError when the hints say the integral cannot
     converge, AccuracyError when the refinement budget runs out.
     """
-    _check_semiaxis_hints(hints)
-    knots = _semiaxis_knots(hints.breakpoints)
-    panels: list = [_OriginLogPanel(knots[1])]
-    panels.extend(_FinitePanel(a, b) for a, b in zip(knots[1:], knots[2:]))
-    tail_start = knots[-1]
-    panels.append(_LogTailPanel(tail_start))
-    completion = (_tail_completion(f, tail_start, hints.decay_exponent)
-                  + _origin_completion(f, knots[1], hints.left_exponent))
-    return _drive(panels, f, tol, max_level, completion)
+    return _semiaxis(f, hints, tol, max_level, None)
 
 
 def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
@@ -314,16 +293,7 @@ def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = 
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise ParameterError(f"cutoff must be positive finite, got {cutoff}")
-    if not hints.left_exponent > -1.0:
-        raise DivergenceError(
-            f"integral diverges at the origin: left exponent {hints.left_exponent} <= -1",
-            endpoint="origin",
-        )
-    knots = _semiaxis_knots([b for b in hints.breakpoints if b < cutoff], upper=cutoff)
-    panels: list = [_OriginLogPanel(knots[1])]
-    panels.extend(_FinitePanel(a, b) for a, b in zip(knots[1:], knots[2:]))
-    completion = _origin_completion(f, knots[1], hints.left_exponent)
-    return _drive(panels, f, tol, max_level, completion)
+    return _semiaxis(f, hints, tol, max_level, cutoff)
 
 
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (), max_level: int = 10):
@@ -331,7 +301,7 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, br
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a}, {b}]")
     knots = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    panels = [_FinitePanel(lo, hi) for lo, hi in zip(knots, knots[1:])]
+    panels = [_Panel(lo, hi) for lo, hi in zip(knots, knots[1:])]
     return _drive(panels, f, tol, max_level)
 
 
@@ -348,9 +318,9 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
             endpoint="u-infinity",
         )
     knots = sorted({float(b) for b in breakpoints}) or [0.0]
-    panels: list = [_FinitePanel(a, b) for a, b in zip(knots, knots[1:])]
-    panels.append(_ShiftedLogTailPanel(knots[-1], +1.0))
-    panels.append(_ShiftedLogTailPanel(knots[0], -1.0))
+    panels = [_Panel(a, b) for a, b in zip(knots, knots[1:])]
+    panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[-1] + np.expm1(s), np.exp(s))))
+    panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[0] - np.expm1(s), np.exp(s))))
     completion = 0.0
     if math.isfinite(decay_exponent):
         far_right = knots[-1] + math.expm1(_LOG_TAIL_SPAN)
@@ -407,3 +377,32 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
     )
     pair = integrate_semiaxis(outer_integrand, hints, tol, max_level=max_level)
     return pair[0]
+
+
+def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int) -> float:
+    """Heuristic sup of |fn| over [lo, hi]: a geometric grid scan of
+    n_grid points, then ``iters`` golden-section steps in log x around
+    the best grid point.  A lower bound by construction.  ``fn`` is
+    called on numpy arrays (the refinement steps pass one point each).
+    """
+    xs = np.geomspace(lo, hi, n_grid)
+    vals = np.abs(np.asarray(fn(xs)))
+    i = int(np.argmax(vals))
+    la, lb = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, n_grid - 1)])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def at(log_x):
+        return float(np.abs(fn(np.array([math.exp(log_x)]))[0]))
+
+    c, d = lb - phi * (lb - la), la + phi * (lb - la)
+    fc, fd = at(c), at(d)
+    for _ in range(iters):
+        if fc >= fd:
+            lb, d, fd = d, c, fc
+            c = lb - phi * (lb - la)
+            fc = at(c)
+        else:
+            la, c, fc = c, d, fd
+            d = la + phi * (lb - la)
+            fd = at(d)
+    return max(float(np.max(vals)), fc, fd)

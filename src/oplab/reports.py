@@ -10,19 +10,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RelationCheck", "InequalityCheck", "ConditionReport", "RELATION_EPS"]
+import numpy as np
+
+__all__ = ["RelationCheck", "InequalityCheck", "ConditionReport", "RELATION_EPS",
+           "jsonable", "verdict_report"]
 
 # The balance relation is a real equation; it is tested with this
 # absolute tolerance (the CLI offers solve-gamma to hit it exactly).
 RELATION_EPS = 1e-12
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return x
+def jsonable(obj):
+    """Make a report JSON-safe recursively: infinities become "inf"/"-inf"
+    and numpy scalars plain floats."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = float(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
 
 
 @dataclass(frozen=True)
@@ -43,14 +52,14 @@ class RelationCheck:
         return abs(self.residual) <= self.epsilon
 
     def to_dict(self) -> dict:
-        return {
+        return jsonable({
             "name": self.name,
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "residual": _jsonable(self.residual),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "residual": self.residual,
             "epsilon": self.epsilon,
             "holds": self.holds,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,13 @@ class InequalityCheck:
         return self.lower < self.value < self.upper
 
     def to_dict(self) -> dict:
-        return {
+        return jsonable({
             "name": self.name,
-            "lower": _jsonable(self.lower),
-            "value": _jsonable(self.value),
-            "upper": _jsonable(self.upper),
+            "lower": self.lower,
+            "value": self.value,
+            "upper": self.upper,
             "holds": self.holds,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -105,3 +114,21 @@ class ConditionReport:
             "cross_checks": [c.to_dict() for c in self.cross_checks],
             "notes": list(self.notes),
         }
+
+
+def verdict_report(operator: str, regime: str, relation: RelationCheck | None,
+                   ineqs, cross=(), notes=(), accepted: str | None = None) -> ConditionReport:
+    """Assemble a verdict: bounded when the relation (if any) and every
+    inequality hold.  ``decided_by`` names the failing relation, else the
+    first failing inequality, else ``accepted`` (default "<regime> criterion")."""
+    bounded = (relation is None or relation.holds) and all(c.holds for c in ineqs)
+    if relation is not None and not relation.holds:
+        decided = f"balance relation fails: {relation.name}"
+    else:
+        decided = next((f"inequality fails: {c.name}" for c in ineqs if not c.holds),
+                       accepted or f"{regime} criterion")
+    return ConditionReport(
+        operator=operator, regime=regime, bounded=bounded, decided_by=decided,
+        relation=relation, inequalities=tuple(ineqs), cross_checks=tuple(cross),
+        notes=tuple(notes),
+    )

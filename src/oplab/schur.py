@@ -94,11 +94,15 @@ class SchurCertificate:
     def validate(self):
         """Re-check every defining invariant; raises ParameterError naming
         the first violated one (used when loading untrusted documents)."""
+        # the exponent range and the sign of omega guard the divisions below
+        if not 1.0 <= self.p <= self.q < math.inf:
+            raise ParameterError("certificate invariant violated: 1 <= p <= q < inf")
+        if not self.omega < 0.0:
+            raise ParameterError("certificate invariant violated: omega < 0")
         pp = conjugate_exponent(self.p)
         a1p = 0.0 if math.isinf(pp) else (self.a + 1.0) / pp
         bq = (self.b + 1.0) / self.q
         checks = [
-            ("omega < 0", self.omega < 0.0),
             ("omega = alpha+beta-gamma-a", abs(self.omega - (self.alpha + self.beta - self.gamma - self.a)) <= 1e-9),
             ("0 < t <= 1", 0.0 < self.t <= 1.0),
             ("t = (-(a+1)/p' + s - r)/omega", abs(self.t - ((-a1p + self.s - self.r) / self.omega)) <= 1e-9),
@@ -129,17 +133,23 @@ class SchurCertificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SchurCertificate":
-        inp = doc["input"]
-        cert = doc["certificate"]
-        cf = doc["closed_forms"]
-        return cls(
-            p=inp["p"], q=inp["q"], a=inp["a"], b=inp["b"],
-            alpha=inp["alpha"], beta=inp["beta"], gamma=inp["gamma"],
-            omega=cert["omega"], t=cert["t"], r=cert["r"], s=cert["s"],
-            d=cert["d"], m1=cert["m1"], m2=cert["m2"], bound=cert["bound"],
-            m1_closed_form=cf["m1"], m2_closed_form=cf["m2"],
-            limit_case=bool(doc.get("limit_case", inp["p"] == 1.0)),
-        )
+        """Load a certificate document (or the full report of ``certify``);
+        ParameterError names a missing or non-numeric field."""
+        try:
+            if doc.get("kind") != "schur-certificate" and "results" in doc:
+                doc = doc["results"]["certificate"]
+            fields = {k: doc["input"][k] for k in ("p", "q", "a", "b", "alpha", "beta", "gamma")}
+            fields.update({k: doc["certificate"][k]
+                           for k in ("omega", "t", "r", "s", "d", "m1", "m2", "bound")})
+            fields.update(m1_closed_form=doc["closed_forms"]["m1"],
+                          m2_closed_form=doc["closed_forms"]["m2"])
+            limit_case = bool(doc.get("limit_case", fields["p"] == 1.0))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParameterError(f"not a certificate document (missing field or section: {exc})") from exc
+        for name, value in fields.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(f"certificate field {name} must be a number, got {value!r}")
+        return cls(**fields, limit_case=limit_case)
 
 
 def _d_candidates(bq: float, n: int) -> np.ndarray:
@@ -264,6 +274,8 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
     """
     if (p, q, a, b) != (cert.p, cert.q, cert.a, cert.b) or params != cert.params:
         raise ParameterError("certificate document does not match the supplied tuple")
+    if n_samples < 1:
+        raise ParameterError(f"verification needs at least one sample, got n_samples={n_samples}")
     al, be, ga = params.alpha, params.beta, params.gamma
     t, r, s = cert.t, cert.r, cert.s
     if not cert.limit_case and (t >= 1.0 - 1e-12 or t <= 1e-12):
@@ -283,9 +295,11 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
             raise ParameterError("limit-case certificate has no interior supremum")
         closed = _sup_constant(A, C)
         for x in samples:
-            got = _numeric_sup(lambda yy: yy ** (-s) * ((yy ** (be - a) * x ** al)
-                                                        / (x + yy) ** ga) ** t * x ** r,
-                               x * A / (C - A))
+            def sup_integrand(ys, x=x):
+                return np.array([yy ** (-s) * ((yy ** (be - a) * x ** al) / (x + yy) ** ga) ** t
+                                 * x ** r for yy in ys])
+            center = x * A / (C - A)
+            got = quad.log_grid_sup(sup_integrand, center / 10.0, center * 10.0, 200, 60)
             worst = _residual("supremum test", x, got, closed, tol, worst)
         first = "supremum"
     else:
@@ -330,27 +344,6 @@ def _residual(name: str, sample: float, got: float, expect: float, tol: float, w
             inequality=name, sample=float(sample), residual=res,
         )
     return max(worst, res)
-
-
-def _numeric_sup(fn, center: float, width: float = 10.0, n: int = 200, iters: int = 60) -> float:
-    """Maximize a smooth unimodal function near `center` on a log scale."""
-    xs = np.geomspace(center / width, center * width, n)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmax(vals))
-    la, lb = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, n - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, dd = lb - phi * (lb - la), la + phi * (lb - la)
-    fc, fd = fn(math.exp(c)), fn(math.exp(dd))
-    for _ in range(iters):
-        if fc >= fd:
-            lb, dd, fd = dd, c, fc
-            c = lb - phi * (lb - la)
-            fc = fn(math.exp(c))
-        else:
-            la, c, fc = c, dd, fd
-            dd = la + phi * (lb - la)
-            fd = fn(math.exp(dd))
-    return max(float(np.max(vals)), fc, fd)
 
 
 # --------------------------------------------------------------------------

@@ -85,6 +85,62 @@ def test_certify_verify_corrupted_exit_code(capsys, tmp_path):
     assert "accuracy" in err
 
 
+def write_classical_cert(capsys, path):
+    code, _, err = run_cli(capsys, "certify", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                           "--alpha", "0", "--beta", "0", "--gamma", "1", "--out", str(path))
+    assert code == EXIT_OK, err
+    return json.loads(path.read_text())
+
+
+def assert_parameter_error(capsys, *args):
+    code, _, err = run_cli(capsys, *args)
+    assert code == EXIT_PARAMS, err
+    assert json.loads(err)["error"] == "parameters"
+
+
+@pytest.mark.parametrize("text", [None, "not json", "{}", "[1, 2]", "null", '{"results": {}}'],
+                         ids=["missing", "not-json", "empty", "list", "null", "report-without-cert"])
+def test_certify_verify_unreadable_document(capsys, tmp_path, text):
+    cert_file = tmp_path / "cert.json"
+    if text is not None:
+        cert_file.write_text(text)
+    assert_parameter_error(capsys, "certify", "verify", "--cert", str(cert_file))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("input", "p", "two"), ("certificate", "t", None), ("closed_forms", "m1", [1.0]),
+    ("certificate", "omega", True), ("input", "q", 0), ("certificate", "omega", 0),
+    ("certificate", "d", "missing"),
+])
+def test_certify_verify_ill_typed_fields(capsys, tmp_path, section, key, value):
+    cert_file = tmp_path / "cert.json"
+    doc = write_classical_cert(capsys, cert_file)
+    if value == "missing":
+        del doc[section][key]
+    else:
+        doc[section][key] = value
+    cert_file.write_text(json.dumps(doc))
+    assert_parameter_error(capsys, "certify", "verify", "--cert", str(cert_file))
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_certify_verify_needs_samples(capsys, tmp_path, samples):
+    cert_file = tmp_path / "cert.json"
+    write_classical_cert(capsys, cert_file)
+    assert_parameter_error(capsys, "certify", "verify", "--cert", str(cert_file),
+                           "--samples", samples)
+
+
+def test_certify_verify_accepts_full_report(capsys, tmp_path):
+    report_file = tmp_path / "report.json"
+    _, out, _ = run_cli(capsys, "certify", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                        "--alpha", "0", "--beta", "0", "--gamma", "1")
+    report_file.write_text(out)
+    code, out, err = run_cli(capsys, "certify", "verify", "--cert", str(report_file),
+                             "--samples", "3")
+    assert code == EXIT_OK, err
+
+
 def test_certify_missing_args(capsys):
     code, out, err = run_cli(capsys, "certify", "--p", "2")
     assert code == EXIT_PARAMS
@@ -115,6 +171,12 @@ def test_estimate_divergence_exit_code(capsys):
     assert "divergence" in err
 
 
+def test_estimate_bad_points(capsys):
+    assert_parameter_error(
+        capsys, "estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+        "--alpha", "0", "--beta", "0", "--gamma", "1", "--points", "abc")
+
+
 def test_extremal(capsys):
     doc = run_json(capsys, "extremal", "--p", "2", "--a", "0", "--alpha", "0",
                    "--beta", "0", "--gamma", "1", "--xi", "0.1", "--xi", "0.01")
@@ -128,6 +190,13 @@ def test_dilate(capsys):
                    "--alpha", "0", "--beta", "0", "--gamma", "2")
     assert doc["results"]["growth_exponent"]["value"] == pytest.approx(-1.0, abs=0.02)
     assert doc["results"]["predicted"]["value"] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("r_num", ["1", "0", "-1"])
+def test_dilate_needs_two_R(capsys, r_num):
+    assert_parameter_error(
+        capsys, "dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+        "--alpha", "0", "--beta", "0", "--gamma", "2", "--r-num", r_num)
 
 
 def test_sweep_csv(capsys):

@@ -1,0 +1,165 @@
+"""Byte-identity of CLI reports and selected values against a recorded golden file.
+
+``tests/golden/reports.json`` holds the stdout of every README CLI command
+(plus the sup-norm and p = 1 certificate paths) with ``elapsed_s`` masked,
+the ``repr`` of a few library values, and the verdict report of every
+criterion regime.  A refactor that keeps
+behaviour must reproduce it exactly.  After a deliberate output change,
+regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.json
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import shutil
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+from oplab import bergman, cli, quad
+from oplab.funcdsl import func2d
+from oplab.hilbert import OperatorParams, hilbert_verdict
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
+
+_P = ["--alpha", "0", "--beta", "0"]
+COMMANDS = [
+    ["sharp-norm", "--p", "2", "--a", "0", *_P, "--gamma", "1"],
+    ["verdict", "hilbert", "--p", "2", "--q", "2", "--a", "0", "--b", "0", *_P, "--gamma", "2"],
+    ["verdict", "bergman", "--operator", "tplus", "--p", "2", "--q", "2", "--r", "2",
+     "--a", "0", "--b", "0", "--alpha", "0.25", "--beta", "0.25", "--gamma", "1.5"],
+    ["verdict", "bergman", "--operator", "projection", "--p", "2", "--q", "1", "--r", "1",
+     "--a", "0", "--b", "0", "--beta", "0.5"],
+    ["certify", "--p", "2", "--q", "2", "--a", "0", "--b", "0", *_P, "--gamma", "1",
+     "--out", "report.json"],
+    ["certify", "verify", "--cert", "cert.json", "--samples", "100"],
+    ["estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+     *_P, "--gamma", "1"],
+    ["extremal", "--p", "2", "--a", "0", *_P, "--gamma", "1", "--xi", "0.1", "--xi", "0.01"],
+    ["dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0", *_P, "--gamma", "2"],
+    ["sweep", "--vary", "gamma", "--start", "0.5", "--stop", "1.5", "--num", "11",
+     "--p", "2", "--q", "2", "--a", "0", "--b", "0", *_P],
+    ["bergman", "reproduce", "--nu", "0", "--power", "3"],
+    ["solve-gamma", "--p", "2", "--q", "3", "--a", "0", "--b", "0.5",
+     "--alpha", "0.2", "--beta", "0.3"],
+    # the sup paths: p = q = inf norms and the p = 1 limit-case certificate
+    ["estimate", "--expr", "x*exp(-x)", "--p", "inf", "--q", "inf",
+     "--alpha", "0.5", "--beta", "0", "--gamma", "1.5"],
+    ["certify", "--p", "1", "--q", "1", "--a", "0", "--b", "0",
+     "--alpha", "0.5", "--beta", "0.5", "--gamma", "2", "--out", "cert1.json"],
+    ["certify", "verify", "--cert", "cert1.json", "--samples", "20"],
+]
+
+
+def _mask(text: str) -> str:
+    return re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": X', text)
+
+
+def run_commands() -> list[dict]:
+    """Run COMMANDS in-process in a scratch directory; README's
+    ``certify --out report.json`` feeds ``certify verify --cert cert.json``."""
+    rows = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in COMMANDS:
+                if argv[:3] == ["certify", "verify", "--cert"] and argv[3] == "cert.json":
+                    shutil.copy("report.json", "cert.json")
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(list(argv))
+                rows.append({"argv": argv, "exit": code, "stdout": _mask(out.getvalue())})
+        finally:
+            os.chdir(cwd)
+    return rows
+
+
+INF = math.inf
+# (p, q, a, b, alpha, beta, gamma): each regime bounded, then failing a clause
+HILBERT_VERDICTS = [
+    (INF, INF, None, None, 0.5, 0.0, 1.5), (INF, INF, None, None, 0.0, 0.0, 1.0),
+    (INF, INF, None, None, 0.5, 0.0, 2.0), (2, INF, 0, None, 0.5, 0.0, 1.0),
+    (2, INF, 0, None, 0.0, 0.0, 0.5), (2, 2, 0, 0, 0.0, 0.0, 1.0),
+    (2, 2, 0, 0, 0.0, 0.0, 2.0), (2, 2, 2, 2, 0.0, 0.0, 1.0),
+]
+# (operator, p, q, a, r, b, alpha, beta, gamma)
+BERGMAN_VERDICTS = [
+    ("tplus", INF, INF, None, INF, None, 0.5, 0.5, 2.0),
+    ("tplus", INF, INF, None, INF, None, 0.0, 0.5, 1.5),
+    ("tplus", INF, INF, None, INF, None, 0.5, 0.5, 2.5),
+    ("tplus", 1, 1, 0, 1, 0, 0.5, 0.5, 2.0), ("tplus", 1, 1, 0.6, 1, 0.6, 0.5, 0.5, 2.0),
+    ("tplus", 2, 2, 0, 2, 0, 0.25, 0.25, 1.5), ("tplus", 2, 2, 0, 2, 0, 0.25, 0.25, 2.0),
+    ("t", 2, 2, 0, 2, 0, 0.25, 0.25, 1.5), ("tplus", 2, 2, 0, INF, None, 0.5, 0.5, 1.5),
+    ("tplus", 2, 1, 0, INF, None, 0.5, 0.5, 1.0), ("tplus", 2, 1, 0, 1, 0, 0.5, 0.5, 2.0),
+    ("tplus", 2, 1, 0, 2, 0, 0.5, 0.5, 1.5), ("tplus", 2, INF, None, INF, None, 0.5, 0.5, 2.0),
+    ("projection", 1, 1, 0, 1, 0, 0.0, 0.5, 1.5), ("projection", 1, 1, 0.6, 1, 0.6, 0.0, 0.5, 1.5),
+    ("projection", 2, 2, 0, 2, 0, 0.0, 0.5, 1.5), ("projection", 2, 1, 0, 2, 1.0, 0.0, 0.5, 1.5),
+    ("projection", 2, 1, 0, 1, 0, 0.0, 0.5, 1.5), ("projection", 2, 1, 0, 1, 0, 0.0, -0.5, 0.5),
+]
+
+
+def verdict_reports() -> list[str]:
+    reps = [hilbert_verdict(p, q, a, b, OperatorParams(al, be, ga))
+            for p, q, a, b, al, be, ga in HILBERT_VERDICTS]
+    reps += [bergman.bergman_verdict(bergman.BergmanVerdictRequest(
+        op, bergman.MixedNormSpec(p, q, a), bergman.MixedNormSpec(p, r, b),
+        OperatorParams(al, be, ga))) for op, p, q, a, r, b, al, be, ga in BERGMAN_VERDICTS]
+    return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reps]
+
+
+def library_values() -> dict:
+    box = func2d("ind(-0.25,0.25)*ind(y,1,2)")
+    smooth = func2d("exp(-abs(x))*y*exp(-y)")
+    hints = quad.SingularityHints((0.5,), -0.5, 2.5)
+    return {
+        "mixed_norm box q=inf": repr(bergman.mixed_norm(box, bergman.MixedNormSpec(2, math.inf))),
+        "mixed_norm smooth q=inf": repr(bergman.mixed_norm(smooth, bergman.MixedNormSpec(1, math.inf))),
+        "integrate_truncated": repr(quad.integrate_truncated(
+            lambda y: y ** -0.5 / (1 + y) + (y > 0.5), hints, 3.0)),
+        "integrate_real_line": repr(quad.integrate_real_line(
+            lambda u: 1.0 / (1 + u * u) ** 1.25, breakpoints=(-1.0, 2.0), decay_exponent=2.5)),
+        "integrate_semiaxis": repr(quad.integrate_semiaxis(
+            lambda y: y ** -0.5 / (1 + y) ** 2 * (1 + (y > 0.5)), hints)),
+        "integrate_interval": repr(quad.integrate_interval(
+            lambda y: np.sqrt(y) * np.cos(y), 0.0, 3.0, breakpoints=(1.0,))),
+    }
+
+
+def capture() -> dict:
+    return {"cli": run_commands(), "values": library_values(), "verdicts": verdict_reports()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_cli_reports_byte_identical(golden, monkeypatch):
+    monkeypatch.delenv("OPLAB_TOL", raising=False)
+    got = run_commands()
+    assert [r["argv"] for r in got] == [r["argv"] for r in golden["cli"]]
+    for row, want in zip(got, golden["cli"]):
+        assert row == want, " ".join(row["argv"])
+
+
+def test_library_values_identical(golden):
+    assert library_values() == golden["values"]
+
+
+def test_verdict_reports_identical(golden):
+    assert verdict_reports() == golden["verdicts"]
+
+
+if __name__ == "__main__":
+    os.environ.pop("OPLAB_TOL", None)
+    json.dump(capture(), sys.stdout, indent=1)
+    sys.stdout.write("\n")

@@ -295,6 +295,12 @@ def test_growth_exponent_unbalanced():
     assert growth_exponent(2, 2, 0, 0, P(0, 0, 0.5)) == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("R_grid", [[], [2.0], [3.0, 3.0]])
+def test_growth_exponent_needs_two_distinct_R(R_grid):
+    with pytest.raises(ParameterError):
+        growth_exponent(2, 2, 0, 0, P(0, 0, 1), R_grid=R_grid)
+
+
 # -- norm domination -----------------------------------------------------------
 
 def test_norm_domination_by_sharp():

@@ -104,6 +104,13 @@ def test_verify_residual_exceeded_raises():
     assert exc.value.residual > 1e-8
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_verify_needs_a_sample(n_samples):
+    cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
+    with pytest.raises(ParameterError):
+        verify_certificate(cert, *CLASSICAL[:4], CLASSICAL[4], n_samples=n_samples)
+
+
 def test_verify_tuple_mismatch():
     cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
     with pytest.raises(ParameterError):
