@@ -318,7 +318,7 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
 
             planes = quad.integrate_real_line(
                 inner, inner_tol,
-                breakpoints=f.u_breakpoints or (0.0,),
+                breakpoints=f.u_breakpoints,
                 decay_exponent=f.u_decay_exponent + 1.0 + ga)
             return planes * v[None, :] ** be
 
@@ -354,7 +354,7 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
 
         lhs = float(quad.integrate_real_line(
             lhs_integrand, tol,
-            breakpoints=f.u_breakpoints or (0.0,),
+            breakpoints=f.u_breakpoints,
             decay_exponent=p * (1.0 + params.gamma))) ** (1.0 / p)
         rhs = c_gamma * apply_H(params, slice_norm, y, tol)
         rows.append({"y": float(y), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs})

@@ -38,13 +38,7 @@ import time
 import numpy as np
 
 from . import bergman, hilbert, quad, schur
-from .errors import (
-    AccuracyError,
-    CertificateVerificationError,
-    DivergenceError,
-    OplabError,
-    ParameterError,
-)
+from .errors import AccuracyError, DivergenceError, OplabError, ParameterError
 from .funcdsl import func1d
 from .hilbert import OperatorParams, WeightedSpaceSpec
 from .reports import jsonable
@@ -52,14 +46,19 @@ from .reports import jsonable
 SCHEMA = 1
 
 EXIT_OK = 0
-EXIT_PARAMS = 2
-EXIT_DIVERGENCE = 3
-EXIT_ACCURACY = 4
+EXIT_PARAMS = OplabError.exit_code
+EXIT_DIVERGENCE = DivergenceError.exit_code
+EXIT_ACCURACY = AccuracyError.exit_code
 
 
 def num(value: float, tol: float) -> dict:
     """A numeric report field: the value together with its tolerance."""
     return {"value": value, "tol": tol}
+
+
+def _verdict(rep) -> dict:
+    """The results fields of a verdict-carrying command."""
+    return {"verdict": "bounded" if rep.bounded else "unbounded", "report": rep.to_dict()}
 
 
 def emit(report: dict, out: str | None = None) -> None:
@@ -88,22 +87,24 @@ def resolve_tol(flag_value: float | None, default: float) -> float:
         return flag_value
     env = os.environ.get("OPLAB_TOL")
     if env:
-        return float(env)
+        try:
+            return float(env)
+        except ValueError as exc:
+            raise ParameterError(f"OPLAB_TOL must be a number, got {env!r}") from exc
     return default
 
 
-def _add_params(ap: argparse.ArgumentParser):
-    ap.add_argument("--alpha", type=float, required=True)
-    ap.add_argument("--beta", type=float, required=True)
-    ap.add_argument("--gamma", type=float, required=True)
+def _add_params(ap: argparse.ArgumentParser, required=True):
+    ap.add_argument("--alpha", type=float, required=required)
+    ap.add_argument("--beta", type=float, required=required)
+    ap.add_argument("--gamma", type=float, required=required)
 
 
-def _add_spaces(ap: argparse.ArgumentParser, weights=True):
-    ap.add_argument("--p", type=float, required=True)
-    ap.add_argument("--q", type=float, required=True)
-    if weights:
-        ap.add_argument("--a", type=float, default=None)
-        ap.add_argument("--b", type=float, default=None)
+def _add_spaces(ap: argparse.ArgumentParser, required=True):
+    ap.add_argument("--p", type=float, required=required)
+    ap.add_argument("--q", type=float, required=required)
+    ap.add_argument("--a", type=float, default=None)
+    ap.add_argument("--b", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,13 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # certify (make | verify)
     ce = sub.add_parser("certify", help="construct or verify a Schur-type certificate")
-    ce.add_argument("--p", type=float)
-    ce.add_argument("--q", type=float)
-    ce.add_argument("--a", type=float)
-    ce.add_argument("--b", type=float)
-    ce.add_argument("--alpha", type=float)
-    ce.add_argument("--beta", type=float)
-    ce.add_argument("--gamma", type=float)
+    _add_spaces(ce, required=False)
+    _add_params(ce, required=False)
     ce.add_argument("--d", type=float, default=None, help="force the exponent gap d = r - s")
     ce.add_argument("--out")
     ce.set_defaults(func=_cmd_certify)
@@ -201,13 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
     sw.add_argument("--num", type=int, required=True)
-    sw.add_argument("--p", type=float)
-    sw.add_argument("--q", type=float)
-    sw.add_argument("--a", type=float)
-    sw.add_argument("--b", type=float)
-    sw.add_argument("--alpha", type=float)
-    sw.add_argument("--beta", type=float)
-    sw.add_argument("--gamma", type=float)
+    _add_spaces(sw, required=False)
+    _add_params(sw, required=False)
     sw.add_argument("--out")
     sw.set_defaults(func=_cmd_sweep)
 
@@ -241,9 +232,7 @@ def _cmd_verdict_hilbert(args, argv, t0) -> int:
     rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
     inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
               "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-    results = {"verdict": "bounded" if rep.bounded else "unbounded",
-               "report": rep.to_dict()}
-    emit(_report("verdict hilbert", argv, inputs, results,
+    emit(_report("verdict hilbert", argv, inputs, _verdict(rep),
                  {"relation_epsilon": 1e-12}, t0), args.out)
     return EXIT_OK
 
@@ -262,9 +251,7 @@ def _cmd_verdict_bergman(args, argv, t0) -> int:
     inputs = {"operator": args.operator, "p": args.p, "q": args.q, "r": args.r,
               "a": args.a, "b": args.b, "alpha": args.alpha, "beta": args.beta,
               "gamma": gamma}
-    results = {"verdict": "bounded" if rep.bounded else "unbounded",
-               "report": rep.to_dict()}
-    emit(_report("verdict bergman", argv, inputs, results,
+    emit(_report("verdict bergman", argv, inputs, _verdict(rep),
                  {"relation_epsilon": 1e-12}, t0), args.out)
     return EXIT_OK
 
@@ -331,10 +318,11 @@ def _cmd_estimate(args, argv, t0) -> int:
     results = {
         "applied": [{"x": x, "Hf": num(float(v), tol)} for x, v in zip(points, values)],
         "source_norm": num(nf, tol),
-        "verdict": "bounded" if verdict.bounded else "unbounded",
-        "report": verdict.to_dict(),
+        **_verdict(verdict),
     }
     if verdict.bounded and not math.isinf(args.q):
+        if nf == 0.0:
+            raise ParameterError("the quotient needs a source function of nonzero norm")
         nHf = hilbert.image_norm(params, f, args.q, args.b, tol)
         results["image_norm"] = num(nHf, tol)
         results["quotient"] = num(nHf / nf, tol)
@@ -400,6 +388,8 @@ def _cmd_sweep(args, argv, t0) -> int:
     missing = [k for k, v in base.items() if v is None and k != args.vary]
     if missing:
         raise OplabError(f"sweep needs --{' --'.join(missing)}")
+    if args.num < 0:
+        raise ParameterError(f"--num must be non-negative, got {args.num}")
     grid = np.linspace(args.start, args.stop, args.num)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -464,15 +454,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         return args.func(args, argv, t0)
-    except DivergenceError as exc:
-        print(json.dumps({"error": "divergence", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (AccuracyError, CertificateVerificationError) as exc:
-        print(json.dumps({"error": "accuracy", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_ACCURACY
     except OplabError as exc:
-        print(json.dumps({"error": "parameters", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_PARAMS
+        print(json.dumps({"error": exc.kind, "detail": str(exc)}), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

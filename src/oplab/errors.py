@@ -1,8 +1,11 @@
 """Exception taxonomy shared by all oplab modules.
 
-The split mirrors the CLI exit codes: parameter/domain problems (exit 2),
-detected divergence of an integral (exit 3, often the *expected* signal in
-an unbounded regime), and quadrature accuracy failure (exit 4).
+Each class carries the CLI's error ``kind`` (the ``"error"`` field of the
+stderr JSON) and ``exit_code``: parameter, domain and expression problems
+are "parameters" (exit 2), detected divergence of an integral is
+"divergence" (exit 3, often the *expected* signal in an unbounded
+regime), and quadrature accuracy failure or a failed certificate
+verification is "accuracy" (exit 4).
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 
 class OplabError(Exception):
     """Base class for all oplab errors."""
+
+    kind = "parameters"
+    exit_code = 2
 
 
 class DomainError(OplabError, ValueError):
@@ -23,6 +29,9 @@ class ParameterError(OplabError, ValueError):
 class DivergenceError(OplabError):
     """The requested integral diverges; carries which endpoint failed."""
 
+    kind = "divergence"
+    exit_code = 3
+
     def __init__(self, message: str, endpoint: str | None = None):
         super().__init__(message)
         self.endpoint = endpoint
@@ -31,6 +40,9 @@ class DivergenceError(OplabError):
 class AccuracyError(OplabError):
     """Refinement budget exhausted before the tolerance was met."""
 
+    kind = "accuracy"
+    exit_code = 4
+
     def __init__(self, message: str, estimate=None, last_change=None):
         super().__init__(message)
         self.estimate = estimate
@@ -38,11 +50,14 @@ class AccuracyError(OplabError):
 
 
 class InfeasibleCertificateError(OplabError):
-    """The exponent scan found no feasible certificate witness."""
+    """No feasible certificate witness exists at the chosen exponent gap d."""
 
 
 class CertificateVerificationError(OplabError):
     """A certificate inequality exceeded its residual tolerance."""
+
+    kind = AccuracyError.kind
+    exit_code = AccuracyError.exit_code
 
     def __init__(self, message: str, inequality: str, sample: float, residual: float):
         super().__init__(message)

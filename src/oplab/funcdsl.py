@@ -31,8 +31,9 @@ functions can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -184,7 +185,7 @@ class _Parser:
             self.next()
             epos = self.peek()[2]
             exponent = self.unary()
-            c = _fold_const(exponent)
+            c = _fold_const(exponent, epos)
             if c is None:
                 raise NonConstantExponentError("power exponent must be a constant", epos)
             return Pow(base, c)
@@ -237,8 +238,8 @@ class _Parser:
             bounds = args[1:]
         else:
             raise ExprArityError(f"ind takes 2 or 3 arguments, got {len(args)}", pos)
-        lo = _fold_const(bounds[0])
-        hi = _fold_const(bounds[1])
+        lo = _fold_const(bounds[0], pos)
+        hi = _fold_const(bounds[1], pos)
         if lo is None or hi is None:
             raise ExprArityError("ind bounds must be constants", pos)
         if not lo < hi:
@@ -246,29 +247,45 @@ class _Parser:
         return Ind(var, lo, hi)
 
 
-def _fold_const(e: Expr) -> float | None:
-    """Value of a constant subtree, or None if it contains a variable."""
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _fold_const(e: Expr, pos: int | None = None) -> float | None:
+    """Value of a constant subtree, or None if it contains a variable.
+
+    A constant that divides by zero, overflows or is not a real number
+    (+-inf are allowed) raises ExprSyntaxError at offset ``pos``.
+    """
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Neg):
-        v = _fold_const(e.arg)
+        v = _fold_const(e.arg, pos)
         return None if v is None else -v
     if isinstance(e, BinOp):
-        a = _fold_const(e.left)
-        b = _fold_const(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        v = _fold_const(e.base)
-        return None if v is None else v ** e.exponent
-    return None
+        op, args = _ARITH[e.op], (_fold_const(e.left, pos), _fold_const(e.right, pos))
+    elif isinstance(e, Pow):
+        op, args = operator.pow, (_fold_const(e.base, pos), e.exponent)
+    else:
+        return None
+    if None in args:
+        return None
+    try:
+        v = op(*args)
+    except ZeroDivisionError as exc:
+        raise ExprSyntaxError(f"constant {pretty(e)} divides by zero", pos) from exc
+    except OverflowError as exc:
+        raise ExprSyntaxError(f"constant {pretty(e)} overflows", pos) from exc
+    if isinstance(v, complex) or math.isnan(v):
+        raise ExprSyntaxError(f"constant {pretty(e)} is not a real number", pos)
+    return v
+
+
+def _check_constants(e: Expr) -> None:
+    """Fold every maximal constant subtree (ExprSyntaxError if one is bad)."""
+    if _fold_const(e) is None:
+        for child in vars(e).values():
+            if isinstance(child, (BinOp, Neg, Pow, Call)):
+                _check_constants(child)
 
 
 def parse(src: str) -> Expr:
@@ -293,15 +310,7 @@ def _eval(e: Expr, env: dict, strict: bool):
     if isinstance(e, Neg):
         return -_eval(e.arg, env, strict)
     if isinstance(e, BinOp):
-        a = _eval(e.left, env, strict)
-        b = _eval(e.right, env, strict)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
+        return _ARITH[e.op](_eval(e.left, env, strict), _eval(e.right, env, strict))
     if isinstance(e, Pow):
         base = _eval(e.base, env, strict)
         if strict:
@@ -529,13 +538,9 @@ class Func1D:
         if not R > 0:
             raise DomainError(f"dilation factor must be positive, got {R}")
         inner = self.fn
-        return Func1D(
-            fn=lambda y: inner(R * y),
-            breakpoints=tuple(b / R for b in self.breakpoints),
-            left_exponent=self.left_exponent,
-            decay_exponent=self.decay_exponent,
-            label=f"{self.label or 'f'}(x*{_fmt_num(R)})",
-        )
+        return replace(self, fn=lambda y: inner(R * y),
+                       breakpoints=tuple(b / R for b in self.breakpoints),
+                       label=f"{self.label or 'f'}(x*{_fmt_num(R)})")
 
 
 @dataclass(frozen=True)
@@ -563,25 +568,26 @@ class Func2D:
         if not R > 0:
             raise DomainError(f"dilation factor must be positive, got {R}")
         inner = self.fn
-        return Func2D(
-            fn=lambda u, v: inner(R * u, R * v),
-            u_breakpoints=tuple(b / R for b in self.u_breakpoints),
-            v_breakpoints=tuple(b / R for b in self.v_breakpoints),
-            u_decay_exponent=self.u_decay_exponent,
-            v_left_exponent=self.v_left_exponent,
-            v_decay_exponent=self.v_decay_exponent,
-            label=f"{self.label or 'f'}(z*{_fmt_num(R)})",
-        )
+        return replace(self, fn=lambda u, v: inner(R * u, R * v),
+                       u_breakpoints=tuple(b / R for b in self.u_breakpoints),
+                       v_breakpoints=tuple(b / R for b in self.v_breakpoints),
+                       label=f"{self.label or 'f'}(z*{_fmt_num(R)})")
+
+
+def _full(value, *args):
+    """A constant result broadcast to the shape of the arguments."""
+    return np.full(np.broadcast(*args).shape, value) if np.ndim(value) == 0 else value
 
 
 def func1d(src: str | Expr) -> Func1D:
     """Build a Func1D (variable x on (0, inf)) from expression text."""
     e = parse(src) if isinstance(src, str) else src
+    _check_constants(e)
     bps, left, decay = _axis_hints(e, "x", positive_axis=True)
 
     def fn(arr):
         with np.errstate(all="ignore"):
-            return _eval(e, {"x": arr}, strict=False)
+            return _full(_eval(e, {"x": arr}, strict=False), arr)
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
                   decay_exponent=decay, label=pretty(e))
@@ -590,12 +596,13 @@ def func1d(src: str | Expr) -> Func1D:
 def func2d(src: str | Expr) -> Func2D:
     """Build a Func2D (x along R, y along (0, inf)) from expression text."""
     e = parse(src) if isinstance(src, str) else src
+    _check_constants(e)
     u_bps, _, u_decay = _axis_hints(e, "x", positive_axis=False)
     v_bps, v_left, v_decay = _axis_hints(e, "y", positive_axis=True)
 
     def fn(u, v):
         with np.errstate(all="ignore"):
-            return _eval(e, {"x": u, "y": v}, strict=False)
+            return _full(_eval(e, {"x": u, "y": v}, strict=False), u, v)
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,

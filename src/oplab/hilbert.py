@@ -173,22 +173,15 @@ def apply_H_adjoint(params: OperatorParams, a: float, b: float, f: Func1D, y: fl
                     tol: float = quad.DEFAULT_TOL_1D) -> float:
     """Adjoint of H between L^p_a and L^q_b:
 
-        H* f(y) = y^(beta-a) * int_0^inf f(x) x^(alpha+b) (x+y)^-gamma dx.
+        H* f(y) = y^(beta-a) * int_0^inf f(x) x^(alpha+b) (x+y)^-gamma dx,
+
+    which is H itself with the exponent triple (beta-a, alpha+b, gamma).
+    It is evaluated as y^(beta-a) times the (0, alpha+b, gamma) member so
+    that the outer power is a scalar power: numpy's array power, used by
+    apply_H_many, may differ from it in the last place.
     """
-    y = float(y)
-    if not y > 0:
-        raise DomainError("probe point must be positive")
-    al, be, ga = params.alpha, params.beta, params.gamma
-    hints = SingularityHints(
-        f.breakpoints + (y,),
-        f.left_exponent + al + b,
-        f.decay_exponent - al - b + ga,
-    )
-
-    def integrand(x):
-        return f(x) * x ** (al + b) * (x + y) ** (-ga)
-
-    return y ** (be - a) * float(quad.integrate_semiaxis(integrand, hints, tol))
+    integral = apply_H(OperatorParams(0.0, params.alpha + b, params.gamma), f, y, tol)
+    return float(y) ** (params.beta - a) * integral
 
 
 # --------------------------------------------------------------------------
@@ -424,58 +417,43 @@ def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: floa
     e_f = (a + 1.0 + xi) / p    # exponent of f
     e_g = (a + 1.0 + xi) / pp   # exponent of g
     window = ExtremalFamily(xi, space).window(params)
-
+    inner_pow = be - e_f
     outer_pow = a + al - e_g
+
+    def kernel(xcol, y):
+        return y[None, :] ** inner_pow * (xcol + y[None, :]) ** (-ga)
+
+    def outer(inner_integral):
+        """x^outer_pow * inner_integral(x) on x >= 1, zero below (batched over x)."""
+        def integrand(xs):
+            mask = xs >= 1.0
+            out = np.zeros_like(xs)
+            if mask.any():
+                out[mask] = xs[mask] ** outer_pow * inner_integral(xs[mask][:, None])
+            return out
+        return integrand
 
     if xi < window:
         lead = beta_fn(be + 1.0 - e_f, al + e_f)
-        inner_pow = be - e_f  # > -1 inside the window
+        inner_hints = SingularityHints((), inner_pow, math.inf)  # inner_pow > -1 inside the window
 
-        inner_hints = SingularityHints((), inner_pow, math.inf)
-
-        def corr_outer(xs):
-            mask = xs >= 1.0
-            out = np.zeros_like(xs)
-            if not mask.any():
-                return out
-            xcol = xs[mask][:, None]
-
-            def corr_inner(y):
-                return y[None, :] ** inner_pow * (xcol + y[None, :]) ** (-ga)
-
-            inner = quad.integrate_truncated(corr_inner, inner_hints, 1.0, tol / 10.0)
-            out[mask] = xs[mask] ** outer_pow * inner
-            return out
+        def corr_inner(xcol):
+            return quad.integrate_truncated(lambda y: kernel(xcol, y), inner_hints, 1.0, tol / 10.0)
 
         corr_hints = SingularityHints((1.0,), 0.0, ga - outer_pow)
-        corr = float(quad.integrate_semiaxis(corr_outer, corr_hints, tol))
+        corr = float(quad.integrate_semiaxis(outer(corr_inner), corr_hints, tol))
         return lead - xi * corr
 
     # out-of-window fallback: direct iterated quadrature on [1, inf)^2
-    inner_pow = be - e_f
-    inner_decay = ga - inner_pow
+    inner_hints = SingularityHints((1.0,), 0.0, ga - inner_pow)
 
-    def direct_outer(xs):
-        mask = xs >= 1.0
-        out = np.zeros_like(xs)
-        if not mask.any():
-            return out
-        xcol = xs[mask][:, None]
-
-        def direct_inner(y):
-            live = y[None, :] >= 1.0
-            with np.errstate(all="ignore"):
-                vals = y[None, :] ** inner_pow * (xcol + y[None, :]) ** (-ga)
-            return np.where(live, vals, 0.0)
-
-        inner_hints = SingularityHints((1.0,), 0.0, inner_decay)
-        inner = quad.integrate_semiaxis(direct_inner, inner_hints, tol / 10.0)
-        out[mask] = xs[mask] ** outer_pow * inner
-        return out
+    def direct_inner(xcol):
+        return quad.integrate_semiaxis(
+            lambda y: np.where(y[None, :] >= 1.0, kernel(xcol, y), 0.0), inner_hints, tol / 10.0)
 
     outer_decay = min(1.0 + xi, ga - outer_pow)
     pairing = float(quad.integrate_semiaxis(
-        direct_outer, SingularityHints((1.0,), 0.0, outer_decay), tol))
+        outer(direct_inner), SingularityHints((1.0,), 0.0, outer_decay), tol))
     return xi * pairing
 
 

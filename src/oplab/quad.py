@@ -219,22 +219,13 @@ def _drive(panels, integrand, tol, max_level, completion=0.0):
     )
 
 
-def _tail_completion(integrand, panel_start: float, decay_exponent: float):
-    """Power-law completion of the neglected tail beyond the log panel."""
-    if not math.isfinite(decay_exponent):
-        return 0.0
-    far = panel_start * math.exp(_LOG_TAIL_SPAN)
+def _completion(integrand, y, denominator: float):
+    """Power-law completion sum_i f(y_i) |y_i| / denominator of the mass
+    beyond the outermost nodes y_i, from one integrand call."""
+    y = np.array(y, dtype=float)
     with np.errstate(all="ignore"):
-        vals = _sanitize(np.asarray(integrand(np.array([far]))))
-    return vals[..., 0] * far / (decay_exponent - 1.0)
-
-
-def _origin_completion(integrand, first_knot: float, left_exponent: float):
-    """Power-law completion of the neglected sliver below the origin panel."""
-    near = first_knot * math.exp(-_LOG_TAIL_SPAN)
-    with np.errstate(all="ignore"):
-        vals = _sanitize(np.asarray(integrand(np.array([near]))))
-    return vals[..., 0] * near / (left_exponent + 1.0)
+        vals = _sanitize(np.asarray(integrand(y)))
+    return (vals * np.abs(y)).sum(axis=-1) / denominator
 
 
 # --------------------------------------------------------------------------
@@ -265,10 +256,13 @@ def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: fl
     knots = _semiaxis_knots(hints.breakpoints, cutoff)
     panels = [_log_panel(knots[1], -1.0)]
     panels.extend(_Panel(a, b) for a, b in zip(knots[1:], knots[2:]))
-    completion = _origin_completion(f, knots[1], hints.left_exponent)
+    near = knots[1] * math.exp(-_LOG_TAIL_SPAN)
+    completion = _completion(f, [near], hints.left_exponent + 1.0)
     if cutoff is None:
         panels.append(_log_panel(knots[-1], 1.0))
-        completion = _tail_completion(f, knots[-1], hints.decay_exponent) + completion
+        if math.isfinite(hints.decay_exponent):
+            far = knots[-1] * math.exp(_LOG_TAIL_SPAN)
+            completion = _completion(f, [far], hints.decay_exponent - 1.0) + completion
     return _drive(panels, f, tol, max_level, completion)
 
 
@@ -323,11 +317,8 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[0] - np.expm1(s), np.exp(s))))
     completion = 0.0
     if math.isfinite(decay_exponent):
-        far_right = knots[-1] + math.expm1(_LOG_TAIL_SPAN)
-        far_left = knots[0] - math.expm1(_LOG_TAIL_SPAN)
-        with np.errstate(all="ignore"):
-            vals = _sanitize(np.asarray(f(np.array([far_right, far_left]))))
-        completion = (vals[..., 0] * abs(far_right) + vals[..., 1] * abs(far_left)) / (decay_exponent - 1.0)
+        far = [knots[-1] + math.expm1(_LOG_TAIL_SPAN), knots[0] - math.expm1(_LOG_TAIL_SPAN)]
+        completion = _completion(f, far, decay_exponent - 1.0)
     return _drive(panels, f, tol, max_level, completion)
 
 

@@ -27,11 +27,18 @@ and 0 < d < (b+1)/q.  In the limit case p = 1 the same t(d) applies with
 
 (the maximum of u^A/(1+u)^(gamma t) over u > 0, using gamma t = A + B).
 
-The selection rule is deterministic: d is scanned over a uniform
-1024-point grid in (0, (b+1)/q) ordered from the window midpoint outward
-(midpoint first), s is taken at the midpoint of the feasible interval.
-The midpoint-first order makes the classical certificate land exactly at
-d = 1/4 where the Beta product simplifies to bound = 2*sqrt(pi).
+No search is needed.  Under the balance relation
+omega = -((a+1)/p' + (b+1)/q), so t = (d + (a+1)/p') / ((a+1)/p' + (b+1)/q)
+lies in (0,1) for every d in (0, (b+1)/q).  With r = s + d the windows
+leave s the interval (max(Ws lower, Wr lower - d), min(Ws upper, Wr
+upper - d)); comparing each lower end with each upper end shows that it
+is non-empty if and only if a+1 < p(beta+1), -q*alpha < b+1 and
+gamma > 0, and an accepted finite-regime verdict implies all three.  So d is taken
+at the window midpoint (b+1)/(2q) unless forced, and s at the midpoint of
+its interval; InfeasibleCertificateError is left for tuples that pass the
+verdict only through rounding at a window edge.  The classical
+certificate lands at d = 1/4, where the Beta product simplifies to
+bound = 2*sqrt(pi).
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ __all__ = [
     "find_certificate", "verify_certificate", "sup_test_L1", "sup_test_Linf",
 ]
 
-_GRID_SIZE = 1024
+_SAMPLE_RANGE = (1e-4, 1e4)  # verification samples, log-uniform
+_INPUT = ("p", "q", "a", "b", "alpha", "beta", "gamma")
+_WITNESS = ("omega", "t", "r", "s", "d", "m1", "m2", "bound")
 
 
 @dataclass(frozen=True)
@@ -122,11 +131,8 @@ class SchurCertificate:
         return {
             "schema": 1,
             "kind": "schur-certificate",
-            "input": {"p": self.p, "q": self.q, "a": self.a, "b": self.b,
-                      "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma},
-            "certificate": {"omega": self.omega, "t": self.t, "r": self.r,
-                            "s": self.s, "d": self.d, "m1": self.m1,
-                            "m2": self.m2, "bound": self.bound},
+            "input": {k: getattr(self, k) for k in _INPUT},
+            "certificate": {k: getattr(self, k) for k in _WITNESS},
             "closed_forms": {"m1": self.m1_closed_form, "m2": self.m2_closed_form},
             "limit_case": self.limit_case,
         }
@@ -138,9 +144,8 @@ class SchurCertificate:
         try:
             if doc.get("kind") != "schur-certificate" and "results" in doc:
                 doc = doc["results"]["certificate"]
-            fields = {k: doc["input"][k] for k in ("p", "q", "a", "b", "alpha", "beta", "gamma")}
-            fields.update({k: doc["certificate"][k]
-                           for k in ("omega", "t", "r", "s", "d", "m1", "m2", "bound")})
+            fields = {k: doc["input"][k] for k in _INPUT}
+            fields.update({k: doc["certificate"][k] for k in _WITNESS})
             fields.update(m1_closed_form=doc["closed_forms"]["m1"],
                           m2_closed_form=doc["closed_forms"]["m2"])
             limit_case = bool(doc.get("limit_case", fields["p"] == 1.0))
@@ -150,14 +155,6 @@ class SchurCertificate:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParameterError(f"certificate field {name} must be a number, got {value!r}")
         return cls(**fields, limit_case=limit_case)
-
-
-def _d_candidates(bq: float, n: int) -> np.ndarray:
-    """Midpoint of (0, bq) first, then the uniform n-grid ordered by
-    distance from the midpoint (smaller d wins ties)."""
-    grid = bq * np.arange(1, n + 1) / (n + 1.0)
-    order = np.lexsort((grid, np.abs(grid - bq / 2.0)))
-    return np.concatenate([[bq / 2.0], grid[order]])
 
 
 def _sup_constant(A: float, C: float) -> float:
@@ -170,10 +167,9 @@ def find_certificate(p: float, q: float, a: float, b: float,
                      params: OperatorParams, d: float | None = None) -> SchurCertificate:
     """Construct a boundedness certificate for H : L^p_a -> L^q_b.
 
-    Requires the verdict to accept (1 <= p <= q < inf regime); by
-    construction it then always succeeds -- InfeasibleCertificateError is
-    never raised on accepted tuples, which is itself a tested property.
-    A specific d = r - s in (0, (b+1)/q) may be forced.
+    Requires the verdict to accept (1 <= p <= q < inf regime); the witness
+    then exists for every d = r - s in (0, (b+1)/q) (see the module
+    docstring), so d is the window midpoint unless a specific d is forced.
     """
     if math.isinf(q):
         raise ParameterError("certificates cover finite target exponents only (q < inf)")
@@ -187,31 +183,19 @@ def find_certificate(p: float, q: float, a: float, b: float,
     omega = al + be - ga - a
     if not omega < 0.0:
         raise ParameterError(f"omega = alpha+beta-gamma-a = {omega} must be negative")
+    d = bq / 2.0 if d is None else float(d)
+    if not 0.0 < d < bq:
+        raise ParameterError(f"forced d must lie in (0, {bq}), got {d}")
 
-    if d is not None:
-        if not 0.0 < d < bq:
-            raise ParameterError(f"forced d must lie in (0, {bq}), got {d}")
-        candidates = np.array([float(d)])
-    else:
-        candidates = _d_candidates(bq, _GRID_SIZE)
-
-    for refinement in range(2):
-        for cand in candidates:
-            t = (-cand - a1p) / omega
-            if not 0.0 < t < 1.0:
-                continue
-            lo = max(-(be - a) * (1.0 - t), -al * t - cand)
-            hi = min(a1p + (be - a) * t, bq + al * (1.0 - t) - cand)
-            if not lo < hi:
-                continue
-            s = 0.5 * (lo + hi)
-            return _build(p, q, a, b, params, omega, t, s, s + cand, cand)
-        if d is not None:
-            break
-        candidates = _d_candidates(bq, _GRID_SIZE * 64)  # one refinement pass
-    raise InfeasibleCertificateError(
-        f"no feasible exponent witness found for (p={p}, q={q}, a={a}, b={b}, {params})"
-    )
+    t = (-d - a1p) / omega
+    lo = max(-(be - a) * (1.0 - t), -al * t - d)
+    hi = min(a1p + (be - a) * t, bq + al * (1.0 - t) - d)
+    if not (0.0 < t < 1.0 and lo < hi):
+        raise InfeasibleCertificateError(
+            f"no feasible exponent witness at d = {d} for (p={p}, q={q}, a={a}, b={b}, {params})"
+        )
+    s = 0.5 * (lo + hi)
+    return _build(p, q, a, b, params, omega, t, s, s + d, d)
 
 
 def _build(p, q, a, b, params, omega, t, s, r, d) -> SchurCertificate:
@@ -260,14 +244,13 @@ class VerificationReport:
 
 def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: float,
                        params: OperatorParams, n_samples: int = 100,
-                       tol: float = 1e-8, sample_range: tuple[float, float] = (1e-4, 1e4),
-                       quad_tol: float = quad.DEFAULT_TOL_1D) -> VerificationReport:
+                       tol: float = 1e-8) -> VerificationReport:
     """Re-derive both certificate inequalities by quadrature.
 
-    At n_samples log-uniform points the left-hand sides of (T1)/(T2)
-    are integrated numerically and compared against their Beta closed
-    forms times the predicted power of the sample point; the report
-    carries the largest relative residual.  Degenerate exponents
+    At n_samples log-uniform points in [1e-4, 1e4] the left-hand sides
+    of (T1)/(T2) are integrated numerically and compared against their
+    Beta closed forms times the predicted power of the sample point; the
+    report carries the largest relative residual.  Degenerate exponents
     (t in {0,1} with p > 1) are flagged instead of integrated; a residual
     above tol raises CertificateVerificationError naming the inequality
     and the sample; divergent integrals raise DivergenceError.
@@ -278,13 +261,14 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
         raise ParameterError(f"verification needs at least one sample, got n_samples={n_samples}")
     al, be, ga = params.alpha, params.beta, params.gamma
     t, r, s = cert.t, cert.r, cert.s
+    lo, hi = _SAMPLE_RANGE
     if not cert.limit_case and (t >= 1.0 - 1e-12 or t <= 1e-12):
         return VerificationReport(
             passed=False, max_residual=math.inf, n_samples=0,
-            sample_lo=sample_range[0], sample_hi=sample_range[1],
+            sample_lo=lo, sample_hi=hi,
             first_test="integral", degenerate=f"t = {t} collapses a kernel power",
         )
-    samples = np.geomspace(sample_range[0], sample_range[1], n_samples)
+    samples = np.geomspace(lo, hi, n_samples)
     worst = 0.0
 
     # (T1): integral test for p > 1, supremum test in the limit case
@@ -313,7 +297,7 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
 
             def t1_integrand(y, x=x):
                 return x ** (al * t * pp) * y ** y_pow * (x + y) ** (-kernel_pow)
-            got = float(quad.integrate_semiaxis(t1_integrand, hints, quad_tol))
+            got = float(quad.integrate_semiaxis(t1_integrand, hints, quad.DEFAULT_TOL_1D))
             worst = _residual("first test integral", x, got, closed * x ** x_pow, tol, worst)
         first = "integral"
 
@@ -326,12 +310,12 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
 
         def t2_integrand(x, y=y):
             return y ** ((be - a) * (1.0 - t) * q) * x ** x_pow2 * (x + y) ** (-kernel_pow2)
-        got = float(quad.integrate_semiaxis(t2_integrand, hints2, quad_tol))
+        got = float(quad.integrate_semiaxis(t2_integrand, hints2, quad.DEFAULT_TOL_1D))
         worst = _residual("second test integral", y, got, closed2 * y ** (-s * q), tol, worst)
 
     return VerificationReport(
         passed=True, max_residual=worst, n_samples=n_samples,
-        sample_lo=sample_range[0], sample_hi=sample_range[1],
+        sample_lo=lo, sample_hi=hi,
         first_test=first, degenerate=None,
     )
 
@@ -364,6 +348,19 @@ class SupTestReport:
         return asdict(self)
 
 
+def _sup_test(line, hints: SingularityHints, grid, exact: float | None,
+              tol: float) -> SupTestReport:
+    """Profile of t -> int_0^inf line(t, s) ds over the grid (default five
+    log-spaced points in [0.1, 10])."""
+    grid = np.asarray(np.geomspace(0.1, 10.0, 5) if grid is None else grid, dtype=float)
+    values = [float(quad.integrate_semiaxis(lambda s, t=t: line(t, s), hints, tol)) for t in grid]
+    vmax, vmin = max(values), min(values)
+    return SupTestReport(
+        grid=tuple(grid), values=tuple(values), supremum=vmax,
+        exact_norm=exact, max_rel_deviation=vmax / vmin - 1.0,
+    )
+
+
 def sup_test_L1(params: OperatorParams, a: float, y_grid=None,
                 tol: float = quad.DEFAULT_TOL_1D) -> SupTestReport:
     """Column-integral test: c(y) = int_0^inf K(x,y) x^a dx with the
@@ -375,23 +372,11 @@ def sup_test_L1(params: OperatorParams, a: float, y_grid=None,
     signal outside that window and propagates as DivergenceError.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
-    if y_grid is None:
-        y_grid = np.geomspace(0.1, 10.0, 5)
-    y_grid = np.asarray(y_grid, dtype=float)
-    hints = SingularityHints((), al + a, ga - al - a)
-    values = []
-    for y in y_grid:
-        def column(x, y=y):
-            return x ** (al + a) * y ** (be - a) * (x + y) ** (-ga)
-        values.append(float(quad.integrate_semiaxis(column, hints, tol)))
     exact = None
     if (-al < a + 1.0 < be + 1.0) and abs(ga - (al + be + 1.0)) <= 1e-12:
         exact = beta_fn(be - a, al + a + 1.0)
-    vmax, vmin = max(values), min(values)
-    return SupTestReport(
-        grid=tuple(y_grid), values=tuple(values), supremum=vmax,
-        exact_norm=exact, max_rel_deviation=vmax / vmin - 1.0,
-    )
+    return _sup_test(lambda y, x: x ** (al + a) * y ** (be - a) * (x + y) ** (-ga),
+                     SingularityHints((), al + a, ga - al - a), y_grid, exact, tol)
 
 
 def sup_test_Linf(params: OperatorParams, x_grid=None,
@@ -400,20 +385,8 @@ def sup_test_Linf(params: OperatorParams, x_grid=None,
     constant B(beta+1, alpha) (the exact Linf norm) under alpha > 0,
     beta > -1, gamma = alpha+beta+1."""
     al, be, ga = params.alpha, params.beta, params.gamma
-    if x_grid is None:
-        x_grid = np.geomspace(0.1, 10.0, 5)
-    x_grid = np.asarray(x_grid, dtype=float)
-    hints = SingularityHints((), be, ga - be)
-    values = []
-    for x in x_grid:
-        def row(y, x=x):
-            return x ** al * y ** be * (x + y) ** (-ga)
-        values.append(float(quad.integrate_semiaxis(row, hints, tol)))
     exact = None
     if al > 0.0 and be > -1.0 and abs(ga - (al + be + 1.0)) <= 1e-12:
         exact = beta_fn(be + 1.0, al)
-    vmax, vmin = max(values), min(values)
-    return SupTestReport(
-        grid=tuple(x_grid), values=tuple(values), supremum=vmax,
-        exact_norm=exact, max_rel_deviation=vmax / vmin - 1.0,
-    )
+    return _sup_test(lambda x, y: x ** al * y ** be * (x + y) ** (-ga),
+                     SingularityHints((), be, ga - be), x_grid, exact, tol)

@@ -177,6 +177,36 @@ def test_estimate_bad_points(capsys):
         "--alpha", "0", "--beta", "0", "--gamma", "1", "--points", "abc")
 
 
+def test_estimate_constant_function_attains_linf_sharp_norm(capsys):
+    # H1(x) = x^(1/2) int_0^inf (x+y)^(-3/2) dy = 2 = B(1, 1/2) at every x
+    doc = run_json(capsys, "estimate", "--expr", "1", "--p", "inf", "--q", "inf",
+                   "--alpha", "0.5", "--beta", "0", "--gamma", "1.5")
+    assert doc["results"]["verdict"] == "bounded"
+    assert doc["results"]["source_norm"]["value"] == 1.0
+    for row in doc["results"]["applied"]:
+        assert row["Hf"]["value"] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("expr", ["0*ind(1,2)", "x^(1/0)", "(0-1)^0.5*ind(1,2)"])
+def test_estimate_zero_or_bad_constant_expr(capsys, expr):
+    assert_parameter_error(
+        capsys, "estimate", "--expr", expr, "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+        "--alpha", "0", "--beta", "0", "--gamma", "1")
+
+
+def test_sweep_negative_num(capsys):
+    assert_parameter_error(
+        capsys, "sweep", "--vary", "gamma", "--start", "0.5", "--stop", "1.5", "--num", "-1",
+        "--p", "2", "--q", "2", "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0")
+
+
+def test_non_numeric_tolerance_variable(capsys, monkeypatch):
+    monkeypatch.setenv("OPLAB_TOL", "abc")
+    assert_parameter_error(
+        capsys, "estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+        "--alpha", "0", "--beta", "0", "--gamma", "1")
+
+
 def test_extremal(capsys):
     doc = run_json(capsys, "extremal", "--p", "2", "--a", "0", "--alpha", "0",
                    "--beta", "0", "--gamma", "1", "--xi", "0.1", "--xi", "0.01")

@@ -79,6 +79,33 @@ def test_constant_exponent_folding():
     assert eval_expr(parse("x^-2"), 2.0) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("src", [
+    "x^(1/0)", "ind(1,1/0)", "x^(10^400)", "x^((-1)^0.5)", "abs(x-1/0)",
+    "(0-1)^0.5*ind(1,2)", "x*(inf-inf)", "exp(0^(-1))*x",
+])
+def test_bad_constant_subexpressions(src):
+    with pytest.raises(ExprSyntaxError):
+        func1d(src)
+    with pytest.raises(ExprSyntaxError):
+        func2d(src.replace("ind(1,2)", "ind(y,1,2)"))
+
+
+def test_constant_checks_keep_trees_and_infinite_bounds():
+    # parse alone folds only exponents and bounds; the tree is not rewritten
+    assert pretty(parse("(0-1)^0.5*ind(1,2)")) == "(0-1)^0.5*ind(1,2)"
+    assert pretty(parse("x^(2/4)*(1+1)")) == "x^0.5*(1+1)"
+    assert func1d("ind(-inf,inf)*exp(-x)")(np.array([3.0]))[0] == math.exp(-3.0)
+    assert func1d("x^(-2)*ind(1,inf)").breakpoints == (1.0,)
+
+
+def test_constant_function_broadcasts():
+    xs = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(func1d("1")(xs), np.ones(3))
+    assert np.array_equal(func1d("2^3")(xs), np.full(3, 8.0))
+    v = func2d("exp(1)")(xs[None, :], np.array([[1.0], [2.0]]))
+    assert v.shape == (2, 3) and np.all(v == math.e)
+
+
 ROUND_TRIP_SOURCES = [
     "ind(1,2)",
     "x^(-0.75)*ind(1,inf)",

@@ -23,9 +23,9 @@ import tempfile
 import numpy as np
 import pytest
 
-from oplab import bergman, cli, quad
-from oplab.funcdsl import func2d
-from oplab.hilbert import OperatorParams, hilbert_verdict
+from oplab import bergman, cli, hilbert, quad, schur
+from oplab.funcdsl import func1d, func2d
+from oplab.hilbert import OperatorParams, WeightedSpaceSpec, hilbert_verdict
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
 
@@ -115,13 +115,35 @@ def verdict_reports() -> list[str]:
     return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reps]
 
 
+def _cert_json(cert) -> str:
+    return json.dumps(cert.to_dict(), sort_keys=True)
+
+
 def library_values() -> dict:
     box = func2d("ind(-0.25,0.25)*ind(y,1,2)")
     smooth = func2d("exp(-abs(x))*y*exp(-y)")
     hints = quad.SingularityHints((0.5,), -0.5, 2.5)
+    src = func1d("x^(-0.3)*exp(-x)")
+    adj = OperatorParams(0.3, 0.2, 1.5)
+    diag = OperatorParams(0.5, 0.5, 2.0)
+    space = WeightedSpaceSpec(2.0, 0.0)  # extremal window (0, 2) under diag
     return {
         "mixed_norm box q=inf": repr(bergman.mixed_norm(box, bergman.MixedNormSpec(2, math.inf))),
         "mixed_norm smooth q=inf": repr(bergman.mixed_norm(smooth, bergman.MixedNormSpec(1, math.inf))),
+        "apply_H_adjoint": repr([hilbert.apply_H_adjoint(adj, 0.1, 0.2, src, y)
+                                 for y in (1e-3, 0.5, 1.0, 7.0)]),
+        "extremal_quotient in window": repr([hilbert.extremal_quotient(space, diag, xi)
+                                             for xi in (0.05, 1.0)]),
+        "extremal_quotient beyond window": repr([hilbert.extremal_quotient(space, diag, xi)
+                                                 for xi in (2.0, 3.5)]),
+        "sup_test_L1": repr(schur.sup_test_L1(diag, 0.2)),
+        "sup_test_Linf": repr(schur.sup_test_Linf(diag)),
+        "find_certificate forced d": _cert_json(schur.find_certificate(
+            2.0, 3.0, 0.1, 0.2, OperatorParams(0.3, 0.2, 1.5 - 1.1 / 2 + 1.2 / 3), d=0.1)),
+        "find_certificate p=1": _cert_json(schur.find_certificate(
+            1.0, 2.0, 0.0, 0.5, OperatorParams(0.5, 0.5, 2.0 - 1.0 + 0.75))),
+        "find_certificate p=1 forced d": _cert_json(schur.find_certificate(
+            1.0, 1.0, 0.2, 0.2, diag, d=0.9)),
         "integrate_truncated": repr(quad.integrate_truncated(
             lambda y: y ** -0.5 / (1 + y) + (y > 0.5), hints, 3.0)),
         "integrate_real_line": repr(quad.integrate_real_line(

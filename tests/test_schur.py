@@ -146,6 +146,17 @@ def test_certificate_dominates_sharp_norm_diagonal():
         assert cert.bound >= sharp_norm(WeightedSpaceSpec(p, a), params) - 1e-12
 
 
+def _assert_witness_at_every_gap(p, q, a, b, params):
+    # no search: the default midpoint and gaps near both ends of
+    # (0, (b+1)/q) each give a valid witness
+    assert hilbert_verdict(p, q, a, b, params).bounded
+    bq = (b + 1.0) / q
+    for d in (None, 0.01 * bq, 0.99 * bq):
+        cert = find_certificate(p, q, a, b, params, d=d)
+        cert.validate()
+        assert cert.limit_case == (p == 1.0)
+
+
 def test_completeness_on_accepted_region():
     rng = np.random.default_rng(99)
     for _ in range(200):
@@ -156,9 +167,14 @@ def test_completeness_on_accepted_region():
         be = (a + 1.0) / p - 1.0 + rng.uniform(0.05, 1.0)
         al = -(b + 1.0) / q + rng.uniform(0.05, 1.0)
         params = P(al, be, solve_gamma(p, q, a, b, al, be))
-        assert hilbert_verdict(p, q, a, b, params).bounded
-        cert = find_certificate(p, q, a, b, params)
-        cert.validate()
+        _assert_witness_at_every_gap(p, q, a, b, params)
+    for _ in range(100):  # the p = 1 limit case
+        q = 1.0 + rng.uniform(0.0, 2.0)
+        a = rng.uniform(-0.9, 1.5)
+        b = rng.uniform(-0.9, 1.5)
+        be = a + rng.uniform(0.05, 1.0)
+        al = -(b + 1.0) / q + rng.uniform(0.05, 1.0)
+        _assert_witness_at_every_gap(1.0, q, a, b, P(al, be, solve_gamma(1.0, q, a, b, al, be)))
 
 
 def test_soundness_norm_domination():
