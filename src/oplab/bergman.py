@@ -33,6 +33,12 @@ reduction inequality
 that transfers half-line boundedness to the half-plane, and numerical
 checks of the reproducing identity P_nu f = f on holomorphic probes.
 
+The quadratures over a source f (T+, T, P_nu, mixed norms, both sides
+of the reduction check) integrate f only over its supports
+(Func2D.u_support / v_support, quad.integrate_u / integrate_v): the
+kernels are finite and nonzero, so a box or slab source spends no nodes
+where it vanishes.
+
 All operations are pure; probe grids and quadratures may be evaluated
 concurrently and merged in input order.
 """
@@ -159,8 +165,8 @@ def _slice_p_norms(f: Func2D, p: float, v: np.ndarray, tol: float) -> np.ndarray
     def inner(u):
         return np.abs(f(u[None, :], vcol)) ** p
 
-    vals = quad.integrate_real_line(
-        inner, tol, breakpoints=f.u_breakpoints,
+    vals = quad.integrate_u(
+        inner, f.u_support, tol, breakpoints=f.u_breakpoints,
         decay_exponent=p * f.u_decay_exponent)
     return np.asarray(vals) ** (1.0 / p)
 
@@ -193,9 +199,10 @@ def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D)
 # operator application
 # --------------------------------------------------------------------------
 
-def _compose_kernel(f: Func2D, z: HalfPlanePoint, params: OperatorParams,
-                    kernel_power: float, weight: float, complex_kernel: bool) -> Func2D:
-    """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints."""
+def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: float,
+                    complex_kernel: bool) -> Func2D:
+    """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints;
+    the kernel factors are finite and nonzero, so f's supports carry over."""
     x, y = z.x, z.y
 
     if complex_kernel:
@@ -214,13 +221,15 @@ def _compose_kernel(f: Func2D, z: HalfPlanePoint, params: OperatorParams,
         u_decay_exponent=f.u_decay_exponent + kernel_power,
         v_left_exponent=f.v_left_exponent + weight,
         v_decay_exponent=f.v_decay_exponent - weight + kernel_power,
+        u_support=f.u_support,
+        v_support=f.v_support,
     )
 
 
 def apply_Tplus(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """T+ f(z) by iterated quadrature (inner over u, outer over v)."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z, params, 1.0 + params.gamma, params.beta, complex_kernel=False)
+    integrand = _compose_kernel(f, z, 1.0 + params.gamma, params.beta, complex_kernel=False)
     return z.y ** params.alpha * float(quad.integrate_halfplane(integrand, tol))
 
 
@@ -228,7 +237,7 @@ def apply_T(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_
     """T f(z); the kernel power uses the principal branch, which is
     well-defined since Im(z - conj(w)) = y + v > 0."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z, params, 1.0 + params.gamma, params.beta, complex_kernel=True)
+    integrand = _compose_kernel(f, z, 1.0 + params.gamma, params.beta, complex_kernel=True)
     return z.y ** params.alpha * complex(quad.integrate_halfplane(integrand, tol))
 
 
@@ -248,8 +257,7 @@ def bergman_constant(nu: float) -> complex:
 def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> complex:
     """P_nu f(z) = c_nu * integral f(w) (z - conj(w))^-(2+nu) v^nu dV(w)."""
     z = HalfPlanePoint.of(z)
-    params = OperatorParams(0.0, nu, nu + 1.0)  # projection is the gamma = nu+1 member
-    integrand = _compose_kernel(f, z, params, 2.0 + nu, nu, complex_kernel=True)
+    integrand = _compose_kernel(f, z, 2.0 + nu, nu, complex_kernel=True)
     return bergman_constant(nu) * complex(quad.integrate_halfplane(integrand, tol))
 
 
@@ -296,7 +304,12 @@ def reproduce_check(nu: float, m: int, points=None, tol: float = quad.DEFAULT_TO
 # --------------------------------------------------------------------------
 
 def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, tol: float) -> np.ndarray:
-    """T+ f(x+iy) for a batch of abscissae x at fixed height y."""
+    """T+ f(x+iy) for a batch of abscissae x at fixed height y.
+
+    The abscissae go through the (x, v, u) kernel tensor in blocks of 8
+    on f's unpruned (u, v) grid; where f's supports prune panels from
+    the grid the block grows in proportion, so the tensor keeps its size.
+    """
     al, be, ga = params.alpha, params.beta, params.gamma
     out = np.empty(xs.shape, dtype=float)
     inner_tol = max(tol / 20.0, 1e-13)
@@ -305,8 +318,13 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
         f.v_left_exponent + be,
         f.v_decay_exponent - be + 1.0 + ga,
     )
-    for start in range(0, xs.size, 8):
-        chunk = xs[start:start + 8]
+    unpruned = (quad.panel_count((-math.inf, math.inf), f.u_breakpoints, semiaxis=False)
+                * quad.panel_count((0.0, math.inf), f.v_breakpoints, semiaxis=True))
+    pruned = (quad.panel_count(f.u_support, f.u_breakpoints, semiaxis=False)
+              * quad.panel_count(f.v_support, f.v_breakpoints, semiaxis=True))
+    block = 8 * unpruned // pruned
+    for start in range(0, xs.size, block):
+        chunk = xs[start:start + block]
         xcol = chunk[:, None, None]
 
         def outer(v):
@@ -316,13 +334,13 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
                 r2 = (xcol - u[None, None, :]) ** 2 + (y + vrow) ** 2
                 return f(u[None, None, :], vrow) * r2 ** (-(1.0 + ga) / 2.0)
 
-            planes = quad.integrate_real_line(
-                inner, inner_tol,
+            planes = quad.integrate_u(
+                inner, f.u_support, inner_tol,
                 breakpoints=f.u_breakpoints,
                 decay_exponent=f.u_decay_exponent + 1.0 + ga)
             return planes * v[None, :] ** be
 
-        out[start:start + 8] = quad.integrate_semiaxis(outer, v_hints, tol)
+        out[start:start + block] = quad.integrate_v(outer, f.v_support, v_hints, tol)
     return y ** al * out
 
 
@@ -347,14 +365,18 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
         decay_exponent=f.v_decay_exponent,
         label="slice p-norm",
     )
+    # x -> T+ f(x+iy) is real-analytic for y > 0, so f's u-edges are not
+    # edges of the lhs integrand and a source with a finite u support does
+    # not split the x axis there; any other source keeps the x grid (and
+    # so the values) of the full-domain path.
+    x_knots = () if quad.finite_support(f.u_support, -math.inf) else f.u_breakpoints
     rows = []
     for y in y_grid:
         def lhs_integrand(xs):
             return np.abs(_tplus_slice(params, f, xs, y, tol / 10.0)) ** p
 
         lhs = float(quad.integrate_real_line(
-            lhs_integrand, tol,
-            breakpoints=f.u_breakpoints,
+            lhs_integrand, tol, breakpoints=x_knots,
             decay_exponent=p * (1.0 + params.gamma))) ** (1.0 / p)
         rhs = c_gamma * apply_H(params, slice_norm, y, tol)
         rows.append({"y": float(y), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs})

@@ -248,13 +248,15 @@ class _Parser:
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CALLS = {"exp": math.exp, "log": math.log, "abs": abs}
 
 
 def _fold_const(e: Expr, pos: int | None = None) -> float | None:
     """Value of a constant subtree, or None if it contains a variable.
 
     A constant that divides by zero, overflows or is not a real number
-    (+-inf are allowed) raises ExprSyntaxError at offset ``pos``.
+    (+-inf are allowed; log of a constant <= 0 is not) raises
+    ExprSyntaxError at offset ``pos``.
     """
     if isinstance(e, Const):
         return e.value
@@ -265,6 +267,8 @@ def _fold_const(e: Expr, pos: int | None = None) -> float | None:
         op, args = _ARITH[e.op], (_fold_const(e.left, pos), _fold_const(e.right, pos))
     elif isinstance(e, Pow):
         op, args = operator.pow, (_fold_const(e.base, pos), e.exponent)
+    elif isinstance(e, Call):
+        op, args = _CALLS[e.fn], (_fold_const(e.arg, pos),)
     else:
         return None
     if None in args:
@@ -275,6 +279,8 @@ def _fold_const(e: Expr, pos: int | None = None) -> float | None:
         raise ExprSyntaxError(f"constant {pretty(e)} divides by zero", pos) from exc
     except OverflowError as exc:
         raise ExprSyntaxError(f"constant {pretty(e)} overflows", pos) from exc
+    except ValueError as exc:  # math.log of a constant <= 0
+        raise ExprSyntaxError(f"constant {pretty(e)} is not a real number", pos) from exc
     if isinstance(v, complex) or math.isnan(v):
         raise ExprSyntaxError(f"constant {pretty(e)} is not a real number", pos)
     return v
@@ -339,12 +345,17 @@ def _eval(e: Expr, env: dict, strict: bool):
 
 
 def eval_expr(e: Expr, point):
-    """Evaluate at a scalar point (1D) or a pair (2D); raises DomainError."""
+    """Evaluate at a scalar point (1D) or a pair (2D); raises DomainError,
+    or ExprSyntaxError for a bad constant subexpression."""
+    _check_constants(e)
     if isinstance(point, (tuple, list)):
         env = {"x": float(point[0]), "y": float(point[1])}
     else:
         env = {"x": float(point)}
-    return float(_eval(e, env, strict=True))
+    try:
+        return float(_eval(e, env, strict=True))
+    except ZeroDivisionError as exc:
+        raise DomainError(f"division by zero in {pretty(e)} at {point}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -405,11 +416,12 @@ _POWER = "power"  # ~ C * t^c with C != 0
 
 
 def _probe_sign(e: Expr, var: str, at: float) -> float:
-    env = {"x": 1.0, "y": 1.0}
-    env[var] = at
+    """Sign of e at var = at (others 1); 0 where e is zero or undefined."""
+    env = {"x": np.float64(1.0), "y": np.float64(1.0)}
+    env[var] = np.float64(at)  # numpy scalars: a negative base to a fractional power is nan
     with np.errstate(all="ignore"):
-        v = _eval(e, env, strict=False)
-    return math.copysign(1.0, float(v)) if v != 0 else 0.0
+        v = float(_eval(e, env, strict=False))
+    return 0.0 if v == 0 or math.isnan(v) else math.copysign(1.0, v)
 
 
 def _asym(e: Expr, var: str, end: str) -> tuple[str, float]:
@@ -500,15 +512,63 @@ def _collect_breakpoints(e: Expr, var: str) -> set[float]:
     return out
 
 
+def _mirror(e: Expr, var: str) -> Expr:
+    """e with var replaced by -var: x -> -x, ind(x,lo,hi) -> ind(x,-hi,-lo)."""
+    if isinstance(e, Var) and e.name == var:
+        return Neg(e)
+    if isinstance(e, Ind) and e.var == var:
+        return Ind(var, -e.hi, -e.lo)
+    kids = {k: _mirror(v, var) for k, v in vars(e).items()
+            if isinstance(v, (Const, Var, BinOp, Neg, Pow, Call, Ind))}
+    return replace(e, **kids) if kids else e
+
+
+def _decay(e: Expr, var: str) -> float:
+    kind, c = _asym(e, var, "inf")
+    return math.inf if kind == _ZERO else -c
+
+
 def _axis_hints(e: Expr, var: str, positive_axis: bool):
+    """(breakpoints, left exponent, decay exponent) along var; on the real
+    line the decay exponent is the smaller of those at +inf and -inf."""
     bps = _collect_breakpoints(e, var)
     if positive_axis:
         bps = {b for b in bps if b > 0}
     kind0, c0 = _asym(e, var, "zero")
     left = 0.0 if kind0 == _ZERO else c0
-    kind1, c1 = _asym(e, var, "inf")
-    decay = math.inf if kind1 == _ZERO else -c1
+    decay = _decay(e, var)
+    if not positive_axis:
+        decay = min(decay, _decay(_mirror(e, var), var))
     return tuple(sorted(bps)), left, decay
+
+
+_WHOLE = (-math.inf, math.inf)
+
+
+def _support(e: Expr, var: str) -> tuple[float, float]:
+    """An interval [lo, hi] of var outside which e is identically zero for
+    every value of the other variable; lo > hi when e is zero everywhere.
+
+    ind of var and a zero constant bound it; * intersects, + and - take
+    the hull, and -, abs and a positive power keep their argument's
+    interval.  Everything else (a variable, a nonzero constant, exp, log,
+    /, a power <= 0, ind of the other variable) may be nonzero anywhere.
+    """
+    if isinstance(e, Ind) and e.var == var:
+        return (e.lo, e.hi)
+    c = _fold_const(e)
+    if c is not None:
+        return (math.inf, -math.inf) if c == 0.0 else _WHOLE
+    if isinstance(e, BinOp) and e.op != "/":
+        (la, ha), (lb, hb) = _support(e.left, var), _support(e.right, var)
+        if e.op == "*":
+            return (max(la, lb), min(ha, hb))
+        return (min(la, lb), max(ha, hb))
+    if isinstance(e, Neg) or (isinstance(e, Call) and e.fn == "abs"):
+        return _support(e.arg, var)
+    if isinstance(e, Pow) and e.exponent > 0:
+        return _support(e.base, var)
+    return _WHOLE
 
 
 # --------------------------------------------------------------------------
@@ -548,7 +608,9 @@ class Func2D:
     """A function on the upper half-plane R x (0, inf) with hints.
 
     fn(u, v) must broadcast over numpy arrays; complex values are allowed
-    (e.g. reproducing-kernel probes).
+    (e.g. reproducing-kernel probes).  u_support / v_support are intervals
+    outside which fn is identically zero (quadrature integrates only over
+    them where they are finite); func2d derives them from the expression.
     """
 
     fn: Callable
@@ -558,6 +620,8 @@ class Func2D:
     v_left_exponent: float = 0.0
     v_decay_exponent: float = math.inf
     label: str = ""
+    u_support: tuple[float, float] = _WHOLE
+    v_support: tuple[float, float] = (0.0, math.inf)
 
     def __call__(self, u, v):
         return self.fn(np.asarray(u), np.asarray(v))
@@ -571,6 +635,8 @@ class Func2D:
         return replace(self, fn=lambda u, v: inner(R * u, R * v),
                        u_breakpoints=tuple(b / R for b in self.u_breakpoints),
                        v_breakpoints=tuple(b / R for b in self.v_breakpoints),
+                       u_support=tuple(b / R for b in self.u_support),
+                       v_support=tuple(b / R for b in self.v_support),
                        label=f"{self.label or 'f'}(z*{_fmt_num(R)})")
 
 
@@ -599,6 +665,7 @@ def func2d(src: str | Expr) -> Func2D:
     _check_constants(e)
     u_bps, _, u_decay = _axis_hints(e, "x", positive_axis=False)
     v_bps, v_left, v_decay = _axis_hints(e, "y", positive_axis=True)
+    v_lo, v_hi = _support(e, "y")
 
     def fn(u, v):
         with np.errstate(all="ignore"):
@@ -606,4 +673,5 @@ def func2d(src: str | Expr) -> Func2D:
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,
-                  v_decay_exponent=v_decay, label=pretty(e))
+                  v_decay_exponent=v_decay, label=pretty(e),
+                  u_support=_support(e, "x"), v_support=(max(v_lo, 0.0), v_hi))

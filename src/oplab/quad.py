@@ -38,6 +38,13 @@ Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
 truncated entry point exists for the divergence-exponent experiments.
 
+Half-plane sources are often compactly supported (boxes, slabs).  The
+axis integrators integrate_u / integrate_v take the support the source
+vanishes outside: a finite one (on v, one with a positive lower end) is
+integrated by integrate_interval alone, with no nodes spent on tails or
+the origin; any other support makes exactly the integrate_real_line /
+integrate_semiaxis call, so sources without one are unaffected.
+
 Everything here is pure and reentrant: node tables are immutable module
 caches, and no call mutates shared state.
 """
@@ -60,6 +67,10 @@ __all__ = [
     "integrate_truncated",
     "integrate_interval",
     "integrate_real_line",
+    "finite_support",
+    "integrate_u",
+    "integrate_v",
+    "panel_count",
     "integrate_halfplane",
     "log_grid_sup",
 ]
@@ -290,11 +301,19 @@ def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = 
     return _semiaxis(f, hints, tol, max_level, cutoff)
 
 
+def _interval_knots(a: float, b: float, breakpoints: Sequence[float]) -> list[float]:
+    return sorted({a, b, *(x for x in breakpoints if a < x < b)})
+
+
+def _real_line_knots(breakpoints: Sequence[float]) -> list[float]:
+    return sorted({float(b) for b in breakpoints}) or [0.0]
+
+
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (), max_level: int = 10):
     """Integral of f over the finite interval [a, b] (endpoint singularities ok)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a}, {b}]")
-    knots = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    knots = _interval_knots(a, b, breakpoints)
     panels = [_Panel(lo, hi) for lo, hi in zip(knots, knots[1:])]
     return _drive(panels, f, tol, max_level)
 
@@ -311,7 +330,7 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
             f"real-line integral diverges: decay exponent {decay_exponent} <= 1",
             endpoint="u-infinity",
         )
-    knots = sorted({float(b) for b in breakpoints}) or [0.0]
+    knots = _real_line_knots(breakpoints)
     panels = [_Panel(a, b) for a, b in zip(knots, knots[1:])]
     panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[-1] + np.expm1(s), np.exp(s))))
     panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[0] - np.expm1(s), np.exp(s))))
@@ -322,15 +341,65 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     return _drive(panels, f, tol, max_level, completion)
 
 
+# --------------------------------------------------------------------------
+# half-plane axes: integrate a source only where it can be nonzero
+# --------------------------------------------------------------------------
+
+def finite_support(support: tuple[float, float], floor: float) -> tuple[float, float] | None:
+    """support as a finite interval [lo, hi] with floor < lo < hi, else None:
+    floor is -inf on the u axis and 0 on the v axis."""
+    lo, hi = support
+    return (lo, hi) if floor < lo < hi < math.inf else None
+
+
+def integrate_u(f, support: tuple[float, float], tol: float = DEFAULT_TOL_1D, *,
+                breakpoints: Sequence[float] = (), decay_exponent: float = math.inf,
+                max_level: int = 10):
+    """Integral over the real line of an f that vanishes outside ``support``.
+
+    A finite support is integrated by integrate_interval (breakpoints
+    inside it kept); any other support makes exactly the
+    integrate_real_line call.
+    """
+    finite = finite_support(support, -math.inf)
+    if finite is not None:
+        return integrate_interval(f, *finite, tol, breakpoints=breakpoints, max_level=max_level)
+    return integrate_real_line(f, tol, breakpoints=breakpoints,
+                               decay_exponent=decay_exponent, max_level=max_level)
+
+
+def integrate_v(f, support: tuple[float, float], hints: SingularityHints,
+                tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
+    """Integral over (0, inf) of an f that vanishes outside ``support``:
+    integrate_interval over a support [lo, hi] with 0 < lo and hi finite,
+    otherwise exactly the integrate_semiaxis call."""
+    finite = finite_support(support, 0.0)
+    if finite is not None:
+        return integrate_interval(f, *finite, tol, breakpoints=hints.breakpoints, max_level=max_level)
+    return integrate_semiaxis(f, hints, tol, max_level=max_level)
+
+
+def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
+    """Number of panels integrate_v (semiaxis) or integrate_u drives for
+    this support and these breakpoints."""
+    finite = finite_support(support, 0.0 if semiaxis else -math.inf)
+    if finite is not None:
+        return len(_interval_knots(*finite, breakpoints)) - 1
+    if semiaxis:  # origin panel, finite panels, tail panel
+        return len(_semiaxis_knots(sorted(breakpoints), None))
+    return len(_real_line_knots(breakpoints)) + 1  # finite panels and two tails
+
+
 def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
     """Iterated integral of f over the upper half-plane R x (0, inf).
 
     ``f`` is a Func2D-style object: callable as f(u, v) on broadcasting
     arrays, carrying hint attributes u_breakpoints, v_breakpoints,
-    u_decay_exponent, v_left_exponent, v_decay_exponent.  The inner
-    integral runs over u in R (batched across the v nodes requested by
-    the outer quadrature); the outer integral over v in (0, inf) reuses
-    integrate_semiaxis.  Complex values are allowed.
+    u_decay_exponent, v_left_exponent, v_decay_exponent and the supports
+    u_support, v_support.  The inner integral runs over u in R (batched
+    across the v nodes requested by the outer quadrature, integrate_u);
+    the outer integral over v in (0, inf) is integrate_v.  Both integrate
+    only over a finite support.  Complex values are allowed.
     """
     if not f.v_left_exponent > -1.0:
         raise DivergenceError(
@@ -356,8 +425,8 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
             vals = np.asarray(f(u[None, :], vcol))
             return np.stack([vals, np.abs(vals).astype(vals.dtype)])
 
-        return integrate_real_line(
-            inner_integrand, inner_tol,
+        return integrate_u(
+            inner_integrand, f.u_support, inner_tol,
             breakpoints=u_bps, decay_exponent=u_decay, max_level=max_level,
         )
 
@@ -366,7 +435,7 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
         left_exponent=f.v_left_exponent,
         decay_exponent=f.v_decay_exponent,
     )
-    pair = integrate_semiaxis(outer_integrand, hints, tol, max_level=max_level)
+    pair = integrate_v(outer_integrand, f.v_support, hints, tol, max_level=max_level)
     return pair[0]
 
 

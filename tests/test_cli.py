@@ -194,6 +194,18 @@ def test_estimate_zero_or_bad_constant_expr(capsys, expr):
         "--alpha", "0", "--beta", "0", "--gamma", "1")
 
 
+def test_estimate_names_a_non_real_constant_under_log(capsys):
+    # log(0-1) used to evaluate to nan, be zeroed by the quadrature and end
+    # in "needs a source function of nonzero norm"
+    code, _, err = run_cli(capsys, "estimate", "--expr", "log(0-1)*ind(1,2)+ind(2,3)",
+                           "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                           "--alpha", "0", "--beta", "0", "--gamma", "1")
+    assert code == EXIT_PARAMS
+    doc = json.loads(err)
+    assert doc["error"] == "parameters"
+    assert doc["detail"] == "constant log(0-1) is not a real number"
+
+
 def test_sweep_negative_num(capsys):
     assert_parameter_error(
         capsys, "sweep", "--vary", "gamma", "--start", "0.5", "--stop", "1.5", "--num", "-1",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplab.errors import (
@@ -14,6 +14,8 @@ from oplab.errors import (
     NonConstantExponentError,
 )
 from oplab.funcdsl import eval_expr, func1d, func2d, parse, pretty
+
+INF = math.inf
 
 
 def test_parse_examples():
@@ -126,26 +128,37 @@ def test_pretty_round_trip_idempotent(src):
 
 
 @st.composite
-def expr_trees(draw, depth=0):
-    leaf = st.one_of(
+def expr_trees(draw, depth=0, two_d=False):
+    leaves = [
         st.just("x"),
         st.floats(0.1, 5.0).map(lambda v: f"{v:.3f}"),
         st.tuples(st.floats(0.1, 2.0), st.floats(2.1, 5.0)).map(
             lambda b: f"ind({b[0]:.2f},{b[1]:.2f})"),
-    )
+    ]
+    if two_d:
+        leaves += [
+            st.just("y"),
+            st.just("0"),
+            st.tuples(st.floats(-4.0, 1.0), st.floats(0.1, 3.0)).map(
+                lambda b: f"ind({b[0]:.2f},{b[0] + b[1]:.2f})"),
+            st.tuples(st.floats(-1.0, 2.0), st.floats(0.1, 3.0)).map(
+                lambda b: f"ind(y,{b[0]:.2f},{b[0] + b[1]:.2f})"),
+        ]
+    leaf = st.one_of(*leaves)
     if depth >= 3:
         return draw(leaf)
     op = draw(st.sampled_from(["+", "-", "*", "/", "neg", "exp", "abs", "pow", "leaf"]))
     if op == "leaf":
         return draw(leaf)
+    sub = expr_trees(depth=depth + 1, two_d=two_d)
     if op == "neg":
-        return f"-({draw(expr_trees(depth=depth + 1))})"
+        return f"-({draw(sub)})"
     if op in ("exp", "abs"):
-        return f"{op}({draw(expr_trees(depth=depth + 1))})"
+        return f"{op}({draw(sub)})"
     if op == "pow":
         e = draw(st.floats(-3.0, 3.0))
-        return f"({draw(expr_trees(depth=depth + 1))})^({e:.2f})"
-    return f"({draw(expr_trees(depth=depth + 1))}){op}({draw(expr_trees(depth=depth + 1))})"
+        return f"({draw(sub)})^({e:.2f})"
+    return f"({draw(sub)}){op}({draw(sub)})"
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,6 +218,85 @@ def test_hint_soundness_loglog_slopes(src):
     if math.isfinite(f.decay_exponent):
         est = slope(max(1e6, lo * 10), 2 * max(1e6, lo * 10))
         assert abs(est + f.decay_exponent) <= 0.05
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr_trees(two_d=True))
+def test_support_is_sound(src):
+    # outside the reported supports every finite value is exactly zero
+    try:
+        f = func2d(src)
+    except ExprSyntaxError:
+        assume(False)  # a constant subexpression that is not a real number
+    us = np.linspace(-6.0, 6.0, 97)[:, None]
+    vs = np.linspace(0.05, 6.0, 48)[None, :]
+    vals = np.broadcast_to(f(us, vs), (us.size, vs.size))
+    (ulo, uhi), (vlo, vhi) = f.u_support, f.v_support
+    outside = (us < ulo) | (us > uhi) | (vs < vlo) | (vs > vhi)
+    assert np.all(vals[outside & np.isfinite(vals)] == 0.0)
+
+
+@pytest.mark.parametrize("src, u_support, v_support", [
+    ("ind(-0.25,0.25)*ind(y,1,2)", (-0.25, 0.25), (1.0, 2.0)),
+    ("ind(y,1,2)", (-INF, INF), (1.0, 2.0)),
+    ("ind(-1,0.5)*y^0.5*ind(y,0.5,3)", (-1.0, 0.5), (0.5, 3.0)),
+    ("(ind(-1,0)+2*ind(0,1))*abs(x)^0.5*ind(y,-1,2)", (-1.0, 1.0), (0.0, 2.0)),
+    ("ind(0,1)*x^(-1)*ind(y,1,2)", (0.0, 1.0), (1.0, 2.0)),
+    ("ind(0,1)/x*ind(y,1,2)", (-INF, INF), (1.0, 2.0)),
+    ("ind(0,1)*exp(x)+ind(y,1,2)", (-INF, INF), (0.0, INF)),
+    ("x^(-1)*ind(0,1)*ind(y,1,2)", (0.0, 1.0), (1.0, 2.0)),
+    ("exp(-abs(x))*y*exp(-y)", (-INF, INF), (0.0, INF)),
+])
+def test_support_extraction(src, u_support, v_support):
+    f = func2d(src)
+    assert f.u_support == u_support and f.v_support == v_support
+
+
+def test_support_of_zero_and_dilation():
+    f = func2d("0*x*y")
+    assert f.u_support[0] > f.u_support[1] and f.v_support[0] > f.v_support[1]
+    g = func2d("ind(-0.25,0.25)*ind(y,1,2)").dilate(4.0)
+    assert g.u_support == (-0.0625, 0.0625) and g.v_support == (0.25, 0.5)
+
+
+@pytest.mark.parametrize("src, decay", [
+    ("ind(-inf,0)*ind(y,1,2)", 0.0),
+    ("ind(0,inf)*ind(y,1,2)", 0.0),
+    ("(1+abs(x))^(0-0.5)*ind(-inf,0)*ind(y,1,2)", 0.5),
+    ("(1+abs(x))^(0-0.5)*ind(0,inf)*ind(y,1,2)", 0.5),
+    ("(1+abs(x))^(0-3)*ind(-inf,0)+(1+x^2)^(0-1)", 2.0),
+    ("exp(0-x)*ind(y,1,2)", -INF),
+    ("exp(-abs(x))*y*exp(-y)", INF),
+    ("ind(-0.25,0.25)*ind(y,1,2)", INF),
+])
+def test_u_decay_is_two_sided(src, decay):
+    assert func2d(src).u_decay_exponent == decay
+
+
+def test_constants_under_exp_log_abs_are_checked():
+    for src in ("log(0-1)*ind(1,2)+ind(2,3)", "log(0)*x", "exp(1000)*x", "abs(log(0-2))*x"):
+        with pytest.raises(ExprSyntaxError) as exc:
+            func1d(src)
+        assert "constant" in str(exc.value)
+    assert "log(0-1)" in str(pytest.raises(ExprSyntaxError, func1d, "log(0-1)*ind(1,2)").value)
+    assert func1d("exp(1)*x")(np.array([2.0]))[0] == pytest.approx(2.0 * math.e)
+    assert func1d("x^log(4)").label == f"x^{math.log(4.0)!r}"
+
+
+def test_exp_hint_of_a_power_undefined_at_the_far_end():
+    # (1-x)^1.5 is not real for large x: the hint is the conservative one
+    # instead of a TypeError from a complex probe value
+    assert func1d("exp((1-x)^1.5)*ind(0,2)").decay_exponent == INF
+    assert func1d("exp((1-x)^1.5)").decay_exponent == -INF
+    assert func2d("exp((x+x)^1.5)*ind(y,1,2)").u_decay_exponent == -INF
+
+
+def test_eval_expr_division_by_zero():
+    with pytest.raises(ExprSyntaxError):
+        eval_expr(parse("1/0*x"), 1.0)
+    with pytest.raises(DomainError):
+        eval_expr(parse("x/(x-1)"), 1.0)
+    assert eval_expr(parse("x/(x-1)"), 2.0) == 2.0
 
 
 def test_dilation():
