@@ -33,11 +33,15 @@ reduction inequality
 that transfers half-line boundedness to the half-plane, and numerical
 checks of the reproducing identity P_nu f = f on holomorphic probes.
 
-The quadratures over a source f (T+, T, P_nu, mixed norms, both sides
-of the reduction check) integrate f only over its supports
-(Func2D.u_support / v_support, quad.integrate_u / integrate_v): the
-kernels are finite and nonzero, so a box or slab source spends no nodes
-where it vanishes.
+The T+ criteria on the covered regimes are the half-line criteria at
+the outer exponents (hilbert.sup_criteria, to_sup_criteria,
+finite_criteria), which is what the reduction inequality transfers; the
+mixed norm at finite q is the half-line L^q_nu norm of the slice norms
+v -> ||f_v||_p.  The quadratures over a source f (T+, T, P_nu, mixed
+norms, both sides of the reduction check) integrate f only over its
+supports (Func2D.u_support / v_support, the support= of the quad
+integrators): the kernels are finite and nonzero, so a box or slab
+source spends no nodes where it vanishes.
 
 All operations are pure; probe grids and quadratures may be evaluated
 concurrently and merged in input order.
@@ -54,9 +58,10 @@ import numpy as np
 from . import quad
 from .errors import DivergenceError, DomainError, ParameterError
 from .funcdsl import Func1D, Func2D
-from .hilbert import OperatorParams, apply_H
+from .hilbert import (OperatorParams, WeightedSpaceSpec, apply_H, diagonal_relation,
+                      finite_criteria, sup_criteria, to_sup_criteria, weighted_lp_norm)
 from .quad import SingularityHints
-from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck, verdict_report
+from .reports import ConditionReport, InequalityCheck, RelationCheck, verdict_report
 from .specfun import beta as beta_fn
 
 __all__ = [
@@ -129,7 +134,7 @@ class BergmanVerdictRequest:
         if self.operator not in ("tplus", "t", "projection"):
             raise ParameterError(f"unknown operator selector {self.operator!r}")
         if self.operator == "projection":
-            if self.params.alpha != 0.0 or abs(self.params.gamma - (self.params.beta + 1.0)) > RELATION_EPS:
+            if self.params.alpha != 0.0 or not diagonal_relation(self.params).holds:
                 raise ParameterError(
                     "the projection selector requires alpha = 0 and gamma = beta + 1 "
                     "(beta is the projection weight)")
@@ -158,41 +163,32 @@ def kernel_row_integral(alpha: float, y: float) -> float:
     return beta_fn(0.5, (alpha - 1.0) / 2.0) * y ** (1.0 - alpha)
 
 
-def _slice_p_norms(f: Func2D, p: float, v: np.ndarray, tol: float) -> np.ndarray:
-    """|| f_v ||_{L^p(du)} for a batch of heights v."""
-    vcol = v[:, None]
+def _slice_norm(f: Func2D, p: float, tol: float) -> Func1D:
+    """v -> || f_v ||_{L^p(du)} as a Func1D with f's v hints."""
+    def fn(v):
+        vcol = v[:, None]
+        vals = quad.integrate_real_line(
+            lambda u: np.abs(f(u[None, :], vcol)) ** p, tol, breakpoints=f.u_breakpoints,
+            decay_exponent=p * f.u_decay_exponent, support=f.u_support)
+        return np.asarray(vals) ** (1.0 / p)
 
-    def inner(u):
-        return np.abs(f(u[None, :], vcol)) ** p
-
-    vals = quad.integrate_u(
-        inner, f.u_support, tol, breakpoints=f.u_breakpoints,
-        decay_exponent=p * f.u_decay_exponent)
-    return np.asarray(vals) ** (1.0 / p)
+    return Func1D(fn=fn, breakpoints=f.v_breakpoints, left_exponent=f.v_left_exponent,
+                  decay_exponent=f.v_decay_exponent, label="slice p-norm")
 
 
 def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """||f||_{p,q,nu} = (int_0^inf (int_R |f|^p dx)^{q/p} y^nu dy)^{1/q},
-    with the sup-over-y convention when q = inf (the heuristic of the
-    half-line essential sup, quad.log_grid_sup, on a 241-point grid over
-    [1e-6, 1e6] with 80 refinement steps)."""
+    the half-line L^q_nu norm of the slice norms, with the sup-over-y
+    convention when q = inf (the heuristic of the half-line essential
+    sup, quad.log_grid_sup, on a 241-point grid over [1e-6, 1e6] widened
+    to f's v breakpoints and support, with 80 refinement steps)."""
     p, q, nu = spec.p, spec.q, spec.nu
     if math.isinf(p):
         raise ParameterError("p = inf mixed norms are not supported; use pointwise sup checks")
     if math.isinf(q):
-        return quad.log_grid_sup(lambda v: _slice_p_norms(f, p, v, tol / 10.0), 1e-6, 1e6, 241, 80)
-    inner_tol = max(tol / 20.0, 1e-13)
-
-    def outer(v):
-        return _slice_p_norms(f, p, v, inner_tol) ** q * v ** nu
-
-    hints = SingularityHints(
-        f.v_breakpoints,
-        q * f.v_left_exponent + nu,
-        q * f.v_decay_exponent - nu,
-    )
-    val = float(quad.integrate_semiaxis(outer, hints, tol))
-    return val ** (1.0 / q)
+        return quad.log_grid_sup(_slice_norm(f, p, tol / 10.0), 1e-6, 1e6, 241, 80,
+                                 knots=(*f.v_breakpoints, *f.v_support))
+    return weighted_lp_norm(_slice_norm(f, p, max(tol / 20.0, 1e-13)), WeightedSpaceSpec(q, nu), tol)
 
 
 # --------------------------------------------------------------------------
@@ -334,13 +330,12 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
                 r2 = (xcol - u[None, None, :]) ** 2 + (y + vrow) ** 2
                 return f(u[None, None, :], vrow) * r2 ** (-(1.0 + ga) / 2.0)
 
-            planes = quad.integrate_u(
-                inner, f.u_support, inner_tol,
-                breakpoints=f.u_breakpoints,
-                decay_exponent=f.u_decay_exponent + 1.0 + ga)
+            planes = quad.integrate_real_line(
+                inner, inner_tol, breakpoints=f.u_breakpoints,
+                decay_exponent=f.u_decay_exponent + 1.0 + ga, support=f.u_support)
             return planes * v[None, :] ** be
 
-        out[start:start + block] = quad.integrate_v(outer, f.v_support, v_hints, tol)
+        out[start:start + block] = quad.integrate_semiaxis(outer, v_hints, tol, support=f.v_support)
     return y ** al * out
 
 
@@ -358,18 +353,13 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
     if y_grid is None:
         y_grid = (0.5, 1.0, 2.0)
     c_gamma = beta_fn(0.5, params.gamma / 2.0)
-    slice_norm = Func1D(
-        fn=lambda v: _slice_p_norms(f, p, v, max(tol / 20.0, 1e-13)),
-        breakpoints=f.v_breakpoints,
-        left_exponent=f.v_left_exponent,
-        decay_exponent=f.v_decay_exponent,
-        label="slice p-norm",
-    )
+    slice_norm = _slice_norm(f, p, max(tol / 20.0, 1e-13))
     # x -> T+ f(x+iy) is real-analytic for y > 0, so f's u-edges are not
     # edges of the lhs integrand and a source with a finite u support does
     # not split the x axis there; any other source keeps the x grid (and
     # so the values) of the full-domain path.
-    x_knots = () if quad.finite_support(f.u_support, -math.inf) else f.u_breakpoints
+    lo, hi = f.u_support
+    x_knots = () if -math.inf < lo < hi < math.inf else f.u_breakpoints
     rows = []
     for y in y_grid:
         def lhs_integrand(xs):
@@ -391,21 +381,11 @@ def column_integral(params: OperatorParams, a: float, w, tol: float = quad.DEFAU
     which is constant in w and equals B(1/2,gamma/2) B(beta-a, alpha+a+1)
     under gamma = alpha+beta+1, -alpha < a+1 < beta+1."""
     w = HalfPlanePoint.of(w)
-    al, be, ga = params.alpha, params.beta, params.gamma
-    u0, v0 = w.x, w.y
-
-    def fn(x, y):
-        r2 = (x - u0) ** 2 + (np.asarray(y) + v0) ** 2
-        return np.asarray(y) ** (al + a) * r2 ** (-(1.0 + ga) / 2.0)
-
-    integrand = Func2D(
-        fn=fn,
-        u_breakpoints=(u0,),
-        u_decay_exponent=1.0 + ga,
-        v_left_exponent=al + a,
-        v_decay_exponent=1.0 + ga - al - a,
-    )
-    return v0 ** (be - a) * float(quad.integrate_halfplane(integrand, tol))
+    # |x-u+i(y+v)| is symmetric in z and w: the column is the T+ kernel
+    # of the constant 1 centred at w
+    one = Func2D(fn=lambda u, v: 1.0, u_decay_exponent=0.0, v_decay_exponent=0.0)
+    integrand = _compose_kernel(one, w, 1.0 + params.gamma, params.alpha + a, complex_kernel=False)
+    return w.y ** (params.beta - a) * float(quad.integrate_halfplane(integrand, tol))
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +401,7 @@ def tplus_exact_norm(case: str, params: OperatorParams, a: float | None = None) 
                     gamma = alpha+beta+1, -alpha < a+1 < beta+1.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
-    if abs(ga - (al + be + 1.0)) > RELATION_EPS:
+    if not diagonal_relation(params).holds:
         raise ParameterError("exact norms need the diagonal relation gamma = alpha+beta+1")
     if case == "linf":
         if not al > 0.0:
@@ -453,19 +433,15 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
     if math.isinf(p):
         if not (math.isinf(q) and math.isinf(r)):
             raise ParameterError("p = inf is covered only in the sup-to-sup case")
-        relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
-        ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
-                 InequalityCheck("beta > -1", be, lower=-1.0))
-        return verdict_report(op, "Linf -> Linf", relation, ineqs,
+        return verdict_report(op, "Linf -> Linf", *sup_criteria(req.params),
                               notes=("exact norm B(1/2,gamma/2)B(beta+1,alpha) when bounded",))
 
     if p == 1.0 and q == 1.0 and r == 1.0:
         if a is None or b is None or a != b:
             raise ParameterError("the weighted L1 case needs matching weights a = b > -1")
-        relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
         ineqs = (InequalityCheck("-alpha < a+1", a + 1.0, lower=-al),
                  InequalityCheck("a+1 < beta+1", a + 1.0, upper=be + 1.0))
-        return verdict_report(op, "L1_a -> L1_a", relation, ineqs,
+        return verdict_report(op, "L1_a -> L1_a", diagonal_relation(req.params), ineqs,
                               notes=("exact norm B(1/2,gamma/2)B(beta-a,alpha+a+1) when bounded",))
 
     if not 1.0 < p < math.inf:
@@ -474,27 +450,15 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
     if 1.0 < q < math.inf and not math.isinf(r):
         if not q <= r:
             raise ParameterError("only the upper-triangle case q <= r is covered")
-        relation = RelationCheck(
-            "gamma = alpha+beta+1-(a+1)/q+(b+1)/r",
-            ga, al + be + 1.0 - (a + 1.0) / q + (b + 1.0) / r)
-        ineqs = (
-            InequalityCheck("-q(gamma-beta-1) < a+1", a + 1.0, lower=-q * (ga - be - 1.0)),
-            InequalityCheck("a+1 < q(beta+1)", a + 1.0, upper=q * (be + 1.0)),
-        )
-        cross = (
-            InequalityCheck("-r*alpha < b+1", b + 1.0, lower=-r * al),
-            InequalityCheck("b+1 < r(gamma-alpha)", b + 1.0, upper=r * (ga - al)),
-        )
-        return verdict_report(op, "Lpq_a -> Lpr_b (finite)", relation, ineqs, cross=cross)
+        return verdict_report(op, "Lpq_a -> Lpr_b (finite)",
+                              *finite_criteria(q, r, a, b, req.params, "q", "r"))
 
     if 1.0 < q < math.inf and math.isinf(r):
-        relation = RelationCheck("gamma = alpha+beta+1-(a+1)/q", ga, al + be + 1.0 - (a + 1.0) / q)
-        ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
-                 InequalityCheck("a+1 < q(beta+1)", a + 1.0, upper=q * (be + 1.0)))
         # the alpha > 0 clause is stored; the equivalent window form is
         # computed and displayed for cross-checking
         cross = (InequalityCheck("-q(gamma-beta-1) < a+1", a + 1.0, lower=-q * (ga - be - 1.0)),)
-        return verdict_report(op, "Lpq_a -> Lp,inf", relation, ineqs, cross=cross)
+        return verdict_report(op, "Lpq_a -> Lp,inf", *to_sup_criteria(q, a, req.params, "q"),
+                              cross=cross)
 
     if q == 1.0:
         if a != 0.0:
@@ -507,20 +471,16 @@ def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
         if r == 1.0:
             if b != 0.0:
                 raise ParameterError("the L^{p,1} -> L^{p,1} case is unweighted (nu = 0)")
-            relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
             ineqs = (InequalityCheck("alpha > -1", al, lower=-1.0),
                      InequalityCheck("beta > 0", be, lower=0.0))
-            return verdict_report(op, "Lp1 -> Lp1", relation, ineqs)
+            return verdict_report(op, "Lp1 -> Lp1", diagonal_relation(req.params), ineqs)
         relation = RelationCheck("gamma = alpha+beta+(b+1)/r", ga, al + be + (b + 1.0) / r)
         ineqs = (InequalityCheck("gamma > beta", be, upper=ga),
                  InequalityCheck("beta > 0", be, lower=0.0))
         return verdict_report(op, "Lp1 -> Lpr_b", relation, ineqs)
 
     if math.isinf(q) and math.isinf(r):
-        relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
-        ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
-                 InequalityCheck("beta > -1", be, lower=-1.0))
-        return verdict_report(op, "Lp,inf -> Lp,inf", relation, ineqs)
+        return verdict_report(op, "Lp,inf -> Lp,inf", *sup_criteria(req.params))
 
     raise ParameterError(
         f"unsupported regime: source q={q}, target r={r} (q = inf sources pair only with r = inf)")

@@ -41,7 +41,7 @@ from . import bergman, hilbert, quad, schur
 from .errors import AccuracyError, DivergenceError, OplabError, ParameterError
 from .funcdsl import func1d
 from .hilbert import OperatorParams, WeightedSpaceSpec
-from .reports import jsonable
+from .reports import RELATION_EPS, jsonable
 
 SCHEMA = 1
 
@@ -70,16 +70,30 @@ def emit(report: dict, out: str | None = None) -> None:
         print(text)
 
 
-def _report(command: str, argv, inputs: dict, results: dict, tolerances: dict, t0: float) -> dict:
+def _report(args, inputs: dict, results: dict, tolerances: dict) -> dict:
+    """The report envelope around a command's inputs, results and tolerances."""
     return {
         "schema": SCHEMA,
-        "command": command,
-        "argv": list(argv),
+        "command": args.command_name,
+        "argv": args.argv,
         "inputs": inputs,
         "results": results,
         "tolerances": tolerances,
-        "elapsed_s": round(time.perf_counter() - t0, 6),
+        "elapsed_s": round(time.perf_counter() - args.t0, 6),
     }
+
+
+def _inputs(args, *keys) -> dict:
+    return {k: getattr(args, k) for k in keys}
+
+
+def _params(args) -> OperatorParams:
+    return OperatorParams(args.alpha, args.beta, args.gamma)
+
+
+_SPACES = ("p", "q", "a", "b")
+_PARAMS = ("alpha", "beta", "gamma")
+_RELATION = {"relation_epsilon": RELATION_EPS}
 
 
 def resolve_tol(flag_value: float | None, default: float) -> float:
@@ -107,6 +121,14 @@ def _add_spaces(ap: argparse.ArgumentParser, required=True):
     ap.add_argument("--b", type=float, default=None)
 
 
+def _leaf(sub, name: str, func, command: str | None = None, **kw) -> argparse.ArgumentParser:
+    """A subcommand that runs ``func``, with --out and the report's command name."""
+    ap = sub.add_parser(name, **kw)
+    ap.add_argument("--out")
+    ap.set_defaults(func=func, command_name=command or name)
+    return ap
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oplab",
@@ -117,12 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     # verdict
     v = sub.add_parser("verdict", help="boundedness condition report")
     vsub = v.add_subparsers(dest="family", required=True)
-    vh = vsub.add_parser("hilbert")
+    vh = _leaf(vsub, "hilbert", _cmd_verdict_hilbert, "verdict hilbert")
     _add_spaces(vh)
     _add_params(vh)
-    vh.add_argument("--out")
-    vh.set_defaults(func=_cmd_verdict_hilbert)
-    vb = vsub.add_parser("bergman")
+    vb = _leaf(vsub, "bergman", _cmd_verdict_bergman, "verdict bergman")
     vb.add_argument("--operator", choices=["tplus", "t", "projection"], default="tplus")
     vb.add_argument("--p", type=float, required=True)
     vb.add_argument("--q", type=float, required=True)
@@ -132,54 +152,41 @@ def build_parser() -> argparse.ArgumentParser:
     vb.add_argument("--alpha", type=float, default=0.0)
     vb.add_argument("--beta", type=float, required=True)
     vb.add_argument("--gamma", type=float, default=None)
-    vb.add_argument("--out")
-    vb.set_defaults(func=_cmd_verdict_bergman)
 
     # sharp-norm
-    sn = sub.add_parser("sharp-norm", help="closed-form diagonal operator norm")
+    sn = _leaf(sub, "sharp-norm", _cmd_sharp_norm, help="closed-form diagonal operator norm")
     sn.add_argument("--p", type=float, required=True)
     sn.add_argument("--a", type=float, default=None)
     _add_params(sn)
-    sn.add_argument("--out")
-    sn.set_defaults(func=_cmd_sharp_norm)
 
     # certify (make | verify)
-    ce = sub.add_parser("certify", help="construct or verify a Schur-type certificate")
+    ce = _leaf(sub, "certify", _cmd_certify, help="construct or verify a Schur-type certificate")
     _add_spaces(ce, required=False)
     _add_params(ce, required=False)
     ce.add_argument("--d", type=float, default=None, help="force the exponent gap d = r - s")
-    ce.add_argument("--out")
-    ce.set_defaults(func=_cmd_certify)
-    cesub = ce.add_subparsers(dest="mode")
-    cv = cesub.add_parser("verify")
+    cv = _leaf(ce.add_subparsers(dest="mode"), "verify", _cmd_certify_verify, "certify verify")
     cv.add_argument("--cert", required=True, help="certificate JSON document")
     cv.add_argument("--samples", type=int, default=100)
     cv.add_argument("--tol", type=float, default=None)
-    cv.add_argument("--out")
-    cv.set_defaults(func=_cmd_certify_verify)
 
     # estimate
-    es = sub.add_parser("estimate", help="apply the operator to an --expr function")
+    es = _leaf(sub, "estimate", _cmd_estimate, help="apply the operator to an --expr function")
     es.add_argument("--expr", required=True)
     _add_spaces(es)
     _add_params(es)
     es.add_argument("--points", default="0.5,1,2", help="comma-separated probe abscissae")
     es.add_argument("--tol", type=float, default=None)
-    es.add_argument("--out")
-    es.set_defaults(func=_cmd_estimate)
 
     # extremal
-    ex = sub.add_parser("extremal", help="xi-sweep of the extremal Rayleigh quotient")
+    ex = _leaf(sub, "extremal", _cmd_extremal, help="xi-sweep of the extremal Rayleigh quotient")
     ex.add_argument("--p", type=float, required=True)
     ex.add_argument("--a", type=float, required=True)
     _add_params(ex)
     ex.add_argument("--xi", type=float, action="append", required=True)
     ex.add_argument("--tol", type=float, default=None)
-    ex.add_argument("--out")
-    ex.set_defaults(func=_cmd_extremal)
 
     # dilate
-    di = sub.add_parser("dilate", help="dilation growth-exponent experiment")
+    di = _leaf(sub, "dilate", _cmd_dilate, help="dilation growth-exponent experiment")
     _add_spaces(di)
     _add_params(di)
     di.add_argument("--expr", default="ind(1,2)")
@@ -187,11 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--r-num", type=int, default=7)
     di.add_argument("--cutoff", type=float, default=10.0)
     di.add_argument("--tol", type=float, default=None)
-    di.add_argument("--out")
-    di.set_defaults(func=_cmd_dilate)
 
     # sweep
-    sw = sub.add_parser("sweep", help="vary one parameter on a grid, CSV out")
+    sw = _leaf(sub, "sweep", _cmd_sweep, help="vary one parameter on a grid, CSV out")
     sw.add_argument("--vary", required=True,
                     choices=["alpha", "beta", "gamma", "a", "b", "p", "q"])
     sw.add_argument("--start", type=float, required=True)
@@ -199,26 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--num", type=int, required=True)
     _add_spaces(sw, required=False)
     _add_params(sw, required=False)
-    sw.add_argument("--out")
-    sw.set_defaults(func=_cmd_sweep)
 
     # bergman subcommands
     bg = sub.add_parser("bergman", help="upper half-plane checks")
-    bgsub = bg.add_subparsers(dest="action", required=True)
-    br = bgsub.add_parser("reproduce", help="projection fixed-point check")
+    br = _leaf(bg.add_subparsers(dest="action", required=True), "reproduce",
+               _cmd_bergman_reproduce, "bergman reproduce", help="projection fixed-point check")
     br.add_argument("--nu", type=float, default=0.0)
     br.add_argument("--power", type=int, default=3)
     br.add_argument("--tol", type=float, default=None)
-    br.add_argument("--out")
-    br.set_defaults(func=_cmd_bergman_reproduce)
 
     # solve-gamma
-    sg = sub.add_parser("solve-gamma", help="gamma balancing the relation exactly")
+    sg = _leaf(sub, "solve-gamma", _cmd_solve_gamma, help="gamma balancing the relation exactly")
     _add_spaces(sg)
     sg.add_argument("--alpha", type=float, required=True)
     sg.add_argument("--beta", type=float, required=True)
-    sg.add_argument("--out")
-    sg.set_defaults(func=_cmd_solve_gamma)
 
     return ap
 
@@ -227,47 +226,32 @@ def build_parser() -> argparse.ArgumentParser:
 # command bodies
 # --------------------------------------------------------------------------
 
-def _cmd_verdict_hilbert(args, argv, t0) -> int:
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
-    rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
-    inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
-              "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-    emit(_report("verdict hilbert", argv, inputs, _verdict(rep),
-                 {"relation_epsilon": 1e-12}, t0), args.out)
-    return EXIT_OK
+# Each command returns (inputs, results, tolerances) for main to wrap in
+# the report envelope, or None when it writes its own output (certify:
+# the report to stdout and the certificate document to --out; sweep: CSV).
+
+def _cmd_verdict_hilbert(args):
+    rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, _params(args))
+    return _inputs(args, *_SPACES, *_PARAMS), _verdict(rep), _RELATION
 
 
-def _cmd_verdict_bergman(args, argv, t0) -> int:
-    gamma = args.gamma
-    if args.operator == "projection" and gamma is None:
-        gamma = args.beta + 1.0
-    elif gamma is None:
-        raise OplabError("--gamma is required for tplus/t verdicts")
-    params = OperatorParams(args.alpha, args.beta, gamma)
+def _cmd_verdict_bergman(args):
+    if args.gamma is None:
+        if args.operator != "projection":
+            raise OplabError("--gamma is required for tplus/t verdicts")
+        args.gamma = args.beta + 1.0
     src = bergman.MixedNormSpec(args.p, args.q, args.a)
     tgt = bergman.MixedNormSpec(args.p, args.r, args.b)
-    req = bergman.BergmanVerdictRequest(args.operator, src, tgt, params)
-    rep = bergman.bergman_verdict(req)
-    inputs = {"operator": args.operator, "p": args.p, "q": args.q, "r": args.r,
-              "a": args.a, "b": args.b, "alpha": args.alpha, "beta": args.beta,
-              "gamma": gamma}
-    emit(_report("verdict bergman", argv, inputs, _verdict(rep),
-                 {"relation_epsilon": 1e-12}, t0), args.out)
-    return EXIT_OK
+    rep = bergman.bergman_verdict(bergman.BergmanVerdictRequest(args.operator, src, tgt, _params(args)))
+    return _inputs(args, "operator", "p", "q", "r", "a", "b", *_PARAMS), _verdict(rep), _RELATION
 
 
-def _cmd_sharp_norm(args, argv, t0) -> int:
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
-    space = WeightedSpaceSpec(args.p, args.a)
-    value = hilbert.sharp_norm(space, params)
-    inputs = {"p": args.p, "a": args.a, "alpha": args.alpha,
-              "beta": args.beta, "gamma": args.gamma}
-    results = {"norm": num(value, 1e-13)}
-    emit(_report("sharp-norm", argv, inputs, results, {"relation_epsilon": 1e-12}, t0), args.out)
-    return EXIT_OK
+def _cmd_sharp_norm(args):
+    value = hilbert.sharp_norm(WeightedSpaceSpec(args.p, args.a), _params(args))
+    return _inputs(args, "p", "a", *_PARAMS), {"norm": num(value, 1e-13)}, _RELATION
 
 
-def _cmd_certify_verify(args, argv, t0) -> int:
+def _cmd_certify_verify(args):
     try:
         with open(args.cert) as fh:
             doc = json.load(fh)
@@ -279,44 +263,37 @@ def _cmd_certify_verify(args, argv, t0) -> int:
     rep = schur.verify_certificate(
         cert, cert.p, cert.q, cert.a, cert.b, cert.params,
         n_samples=args.samples, tol=tol)
-    inputs = {"certificate": cert.to_dict()}
     results = {"verification": rep.to_dict(),
                "max_residual": num(rep.max_residual, tol)}
-    emit(_report("certify verify", argv, inputs, results, {"tol": tol}, t0), args.out)
-    return EXIT_OK
+    return {"certificate": cert.to_dict()}, results, {"tol": tol}
 
 
-def _cmd_certify(args, argv, t0) -> int:
-    required = ("p", "q", "a", "b", "alpha", "beta", "gamma")
+def _cmd_certify(args):
+    required = (*_SPACES, *_PARAMS)
     missing = [k for k in required if getattr(args, k) is None]
     if missing:
         raise OplabError(f"certify needs --{' --'.join(missing)}")
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
-    cert = schur.find_certificate(args.p, args.q, args.a, args.b, params, d=args.d)
-    inputs = {k: getattr(args, k) for k in required}
+    cert = schur.find_certificate(args.p, args.q, args.a, args.b, _params(args), d=args.d)
     results = {"certificate": cert.to_dict(), "bound": num(cert.bound, 1e-13)}
-    # --out receives the portable certificate document itself; the full
-    # report always goes to stdout
-    emit(_report("certify", argv, inputs, results, {"relation_epsilon": 1e-12}, t0))
+    emit(_report(args, _inputs(args, *required), results, _RELATION))
     if args.out:
         emit(cert.to_dict(), args.out)
-    return EXIT_OK
 
 
-def _cmd_estimate(args, argv, t0) -> int:
+def _cmd_estimate(args):
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
+    params = _params(args)
     f = func1d(args.expr)
     try:
-        points = [float(s) for s in args.points.split(",") if s.strip()]
+        args.points = [float(s) for s in args.points.split(",") if s.strip()]
     except ValueError as exc:
         raise ParameterError(f"--points must be comma-separated numbers: {exc}") from exc
-    values = hilbert.apply_H_many(params, f, np.array(points), tol)
+    values = hilbert.apply_H_many(params, f, np.array(args.points), tol)
     src = WeightedSpaceSpec(args.p, args.a)
     nf = hilbert.weighted_lp_norm(f, src, tol)
     verdict = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
     results = {
-        "applied": [{"x": x, "Hf": num(float(v), tol)} for x, v in zip(points, values)],
+        "applied": [{"x": x, "Hf": num(float(v), tol)} for x, v in zip(args.points, values)],
         "source_norm": num(nf, tol),
         **_verdict(verdict),
     }
@@ -331,60 +308,48 @@ def _cmd_estimate(args, argv, t0) -> int:
                 results["sharp_norm"] = num(hilbert.sharp_norm(src, params), 1e-13)
             except OplabError:
                 pass
-    inputs = {"expr": args.expr, "p": args.p, "q": args.q, "a": args.a, "b": args.b,
-              "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-              "points": points}
-    emit(_report("estimate", argv, inputs, results, {"tol": tol}, t0), args.out)
-    return EXIT_OK
+    return _inputs(args, "expr", *_SPACES, *_PARAMS, "points"), results, {"tol": tol}
 
 
-def _cmd_extremal(args, argv, t0) -> int:
+def _cmd_extremal(args):
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
+    params = _params(args)
     space = WeightedSpaceSpec(args.p, args.a)
     sharp = hilbert.sharp_norm(space, params)
     rows = []
     for xi in args.xi:
         qv = hilbert.extremal_quotient(space, params, xi, tol)
         rows.append({"xi": xi, "quotient": num(qv, tol), "gap": num(sharp - qv, tol)})
-    inputs = {"p": args.p, "a": args.a, "alpha": args.alpha, "beta": args.beta,
-              "gamma": args.gamma, "xi": list(args.xi)}
     results = {"sharp_norm": num(sharp, 1e-13), "sweep": rows}
-    emit(_report("extremal", argv, inputs, results, {"tol": tol}, t0), args.out)
-    return EXIT_OK
+    return _inputs(args, "p", "a", *_PARAMS, "xi"), results, {"tol": tol}
 
 
-def _cmd_dilate(args, argv, t0) -> int:
+def _cmd_dilate(args):
     tol = resolve_tol(args.tol, 1e-9)
-    params = OperatorParams(args.alpha, args.beta, args.gamma)
     f = func1d(args.expr)
     if args.r_num < 2:
         raise ParameterError(f"--r-num must be at least 2, got {args.r_num}")
     half = args.r_decades / 2.0
     grid = np.logspace(-half, half, args.r_num)
-    slope = hilbert.growth_exponent(args.p, args.q, args.a, args.b, params,
+    slope = hilbert.growth_exponent(args.p, args.q, args.a, args.b, _params(args),
                                     f=f, R_grid=grid, tol=tol, cutoff=args.cutoff)
     kappa = (args.gamma - args.alpha - args.beta - 1.0
              - hilbert.weight_term(args.b, args.q) + hilbert.weight_term(args.a, args.p))
     predicted = -kappa
-    inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
-              "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-              "expr": args.expr, "R_grid": [float(r) for r in grid],
-              "cutoff": args.cutoff}
+    args.R_grid = [float(r) for r in grid]
     results = {
         "growth_exponent": num(slope, tol),
         "predicted": num(predicted, 0.0),
         "residual": num(abs(slope - predicted), tol),
     }
-    emit(_report("dilate", argv, inputs, results, {"tol": tol}, t0), args.out)
-    return EXIT_OK
+    return _inputs(args, *_SPACES, *_PARAMS, "expr", "R_grid", "cutoff"), results, {"tol": tol}
 
 
 _SWEEP_COLUMNS = ["value", "bounded", "sharp_norm", "schur_bound", "relation_residual"]
 
 
-def _cmd_sweep(args, argv, t0) -> int:
-    base = {k: getattr(args, k) for k in ("p", "q", "a", "b", "alpha", "beta", "gamma")}
+def _cmd_sweep(args):
+    base = _inputs(args, *_SPACES, *_PARAMS)
     missing = [k for k, v in base.items() if v is None and k != args.vary]
     if missing:
         raise OplabError(f"sweep needs --{' --'.join(missing)}")
@@ -425,35 +390,32 @@ def _cmd_sweep(args, argv, t0) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
-def _cmd_bergman_reproduce(args, argv, t0) -> int:
+def _cmd_bergman_reproduce(args):
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_2D)
     rows = bergman.reproduce_check(args.nu, args.power, tol=tol)
     worst = max(r["abs_error"] for r in rows)
-    inputs = {"nu": args.nu, "power": args.power}
     results = {"points": [{k: num(v, tol) if isinstance(v, float) else v
                            for k, v in r.items()} for r in rows],
                "worst_abs_error": num(worst, tol)}
-    emit(_report("bergman reproduce", argv, inputs, results, {"tol": tol}, t0), args.out)
-    return EXIT_OK
+    return _inputs(args, "nu", "power"), results, {"tol": tol}
 
 
-def _cmd_solve_gamma(args, argv, t0) -> int:
+def _cmd_solve_gamma(args):
     value = hilbert.solve_gamma(args.p, args.q, args.a, args.b, args.alpha, args.beta)
-    inputs = {"p": args.p, "q": args.q, "a": args.a, "b": args.b,
-              "alpha": args.alpha, "beta": args.beta}
-    emit(_report("solve-gamma", argv, inputs, {"gamma": num(value, 0.0)}, {}, t0), args.out)
-    return EXIT_OK
+    return _inputs(args, *_SPACES, "alpha", "beta"), {"gamma": num(value, 0.0)}, {}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
+    args.argv, args.t0 = argv, time.perf_counter()
     try:
-        return args.func(args, argv, t0)
+        body = args.func(args)
+        if body is not None:
+            emit(_report(args, *body), args.out)
+        return EXIT_OK
     except OplabError as exc:
         print(json.dumps({"error": exc.kind, "detail": str(exc)}), file=sys.stderr)
         return exc.exit_code

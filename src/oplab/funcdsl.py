@@ -356,6 +356,8 @@ def eval_expr(e: Expr, point):
         return float(_eval(e, env, strict=True))
     except ZeroDivisionError as exc:
         raise DomainError(f"division by zero in {pretty(e)} at {point}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{pretty(e)} overflows at {point}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from . import quad
 from .errors import DomainError, ParameterError
 from .funcdsl import Func1D, func1d
 from .quad import SingularityHints
-from .reports import RELATION_EPS, ConditionReport, InequalityCheck, RelationCheck, verdict_report
+from .reports import ConditionReport, InequalityCheck, RelationCheck, verdict_report
 from .specfun import beta as beta_fn
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "extremal_quotient", "dilation_residual", "growth_exponent",
     "solve_gamma", "source_window_holds", "target_window_holds",
     "bilinear_pairing", "image_norm", "conjugate_exponent", "weight_term",
+    "diagonal_relation", "sup_criteria", "to_sup_criteria", "finite_criteria",
 ]
 
 _BATCH = 64  # x-chunk size for batched applications (bounds peak memory)
@@ -192,11 +194,11 @@ def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFA
     """|| f ||_{p,a} = (int_0^inf |f|^p x^a dx)^(1/p), or the essential sup.
 
     The p = inf norm is a documented heuristic lower bound: a 481-point
-    log-grid scan over [1e-6, 1e6] refined by 90 golden-section steps
-    around the best point (quad.log_grid_sup).
+    log-grid scan over [1e-6, 1e6], widened to f's breakpoints, refined by
+    90 golden-section steps around the best point (quad.log_grid_sup).
     """
     if math.isinf(space.p):
-        return quad.log_grid_sup(f, 1e-6, 1e6, 481, 90)
+        return quad.log_grid_sup(f, 1e-6, 1e6, 481, 90, knots=f.breakpoints)
     p, a = space.p, space.a
     hints = SingularityHints(
         f.breakpoints,
@@ -294,6 +296,49 @@ def _weights_valid(p, a):
     return a is not None and a > -1.0
 
 
+def diagonal_relation(params: OperatorParams) -> RelationCheck:
+    """gamma = alpha+beta+1, the balance relation of the diagonal and sup cases."""
+    return RelationCheck("gamma = alpha+beta+1", params.gamma, params.alpha + params.beta + 1.0)
+
+
+# The regime criteria below serve H and, through the reduction
+# ||(T+ f)_y||_p <= B(1/2,gamma/2) H(v -> ||f_v||_p)(y), the Bergman-type T+
+# with the outer exponents in place of (p, q); ``pl``/``ql`` spell the
+# exponents in the clause names.
+
+def sup_criteria(params: OperatorParams):
+    """(relation, clauses) of the sup-to-sup regime."""
+    return diagonal_relation(params), (
+        InequalityCheck("alpha > 0", params.alpha, lower=0.0),
+        InequalityCheck("beta > -1", params.beta, lower=-1.0),
+    )
+
+
+def to_sup_criteria(p: float, a: float, params: OperatorParams, pl: str = "p"):
+    """(relation, clauses) of the L^p_a -> L^inf regime, 1 < p < inf."""
+    al, be, ga = params.alpha, params.beta, params.gamma
+    return RelationCheck(f"gamma = alpha+beta+1-(a+1)/{pl}", ga, al + be + 1.0 - (a + 1.0) / p), (
+        InequalityCheck("alpha > 0", al, lower=0.0),
+        InequalityCheck(f"a+1 < {pl}(beta+1)", a + 1.0, upper=p * (be + 1.0)),
+    )
+
+
+def finite_criteria(p: float, q: float, a: float, b: float, params: OperatorParams,
+                    pl: str = "p", ql: str = "q"):
+    """(relation, source-window clauses, target-window cross-checks) of the
+    finite regime L^p_a -> L^q_b."""
+    al, be, ga = params.alpha, params.beta, params.gamma
+    relation = RelationCheck(f"gamma = alpha+beta+1-(a+1)/{pl}+(b+1)/{ql}",
+                             ga, al + be + 1.0 - (a + 1.0) / p + (b + 1.0) / q)
+    return relation, (
+        InequalityCheck(f"-{pl}(gamma-beta-1) < a+1", a + 1.0, lower=-p * (ga - be - 1.0)),
+        InequalityCheck(f"a+1 < {pl}(beta+1)", a + 1.0, upper=p * (be + 1.0)),
+    ), (
+        InequalityCheck(f"-{ql}*alpha < b+1", b + 1.0, lower=-q * al),
+        InequalityCheck(f"b+1 < {ql}(gamma-alpha)", b + 1.0, upper=q * (ga - al)),
+    )
+
+
 def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
                     params: OperatorParams) -> ConditionReport:
     """Boundedness verdict for H : L^p_a -> L^q_b.
@@ -303,7 +348,6 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
     strict inequalities with both sides, and the equivalent target-side
     window as a cross-check.
     """
-    al, be, ga = params.alpha, params.beta, params.gamma
     if not (p >= 1.0 and q >= 1.0):
         raise ParameterError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
     if p > q:
@@ -314,39 +358,17 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
         raise ParameterError(f"target weight invalid for q={q}: b={b}")
 
     if math.isinf(q) and math.isinf(p):
-        relation = RelationCheck("gamma = alpha+beta+1", ga, al + be + 1.0)
-        ineqs = (
-            InequalityCheck("alpha > 0", al, lower=0.0),
-            InequalityCheck("beta > -1", be, lower=-1.0),
-        )
-        return verdict_report("hilbert", "Linf -> Linf", relation, ineqs,
+        return verdict_report("hilbert", "Linf -> Linf", *sup_criteria(params),
                               notes=("sharp norm B(beta+1, alpha) available when bounded",),
                               accepted="sup-to-sup criterion")
 
     if math.isinf(q):
         if not 1.0 < p:
             raise ParameterError("the L^p_a -> Linf regime needs 1 < p < inf")
-        relation = RelationCheck("gamma = alpha+beta+1-(a+1)/p", ga, al + be + 1.0 - (a + 1.0) / p)
-        ineqs = (
-            InequalityCheck("alpha > 0", al, lower=0.0),
-            InequalityCheck("a+1 < p(beta+1)", a + 1.0, upper=p * (be + 1.0)),
-        )
-        return verdict_report("hilbert", "Lp_a -> Linf", relation, ineqs,
+        return verdict_report("hilbert", "Lp_a -> Linf", *to_sup_criteria(p, a, params),
                               accepted="finite-to-sup criterion")
 
-    relation = RelationCheck(
-        "gamma = alpha+beta+1-(a+1)/p+(b+1)/q",
-        ga, al + be + 1.0 - (a + 1.0) / p + (b + 1.0) / q,
-    )
-    ineqs = (
-        InequalityCheck("-p(gamma-beta-1) < a+1", a + 1.0, lower=-p * (ga - be - 1.0)),
-        InequalityCheck("a+1 < p(beta+1)", a + 1.0, upper=p * (be + 1.0)),
-    )
-    cross = (
-        InequalityCheck("-q*alpha < b+1", b + 1.0, lower=-q * al),
-        InequalityCheck("b+1 < q(gamma-alpha)", b + 1.0, upper=q * (ga - al)),
-    )
-    return verdict_report("hilbert", "Lp_a -> Lq_b (finite)", relation, ineqs, cross=cross,
+    return verdict_report("hilbert", "Lp_a -> Lq_b (finite)", *finite_criteria(p, q, a, b, params),
                           accepted="finite-regime criterion")
 
 
@@ -361,11 +383,12 @@ def sharp_norm(space: WeightedSpaceSpec, params: OperatorParams) -> float:
     p = inf:    B(beta+1, alpha)                  under alpha > 0, beta > -1
     (p = 1 reduces the first formula to B(beta-a, alpha+a+1).)
     """
-    al, be, ga = params.alpha, params.beta, params.gamma
-    if abs(ga - (al + be + 1.0)) > RELATION_EPS:
+    al, be = params.alpha, params.beta
+    relation = diagonal_relation(params)
+    if not relation.holds:
         raise ParameterError(
             f"sharp norm needs the diagonal relation gamma = alpha+beta+1; "
-            f"residual {ga - (al + be + 1.0):.3e}"
+            f"residual {relation.residual:.3e}"
         )
     if math.isinf(space.p):
         if not al > 0.0:
@@ -378,8 +401,10 @@ def sharp_norm(space: WeightedSpaceSpec, params: OperatorParams) -> float:
         raise ParameterError(f"violated: -p*alpha < a+1 (i.e. {-p * al} < {a + 1.0} fails)")
     if not a + 1.0 < p * (be + 1.0):
         raise ParameterError(f"violated: a+1 < p(beta+1) (i.e. {a + 1.0} < {p * (be + 1.0)} fails)")
-    w = (a + 1.0) / p
-    return beta_fn(be + 1.0 - w, al + w)
+    # beta+1-(a+1)/p cancels near the window edge a+1 = p(beta+1), so both
+    # arguments are formed exactly from the float inputs and rounded once
+    w = (Fraction(a) + 1) / Fraction(p)
+    return beta_fn(float(Fraction(be) + 1 - w), float(Fraction(al) + w))
 
 
 def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: float,
@@ -407,7 +432,7 @@ def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: floa
     p, a = space.p, space.a
     if math.isinf(p) or p <= 1.0:
         raise ParameterError("the extremal family needs 1 < p < inf")
-    if abs(ga - (al + be + 1.0)) > RELATION_EPS:
+    if not diagonal_relation(params).holds:
         raise ParameterError("extremal quotient needs the diagonal relation gamma = alpha+beta+1")
     if not -p * al < a + 1.0 < p * (be + 1.0):
         raise ParameterError("diagonal window -p*alpha < a+1 < p(beta+1) is violated")

@@ -38,12 +38,12 @@ Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
 truncated entry point exists for the divergence-exponent experiments.
 
-Half-plane sources are often compactly supported (boxes, slabs).  The
-axis integrators integrate_u / integrate_v take the support the source
-vanishes outside: a finite one (on v, one with a positive lower end) is
-integrated by integrate_interval alone, with no nodes spent on tails or
-the origin; any other support makes exactly the integrate_real_line /
-integrate_semiaxis call, so sources without one are unaffected.
+Half-plane sources are often compactly supported (boxes, slabs), so
+integrate_real_line and integrate_semiaxis take the support the
+integrand vanishes outside (default: the whole axis).  A finite one (on
+the half-line, one with a positive lower end) is integrated over
+interval panels alone, in the same single drive, with no nodes spent
+on tails or the origin; any other support runs the full rule.
 
 Everything here is pure and reentrant: node tables are immutable module
 caches, and no call mutates shared state.
@@ -67,9 +67,6 @@ __all__ = [
     "integrate_truncated",
     "integrate_interval",
     "integrate_real_line",
-    "finite_support",
-    "integrate_u",
-    "integrate_v",
     "panel_count",
     "integrate_halfplane",
     "log_grid_sup",
@@ -277,16 +274,37 @@ def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: fl
     return _drive(panels, f, tol, max_level, completion)
 
 
-# Neither public entry point calls the other: each one runs exactly one drive.
+def _interval_panels(a: float, b: float, breakpoints: Sequence[float]) -> list[_Panel]:
+    knots = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    return [_Panel(lo, hi) for lo, hi in zip(knots, knots[1:])]
 
-def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
+
+def _support_panels(support: tuple[float, float], floor: float,
+                    breakpoints: Sequence[float]) -> list[_Panel] | None:
+    """Interval panels over support = (lo, hi), the interval the integrand
+    vanishes outside, when floor < lo < hi < inf (floor is -inf on the
+    real line, 0 on the half-line); else None."""
+    lo, hi = support
+    return _interval_panels(lo, hi, breakpoints) if floor < lo < hi < math.inf else None
+
+
+# No 1D entry point calls another: each one runs exactly one drive.
+
+def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *,
+                       support: tuple[float, float] = (0.0, math.inf), max_level: int = 10):
     """Integral of f over (0, inf) to relative tolerance ``tol``.
 
     ``f`` is called on numpy arrays of nodes and may return a batch with
     node values along the last axis; the result then has the batch shape.
     Raises DivergenceError when the hints say the integral cannot
-    converge, AccuracyError when the refinement budget runs out.
+    converge, AccuracyError when the refinement budget runs out.  An f
+    that vanishes outside a ``support`` [lo, hi] with 0 < lo and hi
+    finite is integrated over that interval only (breakpoints inside it
+    kept), and the endpoint exponents are not consulted.
     """
+    panels = _support_panels(support, 0.0, hints.breakpoints)
+    if panels is not None:
+        return _drive(panels, f, tol, max_level)
     return _semiaxis(f, hints, tol, max_level, None)
 
 
@@ -301,10 +319,6 @@ def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = 
     return _semiaxis(f, hints, tol, max_level, cutoff)
 
 
-def _interval_knots(a: float, b: float, breakpoints: Sequence[float]) -> list[float]:
-    return sorted({a, b, *(x for x in breakpoints if a < x < b)})
-
-
 def _real_line_knots(breakpoints: Sequence[float]) -> list[float]:
     return sorted({float(b) for b in breakpoints}) or [0.0]
 
@@ -313,18 +327,23 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, br
     """Integral of f over the finite interval [a, b] (endpoint singularities ok)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a}, {b}]")
-    knots = _interval_knots(a, b, breakpoints)
-    panels = [_Panel(lo, hi) for lo, hi in zip(knots, knots[1:])]
-    return _drive(panels, f, tol, max_level)
+    return _drive(_interval_panels(a, b, breakpoints), f, tol, max_level)
 
 
-def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (), decay_exponent: float = math.inf, max_level: int = 10):
+def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (),
+                        decay_exponent: float = math.inf,
+                        support: tuple[float, float] = (-math.inf, math.inf), max_level: int = 10):
     """Integral of f over the whole real line.
 
     ``decay_exponent`` is the power behaviour |u|^(-tau) for |u| -> inf
     and must exceed 1.  Batched integrands are supported exactly as in
-    integrate_semiaxis.
+    integrate_semiaxis.  An f that vanishes outside a finite ``support``
+    [lo, hi] is integrated over that interval only (breakpoints inside it
+    kept), and the decay exponent is not consulted.
     """
+    panels = _support_panels(support, -math.inf, breakpoints)
+    if panels is not None:
+        return _drive(panels, f, tol, max_level)
     if not decay_exponent > 1.0:
         raise DivergenceError(
             f"real-line integral diverges: decay exponent {decay_exponent} <= 1",
@@ -341,50 +360,12 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     return _drive(panels, f, tol, max_level, completion)
 
 
-# --------------------------------------------------------------------------
-# half-plane axes: integrate a source only where it can be nonzero
-# --------------------------------------------------------------------------
-
-def finite_support(support: tuple[float, float], floor: float) -> tuple[float, float] | None:
-    """support as a finite interval [lo, hi] with floor < lo < hi, else None:
-    floor is -inf on the u axis and 0 on the v axis."""
-    lo, hi = support
-    return (lo, hi) if floor < lo < hi < math.inf else None
-
-
-def integrate_u(f, support: tuple[float, float], tol: float = DEFAULT_TOL_1D, *,
-                breakpoints: Sequence[float] = (), decay_exponent: float = math.inf,
-                max_level: int = 10):
-    """Integral over the real line of an f that vanishes outside ``support``.
-
-    A finite support is integrated by integrate_interval (breakpoints
-    inside it kept); any other support makes exactly the
-    integrate_real_line call.
-    """
-    finite = finite_support(support, -math.inf)
-    if finite is not None:
-        return integrate_interval(f, *finite, tol, breakpoints=breakpoints, max_level=max_level)
-    return integrate_real_line(f, tol, breakpoints=breakpoints,
-                               decay_exponent=decay_exponent, max_level=max_level)
-
-
-def integrate_v(f, support: tuple[float, float], hints: SingularityHints,
-                tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
-    """Integral over (0, inf) of an f that vanishes outside ``support``:
-    integrate_interval over a support [lo, hi] with 0 < lo and hi finite,
-    otherwise exactly the integrate_semiaxis call."""
-    finite = finite_support(support, 0.0)
-    if finite is not None:
-        return integrate_interval(f, *finite, tol, breakpoints=hints.breakpoints, max_level=max_level)
-    return integrate_semiaxis(f, hints, tol, max_level=max_level)
-
-
 def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
-    """Number of panels integrate_v (semiaxis) or integrate_u drives for
-    this support and these breakpoints."""
-    finite = finite_support(support, 0.0 if semiaxis else -math.inf)
-    if finite is not None:
-        return len(_interval_knots(*finite, breakpoints)) - 1
+    """Number of panels integrate_semiaxis (semiaxis) or integrate_real_line
+    drives for this support and these breakpoints."""
+    panels = _support_panels(support, 0.0 if semiaxis else -math.inf, breakpoints)
+    if panels is not None:
+        return len(panels)
     if semiaxis:  # origin panel, finite panels, tail panel
         return len(_semiaxis_knots(sorted(breakpoints), None))
     return len(_real_line_knots(breakpoints)) + 1  # finite panels and two tails
@@ -397,9 +378,9 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
     arrays, carrying hint attributes u_breakpoints, v_breakpoints,
     u_decay_exponent, v_left_exponent, v_decay_exponent and the supports
     u_support, v_support.  The inner integral runs over u in R (batched
-    across the v nodes requested by the outer quadrature, integrate_u);
-    the outer integral over v in (0, inf) is integrate_v.  Both integrate
-    only over a finite support.  Complex values are allowed.
+    across the v nodes requested by the outer quadrature); the outer
+    integral runs over v in (0, inf).  Both integrate only over a finite
+    support.  Complex values are allowed.
     """
     if not f.v_left_exponent > -1.0:
         raise DivergenceError(
@@ -425,9 +406,9 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
             vals = np.asarray(f(u[None, :], vcol))
             return np.stack([vals, np.abs(vals).astype(vals.dtype)])
 
-        return integrate_u(
-            inner_integrand, f.u_support, inner_tol,
-            breakpoints=u_bps, decay_exponent=u_decay, max_level=max_level,
+        return integrate_real_line(
+            inner_integrand, inner_tol, breakpoints=u_bps, decay_exponent=u_decay,
+            support=f.u_support, max_level=max_level,
         )
 
     hints = SingularityHints(
@@ -435,16 +416,20 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
         left_exponent=f.v_left_exponent,
         decay_exponent=f.v_decay_exponent,
     )
-    pair = integrate_v(outer_integrand, f.v_support, hints, tol, max_level=max_level)
+    pair = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support, max_level=max_level)
     return pair[0]
 
 
-def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int) -> float:
-    """Heuristic sup of |fn| over [lo, hi]: a geometric grid scan of
-    n_grid points, then ``iters`` golden-section steps in log x around
-    the best grid point.  A lower bound by construction.  ``fn`` is
-    called on numpy arrays (the refinement steps pass one point each).
+def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int, knots: Sequence[float] = ()) -> float:
+    """Heuristic sup of |fn| over [lo, hi], widened to cover every positive
+    finite knot (breakpoints, support ends): a geometric grid scan of
+    n_grid points, then ``iters`` golden-section steps in log x around the
+    best grid point.  A lower bound by construction: a feature narrower
+    than the grid step can be missed.  ``fn`` is called on numpy arrays
+    (the refinement steps pass one point each).
     """
+    ends = [k for k in knots if 0.0 < k < math.inf]
+    lo, hi = min([lo, *ends]), max([hi, *ends])
     xs = np.geomspace(lo, hi, n_grid)
     vals = np.abs(np.asarray(fn(xs)))
     i = int(np.argmax(vals))

@@ -27,7 +27,7 @@ from oplab.bergman import (
 )
 from oplab.errors import DivergenceError, ParameterError
 from oplab.funcdsl import func2d
-from oplab.hilbert import OperatorParams
+from oplab.hilbert import OperatorParams, hilbert_verdict, solve_gamma
 from oplab.quad import integrate_real_line
 from oplab.specfun import beta
 
@@ -84,6 +84,10 @@ def test_mixed_norm_sup_convention():
     # q = inf: sup over y of the slice L^p norm; for the box it is (1/2)^(1/2)
     got = mixed_norm(BOX, MixedNormSpec(2, INF, None))
     assert got == pytest.approx(math.sqrt(0.5), rel=1e-6)
+    # v supports outside the default scan range [1e-6, 1e6] widen it
+    for src in ("ind(-1,1)*ind(y,1e7,2e7)", "ind(-1,1)*ind(y,1e-9,2e-9)"):
+        got = mixed_norm(func2d(src), MixedNormSpec(2, INF, None))
+        assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_mixed_norm_spec_validation():
@@ -394,6 +398,36 @@ def test_verdict_sup_to_sup():
                                 MixedNormSpec(INF, INF, None), P(1, 0, 2))
     rep = bergman_verdict(req)
     assert rep.bounded and rep.regime == "Linf -> Linf"
+
+
+def test_tplus_criteria_are_the_half_line_criteria():
+    # the reduction ||(T+ f)_y||_p <= B(1/2,gamma/2) H(v -> ||f_v||_p)(y)
+    # makes T+ : L^{p,q}_a -> L^{p,r}_b decided by H : L^q_a -> L^r_b
+    rng = np.random.default_rng(11)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        q, r = sorted(float(e) for e in rng.choice([1.5, 2.0, 3.0, 4.5, INF], 2))
+        if math.isinf(q):
+            continue
+        a = round(float(rng.uniform(-0.9, 3.0)), 3)
+        b = None if math.isinf(r) else round(float(rng.uniform(-0.9, 3.0)), 3)
+        alpha, beta_ = round(float(rng.uniform(-0.5, 1.5)), 3), round(float(rng.uniform(-0.9, 1.5)), 3)
+        gamma = (solve_gamma(q, r, a, b, alpha, beta_) if rng.random() < 0.7
+                 else round(float(rng.uniform(0.2, 3.0)), 3))
+        params = P(alpha, beta_, gamma)
+        half = hilbert_verdict(q, r, a, b, params)
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        rep = bergman_verdict(BergmanVerdictRequest(
+            "tplus", MixedNormSpec(p, q, a), MixedNormSpec(p, r, b), params))
+        assert rep.bounded == half.bounded
+        assert (rep.relation.lhs, rep.relation.rhs) == (half.relation.lhs, half.relation.rhs)
+        sides = [[(c.lower, c.value, c.upper) for c in v.inequalities] for v in (rep, half)]
+        assert sides[0] == sides[1]
+        if not math.isinf(r):
+            assert [c.to_dict() for c in rep.cross_checks] == [
+                {**c.to_dict(), "name": c.name.replace("q", "r")} for c in half.cross_checks]
+        seen[rep.bounded] += 1
+    assert min(seen.values()) > 50
 
 
 def test_projection_verdicts():

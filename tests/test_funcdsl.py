@@ -299,6 +299,12 @@ def test_eval_expr_division_by_zero():
     assert eval_expr(parse("x/(x-1)"), 2.0) == 2.0
 
 
+def test_eval_expr_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"x\^400 overflows at 10\.0"):
+        eval_expr(parse("x^400"), 10.0)
+    assert eval_expr(parse("x^400"), 1.0) == 1.0
+
+
 def test_dilation():
     f = func1d("ind(1,2)")
     g = f.dilate(2.0)

@@ -152,6 +152,12 @@ def library_values() -> dict:
             lambda y: y ** -0.5 / (1 + y) ** 2 * (1 + (y > 0.5)), hints)),
         "integrate_interval": repr(quad.integrate_interval(
             lambda y: np.sqrt(y) * np.cos(y), 0.0, 3.0, breakpoints=(1.0,))),
+        "mixed_norm finite q": repr([bergman.mixed_norm(f, bergman.MixedNormSpec(p, q, nu))
+                                     for f in (box, smooth) for p, q, nu in ((2, 2, 0), (1, 3, 0.5))]),
+        "column_integral": repr([bergman.column_integral(diag, 0.2, w)
+                                 for w in (complex(0.3, 0.7), complex(-1.0, 2.0))]),
+        "reduction_bound_check box": repr(bergman.reduction_bound_check(
+            OperatorParams(0.0, 0.0, 1.0), box, y_grid=(1.0,), tol=1e-5)),
     }
 
 

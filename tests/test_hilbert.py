@@ -98,6 +98,9 @@ def test_weighted_norm_examples():
 def test_weighted_norm_essential_sup():
     f = func1d("x/(1+x)^2")  # max 1/4 at x = 1
     assert weighted_lp_norm(f, WeightedSpaceSpec(INF)) == pytest.approx(0.25, rel=1e-9)
+    # breakpoints outside the default scan range [1e-6, 1e6] widen it
+    for src in ("ind(1e7,2e7)", "ind(1e-9,2e-9)"):
+        assert weighted_lp_norm(func1d(src), WeightedSpaceSpec(INF)) == 1.0
 
 
 def test_weighted_norm_divergence():
@@ -201,6 +204,19 @@ def test_sharp_norm_precondition_errors():
         sharp_norm(WeightedSpaceSpec(2, 3.0), P(0, 0.5, 1.5))
     with pytest.raises(ParameterError, match="alpha"):
         sharp_norm(WeightedSpaceSpec(INF), P(-0.5, 0.25, 0.75))
+
+
+@pytest.mark.parametrize("margin", [1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("p, alpha, beta_", [(1.0, 0.3, 0.2), (2.0, 0.25, 0.3), (3.0, 0.1, 0.45)])
+def test_sharp_norm_near_the_window_edge(p, alpha, beta_, margin):
+    # a+1 = p(beta+1) - margin: beta+1-(a+1)/p cancels unless formed exactly
+    mpmath = pytest.importorskip("mpmath")
+    a = p * (beta_ + 1.0) - 1.0 - margin
+    got = sharp_norm(WeightedSpaceSpec(p, a), P(alpha, beta_, alpha + beta_ + 1.0))
+    with mpmath.workprec(200):
+        w = (mpmath.mpf(a) + 1) / mpmath.mpf(p)
+        want = mpmath.beta(mpmath.mpf(beta_) + 1 - w, mpmath.mpf(alpha) + w)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_extremal_quotient_inside_window():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oplab import quad
 from oplab.errors import AccuracyError, DivergenceError, ParameterError
 from oplab.funcdsl import Func2D
 from oplab.quad import (
@@ -128,6 +129,30 @@ def test_real_line():
     assert float(got) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
     with pytest.raises(DivergenceError):
         integrate_real_line(lambda u: 1.0 / (1 + abs(u)), decay_exponent=1.0)
+
+
+def test_finite_support_is_the_interval_rule(monkeypatch):
+    drives = []
+    drive = quad._drive
+    monkeypatch.setattr(quad, "_drive", lambda *args: drives.append(1) or drive(*args))
+
+    def f(u):
+        return np.cos(u) * np.abs(u - 0.3) ** 0.5 * (np.abs(u - 1.0) <= 1.0)
+
+    bps = (-3.0, 0.3, 5.0)
+    # only breakpoints inside the support count; the end exponents are not consulted
+    want = integrate_interval(f, 0.25, 2.0, 1e-12, breakpoints=bps)
+    assert integrate_real_line(f, 1e-12, breakpoints=bps, decay_exponent=0.5,
+                               support=(0.25, 2.0)) == want
+    hints = SingularityHints((0.3, 5.0), left_exponent=-3.0, decay_exponent=0.5)
+    assert integrate_semiaxis(f, hints, 1e-12, support=(0.25, 2.0)) == want
+    assert len(drives) == 3
+    # a support that is not finite (on the half-line: one reaching 0) runs the full rule
+    hints = SingularityHints((0.3, 2.0), left_exponent=0.0)
+    assert integrate_semiaxis(f, hints, 1e-12, support=(0.0, 2.0)) == integrate_semiaxis(f, hints, 1e-12)
+    assert integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0), support=(-math.inf, 2.0)) == \
+        integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0))
+    assert len(drives) == 7
 
 
 def test_halfplane_examples():
