@@ -15,7 +15,10 @@ Subcommands
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 divergence
 detected (the expected signal in unbounded regimes), 4 quadrature
-accuracy failure or a failed certificate verification.
+accuracy failure or a failed certificate verification.  An error prints
+{"error", "detail"} JSON on stderr; exit 4 adds the numbers behind it:
+"last_change" of the quadrature, or the certificate's "inequality",
+"sample" and "residual".
 
 Reports are JSON with a versioned schema; every numeric result carries
 the tolerance it was computed to.  Identical argv produce byte-identical
@@ -417,7 +420,8 @@ def main(argv=None) -> int:
             emit(_report(args, *body), args.out)
         return EXIT_OK
     except OplabError as exc:
-        print(json.dumps({"error": exc.kind, "detail": str(exc)}), file=sys.stderr)
+        doc = {"error": exc.kind, "detail": str(exc), **{k: getattr(exc, k) for k in exc.fields}}
+        print(json.dumps(jsonable(doc)), file=sys.stderr)
         return exc.exit_code
 
 

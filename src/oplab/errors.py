@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all oplab modules.
 
 Each class carries the CLI's error ``kind`` (the ``"error"`` field of the
-stderr JSON) and ``exit_code``: parameter, domain and expression problems
+stderr JSON), the ``fields`` that JSON adds after ``"detail"``, and
+``exit_code``: parameter, domain and expression problems
 are "parameters" (exit 2), detected divergence of an integral is
 "divergence" (exit 3, often the *expected* signal in an unbounded
 regime), and quadrature accuracy failure or a failed certificate
@@ -16,6 +17,7 @@ class OplabError(Exception):
 
     kind = "parameters"
     exit_code = 2
+    fields: tuple[str, ...] = ()
 
 
 class DomainError(OplabError, ValueError):
@@ -42,6 +44,7 @@ class AccuracyError(OplabError):
 
     kind = "accuracy"
     exit_code = 4
+    fields = ("last_change",)
 
     def __init__(self, message: str, estimate=None, last_change=None):
         super().__init__(message)
@@ -58,6 +61,7 @@ class CertificateVerificationError(OplabError):
 
     kind = AccuracyError.kind
     exit_code = AccuracyError.exit_code
+    fields = ("inequality", "sample", "residual")
 
     def __init__(self, message: str, inequality: str, sample: float, residual: float):
         super().__init__(message)

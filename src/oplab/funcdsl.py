@@ -353,10 +353,11 @@ def eval_expr(e: Expr, point):
     else:
         env = {"x": float(point)}
     try:
-        return float(_eval(e, env, strict=True))
+        with np.errstate(over="raise"):  # a numpy overflow raises FloatingPointError
+            return float(_eval(e, env, strict=True))
     except ZeroDivisionError as exc:
         raise DomainError(f"division by zero in {pretty(e)} at {point}") from exc
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise DomainError(f"{pretty(e)} overflows at {point}") from exc
 
 
@@ -647,15 +648,30 @@ def _full(value, *args):
     return np.full(np.broadcast(*args).shape, value) if np.ndim(value) == 0 else value
 
 
+def _vanish_outside(vals, *axes):
+    """vals with its non-finite entries zeroed wherever a coordinate lies
+    outside its support, given as (array, (lo, hi)) pairs: the expression
+    is zero there by construction, and an inf*0 met on the way (exp(x) *
+    ind(0,1) at x = 1e3) is an artefact of evaluating it factor by factor."""
+    finite = np.isfinite(vals)
+    if finite.all():
+        return vals
+    outside = False
+    for arr, (lo, hi) in axes:
+        outside = outside | (arr < lo) | (arr > hi)
+    return np.where(outside & ~finite, 0.0, vals)
+
+
 def func1d(src: str | Expr) -> Func1D:
     """Build a Func1D (variable x on (0, inf)) from expression text."""
     e = parse(src) if isinstance(src, str) else src
     _check_constants(e)
     bps, left, decay = _axis_hints(e, "x", positive_axis=True)
+    support = _support(e, "x")
 
     def fn(arr):
         with np.errstate(all="ignore"):
-            return _full(_eval(e, {"x": arr}, strict=False), arr)
+            return _vanish_outside(_full(_eval(e, {"x": arr}, strict=False), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
                   decay_exponent=decay, label=pretty(e))
@@ -667,13 +683,15 @@ def func2d(src: str | Expr) -> Func2D:
     _check_constants(e)
     u_bps, _, u_decay = _axis_hints(e, "x", positive_axis=False)
     v_bps, v_left, v_decay = _axis_hints(e, "y", positive_axis=True)
+    u_support = _support(e, "x")
     v_lo, v_hi = _support(e, "y")
 
     def fn(u, v):
         with np.errstate(all="ignore"):
-            return _full(_eval(e, {"x": u, "y": v}, strict=False), u, v)
+            vals = _full(_eval(e, {"x": u, "y": v}, strict=False), u, v)
+            return _vanish_outside(vals, (u, u_support), (v, (v_lo, v_hi)))
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,
                   v_decay_exponent=v_decay, label=pretty(e),
-                  u_support=_support(e, "x"), v_support=(max(v_lo, 0.0), v_hi))
+                  u_support=u_support, v_support=(max(v_lo, 0.0), v_hi))

@@ -11,12 +11,15 @@ domain is split at every declared breakpoint (and at 1 on the half-line),
 so integrands are smooth inside each panel and endpoint power
 singularities y^sigma, sigma > -1, are absorbed by the transform.
 
-There is one panel type: a tanh-sinh rule on [a, b], optionally applied
-through a change of variables x = phi(s).  Finite pieces use no map.
-The half-line tail uses y = T*exp(s) and the first half-line panel its
-mirror image y = knot*exp(-s), both with s in [0, S], S = 30; the
-real-line tails use u = base +/- (exp(s) - 1) on the same range.  Each
-tail is followed by a power-law completion term
+There is one panel type, plain data: a tanh-sinh rule on an interval
+[a, b], or on s in [0, S], S = 30, through a map.  The half-line tail
+uses y = T*exp(s) and the first half-line panel its mirror image
+y = knot*exp(-s); the real-line tails use u = base +/- expm1(s).  A
+drive builds each refinement level's nodes and weights for all of its
+panels at once: one broadcast over the (a, b, half-width) columns of
+each run of interval panels, and one multiply or add per mapped panel on
+the [0, S] grid they all share.  Each tail is followed by a power-law
+completion term
 
     int_Y^inf f(y) dy  ~=  f(Y) * Y / (tau - 1),      Y = T*e^S,
 
@@ -45,19 +48,28 @@ the half-line, one with a positive lower end) is integrated over
 interval panels alone, in the same single drive, with no nodes spent
 on tails or the origin; any other support runs the full rule.
 
-Everything here is pure and reentrant: node tables are immutable module
-caches, and no call mutates shared state.
+An integrand value that is NaN or infinite is zeroed only at a fringe
+node of an interval panel, closer than 1e-10 (relative to the
+half-width) to one of its ends, at any node of a mapped panel, which lies
+beyond the outermost knot where the hints certify the decay, and in the
+completions: under/overflow there is expected and its true contribution
+is below double precision.  Anywhere else the integrand is undefined
+inside its domain, and the drive raises DomainError naming the abscissa.
+
+Everything here is pure and reentrant: the node tables are module caches
+filled once per level and never modified, and no call mutates shared state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DivergenceError, ParameterError
+from .errors import AccuracyError, DivergenceError, DomainError, ParameterError
 
 __all__ = [
     "SingularityHints",
@@ -111,16 +123,21 @@ class SingularityHints:
 # --------------------------------------------------------------------------
 
 _node_cache: dict[int, tuple[np.ndarray, ...]] = {}
+_tail_cache: dict[int, tuple[np.ndarray, ...]] = {}
+_FRINGE = 1e-10  # relative distance to the nearer panel end that makes a node fringe
 
 
 def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
-    """(near_left, dist_from_left, dist_from_right, weight) for the nodes new
-    at `level`; near_left (dist_from_left <= 1) is cached with the table so
-    that panels do not recompute it at every drive.
+    """(near_left, dist_from_left, dist_from_right, weight, offset, fringe)
+    for the nodes new at `level`.
 
     Distances are relative to the half-width of the panel and lie in (0, 2);
     they are computed through exp(-2u) so that nodes double-exponentially
-    close to an endpoint keep full relative precision.
+    close to an endpoint keep full relative precision.  A node near the
+    left end (dist_from_left <= 1) lies at a + hw*offset, any other at
+    b + hw*offset, which rounds exactly as b - hw*dist_from_right.  A fringe
+    node lies closer than _FRINGE to an end, where an integrand may
+    under/overflow.
     """
     cached = _node_cache.get(level)
     if cached is not None:
@@ -139,42 +156,79 @@ def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
     d_right = np.where(u >= 0, near, far)
     w = _PI_HALF * np.cosh(t) / np.cosh(u) ** 2
     good = w > 0.0
-    result = (d_left[good] <= 1.0, d_left[good], d_right[good], w[good])
+    near_left, d_left, d_right = d_left[good] <= 1.0, d_left[good], d_right[good]
+    offset = np.where(near_left, d_left, -d_right)
+    result = (near_left, d_left, d_right, w[good], offset, near[good] < _FRINGE)
     _node_cache[level] = result
     return result
 
 
-class _Panel:
-    """Tanh-sinh panel on [a, b], optionally through a change of variables.
+def _tail_nodes(level: int) -> tuple[np.ndarray, ...]:
+    """(e^s, e^-s, expm1(s), (S/2)*weight) for the nodes new at `level` on
+    s in [0, S]: the one grid every mapped panel shares."""
+    cached = _tail_cache.get(level)
+    if cached is None:
+        near_left, _, _, w, offset, _ = _level_nodes(level)
+        hw = 0.5 * _LOG_TAIL_SPAN
+        s = np.where(near_left, 0.0, _LOG_TAIL_SPAN) + hw * offset
+        cached = _tail_cache[level] = (np.exp(s), np.exp(-s), np.expm1(s), hw * w)
+    return cached
 
-    Without a map the nodes are the abscissae themselves.  With one,
-    ``phi(s)`` returns ``(x, |dx/ds|)`` for the panel variable s.  The
-    logarithmic origin map turns a power singularity y^sigma into a plain
-    exponential e^(-(1+sigma)s), so together with the origin completion
-    it stays accurate arbitrarily close to sigma = -1.
+
+class _Panel(NamedTuple):
+    """Tanh-sinh panel: the interval [a, b] itself (kind None), or a tail on
+    s in [0, S] mapped to y = base*e^(sign*s) (kind "exp": the log tail, +1,
+    and the log origin panel, -1) or u = base + sign*expm1(s) (kind "expm1":
+    the real-line tails).  The logarithmic origin map turns a power
+    singularity y^sigma into a plain exponential e^(-(1+sigma)s), so
+    together with the origin completion it stays accurate arbitrarily close
+    to sigma = -1.
     """
 
-    def __init__(self, a: float, b: float, phi=None):
-        self.a = a
-        self.b = b
-        self.hw = 0.5 * (b - a)
-        self.phi = phi
+    a: float = 0.0
+    b: float = _LOG_TAIL_SPAN
+    kind: str | None = None
+    base: float = 0.0
+    sign: float = 1.0
 
-    def nodes(self, level):
-        near_left, d_left, d_right, w = _level_nodes(level)
-        s = np.where(near_left, self.a + self.hw * d_left, self.b - self.hw * d_right)
-        if self.phi is None:
-            return s, self.hw * w
-        x, jac = self.phi(s)
-        return x, self.hw * w * jac
+    def mapped_nodes(self, level):
+        """Nodes and weights new at `level` of a mapped panel."""
+        exp_s, exp_neg_s, expm1_s, hw_w = _tail_nodes(level)
+        if self.kind == "exp":
+            y = self.base * (exp_s if self.sign > 0 else exp_neg_s)
+            return y, hw_w * y
+        return (self.base + expm1_s if self.sign > 0 else self.base - expm1_s), hw_w * exp_s
 
 
-def _log_panel(scale: float, sign: float) -> _Panel:
-    """y = scale * e^(sign*s), s in [0, S]: the log tail (+1) or origin (-1) panel."""
-    def phi(s):
-        y = scale * np.exp(sign * s)
-        return y, y
-    return _Panel(0.0, _LOG_TAIL_SPAN, phi)
+def _plan(panels: Sequence[_Panel]) -> list:
+    """The panels in order, each run of consecutive interval panels as
+    (a, b, half-width) column arrays, so that a level's nodes for the run
+    are one broadcast."""
+    plan = []
+    for mapped, run in itertools.groupby(panels, key=lambda p: p.kind is not None):
+        if mapped:
+            plan.extend(run)
+        else:
+            a, b = np.array([(p.a, p.b) for p in run]).T[:, :, None]
+            plan.append((a, b, 0.5 * (b - a)))
+    return plan
+
+
+def _plan_nodes(plan: list, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights new at `level` for every panel of the plan, in
+    panel order."""
+    near_left, _, _, w, offset, _ = _level_nodes(level)
+    pts, wts = [], []
+    for step in plan:
+        if isinstance(step, _Panel):
+            x, wt = step.mapped_nodes(level)
+        else:
+            a, b, hw = step
+            x = (np.where(near_left, a, b) + hw * offset).ravel()
+            wt = (hw * w).ravel()
+        pts.append(x)
+        wts.append(wt)
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 def _sanitize(vals: np.ndarray) -> np.ndarray:
@@ -191,32 +245,37 @@ def _drive(panels, integrand, tol, max_level, completion=0.0):
     """Run all panels in lockstep, refining until the total settles."""
     if not (0.0 < tol < 0.5):
         raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
+    plan = _plan(panels)
     partial = None
     mass = None
     prev = None
     change = math.inf
     for level in range(max_level + 1):
-        pts = []
-        wts = []
-        for panel in panels:
-            x, w = panel.nodes(level)
-            pts.append(x)
-            wts.append(w)
-        x = np.concatenate(pts)
-        w = np.concatenate(wts)
+        x, w = _plan_nodes(plan, level)
         with np.errstate(all="ignore"):
-            vals = _sanitize(np.asarray(integrand(x)))
+            vals = np.asarray(integrand(x))
+        if not np.isfinite(vals).all():
+            # a mapped panel lies beyond the outermost knots, where the hints
+            # certify the decay: all its nodes count as fringe
+            fringe = _level_nodes(level)[5]
+            edge = np.concatenate([fringe if p.kind is None else np.ones_like(fringe) for p in panels])
+            inside = np.nonzero(~np.isfinite(vals) & ~edge)
+            if inside[0].size:
+                raise DomainError(f"integrand is {vals[inside][0]} at {float(x[inside[-1][0]])!r}, "
+                                  "away from the ends of its quadrature panel")
+            vals = _sanitize(vals)
         contrib = (vals * w).sum(axis=-1)
         absorb = (np.abs(vals) * w).sum(axis=-1)
         partial = contrib if partial is None else partial + contrib
         mass = absorb if mass is None else mass + absorb
         total = (2.0 ** (-level)) * partial + completion
         if prev is not None:
-            change = float(np.max(np.abs(total - prev)))
+            change = float(np.abs(total - prev).max())
+        if level >= _MIN_LEVEL:
             # the mass floor recognizes cancellation-to-zero: nothing below
             # machine epsilon times the L1 mass is resolvable anyway
-            floor = 1e-15 * (2.0 ** (-level)) * float(np.max(mass)) + 1e-300
-            if level >= _MIN_LEVEL and change <= max(tol * float(np.max(np.abs(total))), floor):
+            floor = 1e-15 * (2.0 ** (-level)) * float(mass.max()) + 1e-300
+            if change <= max(tol * float(np.abs(total).max()), floor):
                 return total
         prev = total
     raise AccuracyError(
@@ -262,12 +321,12 @@ def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: fl
             endpoint="infinity",
         )
     knots = _semiaxis_knots(hints.breakpoints, cutoff)
-    panels = [_log_panel(knots[1], -1.0)]
+    panels = [_Panel(kind="exp", base=knots[1], sign=-1.0)]
     panels.extend(_Panel(a, b) for a, b in zip(knots[1:], knots[2:]))
     near = knots[1] * math.exp(-_LOG_TAIL_SPAN)
     completion = _completion(f, [near], hints.left_exponent + 1.0)
     if cutoff is None:
-        panels.append(_log_panel(knots[-1], 1.0))
+        panels.append(_Panel(kind="exp", base=knots[-1]))
         if math.isfinite(hints.decay_exponent):
             far = knots[-1] * math.exp(_LOG_TAIL_SPAN)
             completion = _completion(f, [far], hints.decay_exponent - 1.0) + completion
@@ -351,8 +410,8 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
         )
     knots = _real_line_knots(breakpoints)
     panels = [_Panel(a, b) for a, b in zip(knots, knots[1:])]
-    panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[-1] + np.expm1(s), np.exp(s))))
-    panels.append(_Panel(0.0, _LOG_TAIL_SPAN, lambda s: (knots[0] - np.expm1(s), np.exp(s))))
+    panels.append(_Panel(kind="expm1", base=knots[-1]))
+    panels.append(_Panel(kind="expm1", base=knots[0], sign=-1.0))
     completion = 0.0
     if math.isfinite(decay_exponent):
         far = [knots[-1] + math.expm1(_LOG_TAIL_SPAN), knots[0] - math.expm1(_LOG_TAIL_SPAN)]

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from oplab import quad
 from oplab.cli import EXIT_ACCURACY, EXIT_DIVERGENCE, EXIT_OK, EXIT_PARAMS, main
+from oplab.errors import AccuracyError
 
 
 def run_cli(capsys, *args):
@@ -82,7 +84,23 @@ def test_certify_verify_corrupted_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "certify", "verify", "--cert", str(cert_file),
                              "--samples", "3")
     assert code == EXIT_ACCURACY
-    assert "accuracy" in err
+    doc = json.loads(err)
+    assert doc["error"] == "accuracy"
+    assert doc["inequality"] == "first test integral" and doc["sample"] == 1e-4
+    assert doc["residual"] == pytest.approx(1e-3, rel=1e-2)
+
+
+def test_accuracy_failure_reports_last_change(capsys, monkeypatch):
+    # tolerances down to 1e-17 still converge on the mass floor, so force the failure
+    def fail(*args):
+        raise AccuracyError("quadrature did not reach tol=1e-10", estimate=1.0, last_change=2.5e-9)
+
+    monkeypatch.setattr(quad, "_drive", fail)
+    code, _, err = run_cli(capsys, "estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2",
+                           "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0", "--gamma", "1")
+    assert code == EXIT_ACCURACY
+    assert err == json.dumps({"error": "accuracy", "detail": "quadrature did not reach tol=1e-10",
+                              "last_change": 2.5e-9}) + "\n"
 
 
 def write_classical_cert(capsys, path):

@@ -223,7 +223,7 @@ def test_hint_soundness_loglog_slopes(src):
 @settings(max_examples=200, deadline=None)
 @given(expr_trees(two_d=True))
 def test_support_is_sound(src):
-    # outside the reported supports every finite value is exactly zero
+    # outside the reported supports every value is exactly zero
     try:
         f = func2d(src)
     except ExprSyntaxError:
@@ -233,7 +233,7 @@ def test_support_is_sound(src):
     vals = np.broadcast_to(f(us, vs), (us.size, vs.size))
     (ulo, uhi), (vlo, vhi) = f.u_support, f.v_support
     outside = (us < ulo) | (us > uhi) | (vs < vlo) | (vs > vhi)
-    assert np.all(vals[outside & np.isfinite(vals)] == 0.0)
+    assert np.all(vals[outside] == 0.0)
 
 
 @pytest.mark.parametrize("src, u_support, v_support", [
@@ -303,6 +303,19 @@ def test_eval_expr_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match=r"x\^400 overflows at 10\.0"):
         eval_expr(parse("x^400"), 10.0)
     assert eval_expr(parse("x^400"), 1.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_expr_exp_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"exp\(x\) overflows at 1000\.0"):
+        eval_expr(parse("exp(x)"), 1000.0)
+    with pytest.raises(DomainError, match=r"overflows at \(1000\.0, 1\.0\)"):
+        eval_expr(parse("exp(x)*y"), (1000.0, 1.0))
+    # an overflow after the exp, in numpy arithmetic on its finite result
+    for src in ("exp(x)^2", "exp(x)*exp(x)"):
+        with pytest.raises(DomainError, match=r"overflows at 400\.0"):
+            eval_expr(parse(src), 400.0)
+    assert eval_expr(parse("exp(0-x)"), 1000.0) == 0.0
 
 
 def test_dilation():

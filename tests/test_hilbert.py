@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oplab.errors import DivergenceError, ParameterError
+from oplab.errors import DivergenceError, DomainError, ParameterError
 from oplab.funcdsl import func1d
 from oplab.hilbert import (
     OperatorParams,
@@ -101,6 +101,22 @@ def test_weighted_norm_essential_sup():
     # breakpoints outside the default scan range [1e-6, 1e6] widen it
     for src in ("ind(1e7,2e7)", "ind(1e-9,2e-9)"):
         assert weighted_lp_norm(func1d(src), WeightedSpaceSpec(INF)) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_weighted_norm_of_an_undefined_function_raises():
+    # (x-2)^0.5 is undefined on [1, 2); exp(x) overflows inside [0, 800]
+    for src, p in (("(x-2)^0.5*ind(1,2)", 2), ("(x-2)^0.5*ind(1,2)+ind(2,3)", 1),
+                   ("exp(x)*ind(0,800)", 1)):
+        with pytest.raises(DomainError, match="away from the ends"):
+            weighted_lp_norm(func1d(src), WeightedSpaceSpec(p, 0))
+    # where exp(x) overflows, ind(0,1) makes the function zero
+    assert weighted_lp_norm(func1d("exp(x)*ind(0,1)"), WeightedSpaceSpec(1, 0)) == pytest.approx(
+        math.e - 1.0, rel=1e-10)
+    # inf*0 in the tail or origin panel of an integrable gamma-type source is zeroed
+    for src, ref in (("x^25*exp(0-x)", math.gamma(26)), ("x^(0-30)*exp(0-1/x)", math.gamma(29))):
+        assert weighted_lp_norm(func1d(src), WeightedSpaceSpec(1, 0)) == pytest.approx(ref, rel=1e-10)
+        assert 0.0 < apply_H(P(0, 0, 1), func1d(src), 1.0) < ref
 
 
 def test_weighted_norm_divergence():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oplab import quad
-from oplab.errors import AccuracyError, DivergenceError, ParameterError
+from oplab.errors import AccuracyError, DivergenceError, DomainError, ParameterError
 from oplab.funcdsl import Func2D
 from oplab.quad import (
     SingularityHints,
@@ -153,6 +153,66 @@ def test_finite_support_is_the_interval_rule(monkeypatch):
     assert integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0), support=(-math.inf, 2.0)) == \
         integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0))
     assert len(drives) == 7
+
+
+def _per_panel_nodes(panel, level):
+    """One panel's nodes and weights at `level`, by the per-panel rule the
+    level-major builder replaced: the reference it must match bit for bit."""
+    near_left, d_left, d_right, w = quad._level_nodes(level)[:4]
+    hw = 0.5 * (panel.b - panel.a)
+    s = np.where(near_left, panel.a + hw * d_left, panel.b - hw * d_right)
+    if panel.kind is None:
+        return s, hw * w
+    if panel.kind == "exp":
+        x = panel.base * np.exp(panel.sign * s)
+        jac = x
+    else:
+        x = panel.base + np.expm1(s) if panel.sign > 0 else panel.base - np.expm1(s)
+        jac = np.exp(s)
+    return x, hw * w * jac
+
+
+def test_level_major_nodes_match_the_per_panel_rule(monkeypatch):
+    drives = []
+    drive = quad._drive
+    monkeypatch.setattr(quad, "_drive", lambda panels, *args: drives.append(panels) or drive(panels, *args))
+    f = lambda y: np.exp(-np.abs(y))
+    hints = SingularityHints((0.5, 3.0))
+    integrate_semiaxis(f, hints)
+    integrate_semiaxis(f, hints, support=(0.25, 4.0))
+    integrate_truncated(f, hints, 2.0)
+    integrate_interval(f, -1.0, 2.0, breakpoints=(0.0, 0.5))
+    integrate_real_line(f, breakpoints=(-1.0, 0.0, 2.0), decay_exponent=3.0)
+    assert len(drives) == 5
+    assert {(p.kind, p.sign) for panels in drives for p in panels} == {
+        (None, 1.0), ("exp", 1.0), ("exp", -1.0), ("expm1", 1.0), ("expm1", -1.0)}
+    for panels in drives:
+        plan = quad._plan(panels)
+        for level in range(11):
+            x, w = quad._plan_nodes(plan, level)
+            ref = [_per_panel_nodes(p, level) for p in panels]
+            assert np.array_equal(x, np.concatenate([r[0] for r in ref]))
+            assert np.array_equal(w, np.concatenate([r[1] for r in ref]))
+
+
+def test_non_finite_values_off_the_fringe_raise():
+    # under/overflow at nodes double-exponentially close to a panel end is zeroed
+    f = lambda y: np.where(np.minimum(y, 1.0 - y) < 1e-200, np.inf, 1.0)
+    assert float(integrate_interval(f, 0.0, 1.0, 1e-12)) == pytest.approx(1.0, rel=1e-12)
+    # anywhere else it means the integrand is undefined there, batched or not
+    g = lambda y: np.where(np.abs(y - 0.5) < 0.1, np.nan, 1.0)
+    with pytest.raises(DomainError, match=r"integrand is nan at 0\.5,"):
+        integrate_interval(g, 0.0, 1.0)
+    with pytest.raises(DomainError, match="away from the ends"):
+        integrate_semiaxis(lambda y: np.stack([np.exp(-y), g(y)]), SingularityHints((0.25, 1.0)))
+    # a mapped panel lies past the outermost knot, where the hints certify
+    # the decay: inf*0 there (y^25 overflows, e^-y underflows) is zeroed
+    tail = lambda y: y ** 25 * np.exp(-y)
+    assert float(integrate_semiaxis(tail, SingularityHints(left_exponent=25.0, decay_exponent=math.inf))) \
+        == pytest.approx(math.gamma(26), rel=1e-10)
+    origin = lambda y: y ** -30 * np.exp(-1.0 / y)
+    assert float(integrate_semiaxis(origin, SingularityHints(decay_exponent=30.0))) \
+        == pytest.approx(math.gamma(29), rel=1e-10)
 
 
 def test_halfplane_examples():
