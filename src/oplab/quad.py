@@ -485,18 +485,26 @@ def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int, knots: Seque
     n_grid points, then ``iters`` golden-section steps in log x around the
     best grid point.  A lower bound by construction: a feature narrower
     than the grid step can be missed.  ``fn`` is called on numpy arrays
-    (the refinement steps pass one point each).
+    (the refinement steps pass one point each); a NaN sample raises
+    DomainError naming its abscissa.
     """
+    def sample(x):
+        vals = np.abs(np.asarray(fn(x)))
+        nan = np.isnan(vals)
+        if nan.any():
+            raise DomainError(f"function is nan at {float(x[nan][0])!r}, inside the sup scan")
+        return vals
+
     ends = [k for k in knots if 0.0 < k < math.inf]
     lo, hi = min([lo, *ends]), max([hi, *ends])
     xs = np.geomspace(lo, hi, n_grid)
-    vals = np.abs(np.asarray(fn(xs)))
+    vals = sample(xs)
     i = int(np.argmax(vals))
     la, lb = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, n_grid - 1)])
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def at(log_x):
-        return float(np.abs(fn(np.array([math.exp(log_x)]))[0]))
+        return float(sample(np.array([math.exp(log_x)]))[0])
 
     c, d = lb - phi * (lb - la), la + phi * (lb - la)
     fc, fd = at(c), at(d)

@@ -11,6 +11,7 @@ from oplab.bergman import (
     BergmanVerdictRequest,
     HalfPlanePoint,
     MixedNormSpec,
+    _kernel,
     apply_T,
     apply_Tplus,
     bergman_constant,
@@ -179,6 +180,43 @@ def test_T_zero():
     assert apply_T(P(0, 0, 1), zero, HalfPlanePoint(0, 1)) == 0
 
 
+@pytest.mark.parametrize("gamma", [1.4, 2.3])
+def test_T_of_a_u_constant_slab_vanishes(gamma):
+    # int_R (x-u+i(y+v))^-(1+gamma) du = 0 (close the contour below), so T of
+    # a source constant in u is zero while T+ is not
+    slab = func2d("ind(y,1,2)")
+    for z in (0.3 + 0.7j, -1 + 2j, 5 + 0.5j):
+        tv = apply_T(P(0.2, 0.3, gamma), slab, z, 1e-6)
+        tp = apply_Tplus(P(0.2, 0.3, gamma), slab, z, 1e-6)
+        assert abs(tv) <= 1e-12 * tp
+
+
+_DU = np.array([[-1e13, -3.7, -1e-3, 0.0, 0.25, 2.0, 1e13]])
+_DV = np.array([[1e-13], [0.7], [1e13]])
+
+
+@pytest.mark.parametrize("s", [1.4, 2.12, 2.85, 3.3, 3.7])
+def test_kernel_is_the_principal_power(s):
+    mpmath = pytest.importorskip("mpmath")
+    # the grid, and the points where the phase -s*theta is -pi or -3pi,
+    # the poles of its half-angle tangent
+    du, dv = np.broadcast_arrays(_DU, _DV)
+    poles = [0.7 / math.tan(k * math.pi / s) for k in (1, 3) if k < s]
+    du = np.concatenate([du.ravel(), poles])
+    dv = np.concatenate([dv.ravel(), np.full(len(poles), 0.7)])
+    got = _kernel(du, dv, s, complex_kernel=True)
+    with mpmath.workprec(200):
+        for k, a, b in zip(got, du, dv):
+            want = mpmath.power(mpmath.mpc(a, b), -s)
+            assert abs(k - complex(want)) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 4.0])
+def test_kernel_at_an_integer_power_is_numpys(s):
+    got = _kernel(_DU, _DV, s, complex_kernel=True)
+    assert np.array_equal(got, (_DU + 1j * _DV) ** (-s))
+
+
 def test_T_self_consistency_across_tolerance():
     v1 = apply_T(P(0, 0, 1), BOX, complex(0, 1), 1e-6)
     v2 = apply_T(P(0, 0, 1), BOX, complex(0, 1), 1e-8)
@@ -210,6 +248,12 @@ def test_projection_reproduces_m4_and_weighted():
     assert max(r["abs_error"] for r in rows) <= 1e-4
     rows = reproduce_check(0.5, 3, tol=1e-6)
     assert max(r["abs_error"] for r in rows) <= 1e-4
+
+
+@pytest.mark.parametrize("nu", [0.12, 0.85, 1.7])
+def test_projection_reproduces_at_fractional_weights(nu):
+    rows = reproduce_check(nu, 3, tol=1e-6)
+    assert max(r["abs_error"] for r in rows) <= 1e-6
 
 
 def test_projection_modulus_bound():
@@ -327,6 +371,18 @@ def test_tplus_exact_norm_values():
     assert tplus_exact_norm("linf", P(1, 0, 2)) == pytest.approx(2.0, rel=1e-12)
     assert tplus_exact_norm("linf", P(0.5, -0.5, 1)) == pytest.approx(math.pi ** 2, rel=1e-12)
     assert tplus_exact_norm("l1a", P(0, 1, 2), a=0.0) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, a", [(5e-7, -1.0 + 4e-8), (1e-6, -1.0 + 1e-9), (3e-8, -1.0 + 1e-8)])
+def test_tplus_exact_norm_near_the_window_edge(alpha, a):
+    # alpha+a+1 cancels for a near -1 and small alpha unless formed exactly
+    mpmath = pytest.importorskip("mpmath")
+    params = P(alpha, 0.2, alpha + 1.2)
+    got = tplus_exact_norm("l1a", params, a=a)
+    with mpmath.workprec(200):
+        al, be, a = mpmath.mpf(alpha), mpmath.mpf(0.2), mpmath.mpf(a)
+        want = mpmath.beta(0.5, mpmath.mpf(params.gamma) / 2) * mpmath.beta(be - a, al + a + 1)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_tplus_exact_norm_precondition_errors():

@@ -110,6 +110,10 @@ def test_weighted_norm_of_an_undefined_function_raises():
                    ("exp(x)*ind(0,800)", 1)):
         with pytest.raises(DomainError, match="away from the ends"):
             weighted_lp_norm(func1d(src), WeightedSpaceSpec(p, 0))
+    # the p = inf scan reads a NaN sample as a domain error, not as a value
+    for src in ("(x-2)^0.5*ind(1,2)", "log(x-1)*ind(0,3)"):
+        with pytest.raises(DomainError, match="function is nan at"):
+            weighted_lp_norm(func1d(src), WeightedSpaceSpec(INF))
     # where exp(x) overflows, ind(0,1) makes the function zero
     assert weighted_lp_norm(func1d("exp(x)*ind(0,1)"), WeightedSpaceSpec(1, 0)) == pytest.approx(
         math.e - 1.0, rel=1e-10)

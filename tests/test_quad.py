@@ -267,3 +267,13 @@ def test_hint_validation():
         SingularityHints((math.inf,))
     with pytest.raises(ParameterError):
         integrate_interval(lambda y: y, 2.0, 1.0)
+
+
+def test_log_grid_sup_raises_on_a_nan_between_grid_points():
+    # the NaN window around the peak holds no grid point; the refinement reaches it
+    def bump(x):
+        return np.where(np.abs(x - 1.01) < 1e-4, np.nan, 1.0 / (1.0 + np.log(x / 1.01) ** 2))
+
+    assert not np.isnan(bump(np.geomspace(1e-6, 1e6, 481))).any()
+    with pytest.raises(DomainError, match=r"function is nan at 1\.010"):
+        quad.log_grid_sup(bump, 1e-6, 1e6, 481, 90)
