@@ -187,13 +187,17 @@ def _slice_norm(f: Func2D, p: float, tol: float) -> Func1D:
 def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """||f||_{p,q,nu} = (int_0^inf (int_R |f|^p dx)^{q/p} y^nu dy)^{1/q},
     the half-line L^q_nu norm of the slice norms, with the sup-over-y
-    convention when q = inf (the heuristic of the half-line essential
-    sup, quad.log_grid_sup, on a 241-point grid over [1e-6, 1e6] widened
-    to f's v breakpoints and support, with 80 refinement steps)."""
+    convention when q = inf: inf when f's v hint exponents say the slice
+    norms are unbounded at 0 or at infinity, otherwise the heuristic of
+    the half-line essential sup, quad.log_grid_sup, on a 241-point grid
+    over [1e-6, 1e6] widened to f's v breakpoints and support, with 80
+    refinement steps."""
     p, q, nu = spec.p, spec.q, spec.nu
     if math.isinf(p):
         raise ParameterError("p = inf mixed norms are not supported; use pointwise sup checks")
     if math.isinf(q):
+        if f.v_left_exponent < 0.0 or f.v_decay_exponent < 0.0:
+            return math.inf
         return quad.log_grid_sup(_slice_norm(f, p, tol / 10.0), 1e-6, 1e6, 241, 80,
                                  knots=(*f.v_breakpoints, *f.v_support))
     return weighted_lp_norm(_slice_norm(f, p, max(tol / 20.0, 1e-13)), WeightedSpaceSpec(q, nu), tol)
@@ -362,8 +366,8 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
             vrow = v[None, :, None]
 
             def inner(u):
-                r2 = (xcol - u[None, None, :]) ** 2 + (y + vrow) ** 2
-                return f(u[None, None, :], vrow) * r2 ** (-(1.0 + ga) / 2.0)
+                u = u[None, None, :]
+                return f(u, vrow) * _kernel(xcol - u, y + vrow, 1.0 + ga, False)
 
             planes = quad.integrate_real_line(
                 inner, inner_tol, breakpoints=f.u_breakpoints,
@@ -385,8 +389,12 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
     """
     if not params.gamma > 0.0:
         raise ParameterError("the reduction inequality needs gamma > 0")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"the reduction inequality needs 1 <= p < inf, got {p}")
     if y_grid is None:
         y_grid = (0.5, 1.0, 2.0)
+    if not all(0.0 < y < math.inf for y in y_grid):
+        raise ParameterError(f"the reduction heights must be positive and finite, got {list(y_grid)}")
     c_gamma = beta_fn(0.5, params.gamma / 2.0)
     slice_norm = _slice_norm(f, p, max(tol / 20.0, 1e-13))
     # x -> T+ f(x+iy) is real-analytic for y > 0, so f's u-edges are not

@@ -11,6 +11,7 @@ Subcommands
   dilate                    dilation growth-exponent experiment
   sweep                     vary one parameter on a grid, CSV out
   bergman reproduce         projection fixed-point check
+  bergman reduction         slicewise reduction inequality on widening boxes
   solve-gamma               the gamma that balances the relation exactly
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 divergence
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import bergman, hilbert, quad, schur
 from .errors import AccuracyError, DivergenceError, OplabError, ParameterError
-from .funcdsl import func1d
+from .funcdsl import func1d, func2d
 from .hilbert import OperatorParams, WeightedSpaceSpec
 from .reports import RELATION_EPS, jsonable
 
@@ -210,11 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     # bergman subcommands
     bg = sub.add_parser("bergman", help="upper half-plane checks")
-    br = _leaf(bg.add_subparsers(dest="action", required=True), "reproduce",
-               _cmd_bergman_reproduce, "bergman reproduce", help="projection fixed-point check")
+    bsub = bg.add_subparsers(dest="action", required=True)
+    br = _leaf(bsub, "reproduce", _cmd_bergman_reproduce, "bergman reproduce",
+               help="projection fixed-point check")
     br.add_argument("--nu", type=float, default=0.0)
     br.add_argument("--power", type=int, default=3)
     br.add_argument("--tol", type=float, default=None)
+    bd = _leaf(bsub, "reduction", _cmd_bergman_reduction, "bergman reduction",
+               help="slicewise reduction inequality on the boxes ind(-L,L)*ind(y,1,2)")
+    _add_params(bd)
+    bd.add_argument("--p", type=float, default=2.0)
+    bd.add_argument("--y", type=float, default=1.0)
+    bd.add_argument("--L", type=float, action="append", required=True)
+    bd.add_argument("--tol", type=float, default=None)
 
     # solve-gamma
     sg = _leaf(sub, "solve-gamma", _cmd_solve_gamma, help="gamma balancing the relation exactly")
@@ -322,7 +331,11 @@ def _cmd_extremal(args):
     rows = []
     for xi in args.xi:
         qv = hilbert.extremal_quotient(space, params, xi, tol)
-        rows.append({"xi": xi, "quotient": num(qv, tol), "gap": num(sharp - qv, tol)})
+        row = {"xi": xi, "quotient": num(qv, tol), "gap": num(sharp - qv, tol)}
+        family = hilbert.ExtremalFamily(xi, space)
+        if xi < family.window(params):
+            row["correction_bound"] = num(family.correction_bound(params), 1e-13)
+        rows.append(row)
     results = {"sharp_norm": num(sharp, 1e-13), "sweep": rows}
     return _inputs(args, "p", "a", *_PARAMS, "xi"), results, {"tol": tol}
 
@@ -403,6 +416,19 @@ def _cmd_bergman_reproduce(args):
                            for k, v in r.items()} for r in rows],
                "worst_abs_error": num(worst, tol)}
     return _inputs(args, "nu", "power"), results, {"tol": tol}
+
+
+def _cmd_bergman_reduction(args):
+    tol = resolve_tol(args.tol, 1e-5)
+    rows = []
+    for L in args.L:
+        if not 0.0 < L < math.inf:
+            raise ParameterError(f"--L must be a positive finite half-width, got {L}")
+        f = func2d(f"ind(-{L},{L})*ind(y,1,2)")
+        row = bergman.reduction_bound_check(_params(args), f, y_grid=(args.y,), tol=tol, p=args.p)[0]
+        rows.append({"L": L, **{k: num(row[k], tol) for k in ("lhs", "rhs", "slack")},
+                     "ratio": num(row["lhs"] / row["rhs"], tol)})
+    return _inputs(args, *_PARAMS, "p", "y", "L"), {"boxes": rows}, {"tol": tol}
 
 
 def _cmd_solve_gamma(args):

@@ -108,6 +108,14 @@ class ExtremalFamily:
                 f"xi must lie in (0, p(beta+1)-(a+1)) = (0, {self.window(params)}), got {self.xi}"
             )
 
+    def correction_bound(self, params: OperatorParams) -> float:
+        """xi*C, the proof's bound on xi*corr in quotient = lead - xi*corr:
+        (x+y)^-gamma <= x^-gamma on the correction square gives
+        C = 1/((beta+1-e_f)(beta+1-e_f+xi)), e_f = (a+1+xi)/p, in the window."""
+        self.validate(params)
+        gap = params.beta + 1.0 - (self.space.a + 1.0 + self.xi) / self.space.p
+        return self.xi / (gap * (gap + self.xi))
+
 
 def conjugate_exponent(p: float) -> float:
     if p == 1.0:
@@ -193,11 +201,15 @@ def apply_H_adjoint(params: OperatorParams, a: float, b: float, f: Func1D, y: fl
 def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFAULT_TOL_1D) -> float:
     """|| f ||_{p,a} = (int_0^inf |f|^p x^a dx)^(1/p), or the essential sup.
 
-    The p = inf norm is a documented heuristic lower bound: a 481-point
-    log-grid scan over [1e-6, 1e6], widened to f's breakpoints, refined by
-    90 golden-section steps around the best point (quad.log_grid_sup).
+    The p = inf norm is inf when f's hint exponents say f is unbounded at
+    0 or at infinity; otherwise it is a documented heuristic lower bound: a
+    481-point log-grid scan over [1e-6, 1e6], widened to f's breakpoints,
+    refined by 90 golden-section steps around the best point
+    (quad.log_grid_sup).
     """
     if math.isinf(space.p):
+        if f.left_exponent < 0.0 or f.decay_exponent < 0.0:
+            return math.inf
         return quad.log_grid_sup(f, 1e-6, 1e6, 481, 90, knots=f.breakpoints)
     p, a = space.p, space.a
     hints = SingularityHints(

@@ -89,6 +89,8 @@ def test_mixed_norm_sup_convention():
     for src in ("ind(-1,1)*ind(y,1e7,2e7)", "ind(-1,1)*ind(y,1e-9,2e-9)"):
         got = mixed_norm(func2d(src), MixedNormSpec(2, INF, None))
         assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # a v hint exponent below 0 says the slice norms are unbounded
+    assert mixed_norm(func2d("ind(-1,1)*y^(0-0.5)*ind(y,0,1)"), MixedNormSpec(2, INF, None)) == INF
 
 
 def test_mixed_norm_spec_validation():

@@ -7,8 +7,11 @@ import re
 import pytest
 
 from oplab import quad
+from oplab.bergman import reduction_bound_check
 from oplab.cli import EXIT_ACCURACY, EXIT_DIVERGENCE, EXIT_OK, EXIT_PARAMS, main
 from oplab.errors import AccuracyError
+from oplab.funcdsl import func2d
+from oplab.hilbert import OperatorParams
 
 
 def run_cli(capsys, *args):
@@ -279,6 +282,24 @@ def test_bergman_reproduce(capsys):
                    "--tol", "1e-5")
     assert doc["results"]["worst_abs_error"]["value"] <= 1e-4
     assert len(doc["results"]["points"]) == 5
+
+
+def test_bergman_reduction(capsys):
+    doc = run_json(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0", "--gamma", "1",
+                   "--L", "0.25")
+    (row,) = doc["results"]["boxes"]
+    (want,) = reduction_bound_check(OperatorParams(0, 0, 1), func2d("ind(-0.25,0.25)*ind(y,1,2)"),
+                                    y_grid=(1.0,), tol=1e-5)
+    assert [row[k]["value"] for k in ("lhs", "rhs", "slack")] == [want[k] for k in ("lhs", "rhs", "slack")]
+    assert row["ratio"]["value"] == want["lhs"] / want["rhs"]
+    assert doc["tolerances"]["tol"] == 1e-5
+
+
+@pytest.mark.parametrize("bad", ["--L 0", "--L -1", "--L inf", "--L 1 --y 0", "--L 1 --y inf",
+                                 "--L 1 --p 0.5", "--L 1 --p inf", "--L 1 --gamma 0"])
+def test_bergman_reduction_rejects_bad_parameters(capsys, bad):
+    assert_parameter_error(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0",
+                           "--gamma", "1", *bad.split())
 
 
 def test_solve_gamma(capsys):

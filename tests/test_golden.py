@@ -1,7 +1,8 @@
 """Byte-identity of CLI reports and selected values against a recorded golden file.
 
 ``tests/golden/reports.json`` holds the stdout of every README CLI command
-(plus the sup-norm and p = 1 certificate paths) with ``elapsed_s`` masked,
+(plus the sup-norm and p = 1 certificate paths; every subcommand of the
+parser must be among them) with ``elapsed_s`` masked,
 the ``repr`` of a few library values, and the verdict report of every
 criterion regime.  A refactor that keeps
 behaviour must reproduce it exactly.  After a deliberate output change,
@@ -10,8 +11,10 @@ regenerate the file with
     PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.json
 """
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -47,6 +50,7 @@ COMMANDS = [
     ["sweep", "--vary", "gamma", "--start", "0.5", "--stop", "1.5", "--num", "11",
      "--p", "2", "--q", "2", "--a", "0", "--b", "0", *_P],
     ["bergman", "reproduce", "--nu", "0", "--power", "3"],
+    ["bergman", "reduction", *_P, "--gamma", "1", "--p", "2", "--y", "1", "--L", "0.25", "--L", "1"],
     ["solve-gamma", "--p", "2", "--q", "3", "--a", "0", "--b", "0.5",
      "--alpha", "0.2", "--beta", "0.3"],
     # the sup paths: p = q = inf norms and the p = 1 limit-case certificate
@@ -177,6 +181,22 @@ def test_cli_reports_byte_identical(golden, monkeypatch):
     assert [r["argv"] for r in got] == [r["argv"] for r in golden["cli"]]
     for row, want in zip(got, golden["cli"]):
         assert row == want, " ".join(row["argv"])
+
+
+def _leaf_commands(parser, path=()):
+    """The subcommand paths of the parser tree that run a command."""
+    if parser.get_default("func") is not None:
+        yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_commands(child, (*path, name))
+
+
+def test_every_cli_command_is_pinned():
+    pinned = {tuple(itertools.takewhile(lambda s: not s.startswith("--"), argv)) for argv in COMMANDS}
+    leaves = set(_leaf_commands(cli.build_parser()))
+    assert leaves and leaves <= pinned, sorted(leaves - pinned)
 
 
 def test_library_values_identical(golden):

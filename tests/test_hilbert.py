@@ -8,6 +8,7 @@ import pytest
 from oplab.errors import DivergenceError, DomainError, ParameterError
 from oplab.funcdsl import func1d
 from oplab.hilbert import (
+    ExtremalFamily,
     OperatorParams,
     WeightedSpaceSpec,
     apply_H,
@@ -101,6 +102,10 @@ def test_weighted_norm_essential_sup():
     # breakpoints outside the default scan range [1e-6, 1e6] widen it
     for src in ("ind(1e7,2e7)", "ind(1e-9,2e-9)"):
         assert weighted_lp_norm(func1d(src), WeightedSpaceSpec(INF)) == 1.0
+    # hint exponents below 0 at either end say the function is unbounded
+    for src in ("x^(0-0.5)*ind(0,1)", "x^0.5"):
+        assert weighted_lp_norm(func1d(src), WeightedSpaceSpec(INF)) == INF
+    assert weighted_lp_norm(func1d("x*exp(0-x)"), WeightedSpaceSpec(INF)) == 0.36787944117144233
 
 
 @pytest.mark.filterwarnings("error")
@@ -258,20 +263,25 @@ def test_extremal_quotient_monotone_sequence():
     assert vals[0] < vals[1] < vals[2] < math.pi
 
 
-def test_extremal_quotient_proof_bounds():
-    # sharp - C(xi)*xi <= quotient <= sharp, with the correction constant
-    # C(xi) = 1/[(beta+(a+1+xi)/p'-a)(beta+1-(a+1+xi)/p)]
+def test_extremal_correction_bound_brackets_the_quotient():
+    # quotient = lead - xi*corr with 0 <= xi*corr <= correction_bound =
+    # xi/[(beta+1-e_f)(beta+1-e_f+xi)], e_f = (a+1+xi)/p; and quotient <= sharp
+    tol = 1e-9
     for (p, a, al, be) in [(2.0, 0.0, 0.0, 0.0), (2.0, 0.5, 0.25, 0.5), (3.0, 0.0, 0.1, 0.2)]:
         params = P(al, be, al + be + 1.0)
         space = WeightedSpaceSpec(p, a)
         sharp = sharp_norm(space, params)
-        pp = p / (p - 1.0)
-        for xi in (0.05, 0.01):
-            lead = beta(be + 1.0 - (a + 1.0 + xi) / p, al + (a + 1.0 + xi) / p)
-            corr_const = 1.0 / ((be + (a + 1.0 + xi) / pp - a) * (be + 1.0 - (a + 1.0 + xi) / p))
+        for xi in (0.5, 0.05, 0.01, 1e-4):
+            e_f = (a + 1.0 + xi) / p
+            lead = beta(be + 1.0 - e_f, al + e_f)
+            bound = ExtremalFamily(xi, space).correction_bound(params)
             quotient = extremal_quotient(space, params, xi)
-            assert quotient <= sharp + 1e-9
-            assert quotient >= lead - xi * corr_const - 1e-9
+            assert lead - bound - tol <= quotient <= lead
+            assert quotient <= sharp + tol
+    space = WeightedSpaceSpec(2, 0)  # window (0, 1) under (0, 0, 1)
+    for xi in (0.0, -0.1, 1.0, 2.0):
+        with pytest.raises(ParameterError, match="xi must lie"):
+            ExtremalFamily(xi, space).correction_bound(P(0, 0, 1))
 
 
 def test_extremal_quotient_precondition():
