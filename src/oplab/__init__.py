@@ -71,6 +71,6 @@ from .schur import (
     sup_test_Linf,
     verify_certificate,
 )
-from .specfun import BetaArgs, beta, log_beta, log_gamma
+from .specfun import beta, log_beta, log_gamma
 
 __version__ = "0.1.0"

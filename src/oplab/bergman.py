@@ -14,14 +14,13 @@ Since z - conj(w) = (x-u) + i(y+v) always has positive imaginary part,
 the principal branch of the complex power is smooth over the whole
 integration domain; that is the single branch convention used here, and
 it pins the phase of c_nu through the reproducing property (at nu = 0
-the constant is the classical -1/pi).  At a non-integer power s it is
-evaluated in real arithmetic as the T+ modulus times a phase,
+the constant is the classical -1/pi).  At every power s it is evaluated
+in real arithmetic as the T+ modulus times a phase,
 
     (z - conj(w))^-s = r2^(-s/2) e^(-i s theta),
     r2 = (x-u)^2 + (y+v)^2,  theta = atan2(y+v, x-u) in (0, pi),
 
-the phase through its half-angle tangent; at an integer s it is numpy's
-complex power (repeated multiplication).
+the phase through its half-angle tangent.
 
 The module provides mixed norms on L^{p,q}_nu (inner L^p in x, outer
 weighted L^q in y, with the sup-over-y convention at q = inf), kernel
@@ -211,18 +210,16 @@ def _kernel(du, dv, s: float, complex_kernel: bool):
     """|du + i dv|^-s, or with complex_kernel the principal (du + i dv)^-s,
     for du = x-u and dv = y+v > 0 broadcasting to the kernel's shape.
 
-    At an integer s numpy's complex power multiplies repeatedly.  At any
-    other s it would call a scalar cpow per element, so the power is the
-    phase e^(i phi), phi = -s theta with theta = atan2(dv, du) in (0, pi),
-    times the modulus, in three buffers written in place.  The phase goes
-    through the half-angle tangent t = tan(phi/2),
+    numpy's complex power would call a scalar cpow per element, so the
+    power is the phase e^(i phi), phi = -s theta with
+    theta = atan2(dv, du) in (0, pi), times the modulus, in three buffers
+    written in place.  The phase goes through the half-angle tangent
+    t = tan(phi/2),
     e^(i phi) = ((1 - t^2) + 2it) / (1 + t^2): one tan costs less than a
     sin and a cos (numpy 2's AVX-512 float64 tan is vectorised, its sin
     and cos are scalar loops); t stays finite, and each part is within a
     few ulp of |e^(i phi)| = 1.
     """
-    if complex_kernel and float(s).is_integer():
-        return (du + 1j * dv) ** (-s)
     if not complex_kernel:
         return (du ** 2 + dv ** 2) ** (-s / 2.0)
     t = np.asarray(np.arctan2(dv, du))
@@ -240,6 +237,17 @@ def _kernel(du, dv, s: float, complex_kernel: bool):
     return out
 
 
+def _kernel_hints(f: Func2D, kernel_power: float, weight: float) -> tuple[float, SingularityHints]:
+    """The u decay exponent and the v hints of f(w) v^weight |z - conj(w)|^(-kernel_power):
+    the kernel adds kernel_power to both decays, the weight shifts the v exponents."""
+    v_hints = SingularityHints(
+        f.v_breakpoints,
+        f.v_left_exponent + weight,
+        f.v_decay_exponent - weight + kernel_power,
+    )
+    return f.u_decay_exponent + kernel_power, v_hints
+
+
 def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: float,
                     complex_kernel: bool) -> Func2D:
     """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints;
@@ -249,13 +257,14 @@ def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: f
     def fn(u, v):
         return f(u, v) * np.asarray(v) ** weight * _kernel(x - u, y + v, kernel_power, complex_kernel)
 
+    u_decay, v_hints = _kernel_hints(f, kernel_power, weight)
     return Func2D(
         fn=fn,
         u_breakpoints=tuple(sorted({*f.u_breakpoints, x})),
-        v_breakpoints=f.v_breakpoints,
-        u_decay_exponent=f.u_decay_exponent + kernel_power,
-        v_left_exponent=f.v_left_exponent + weight,
-        v_decay_exponent=f.v_decay_exponent - weight + kernel_power,
+        v_breakpoints=v_hints.breakpoints,
+        u_decay_exponent=u_decay,
+        v_left_exponent=v_hints.left_exponent,
+        v_decay_exponent=v_hints.decay_exponent,
         u_support=f.u_support,
         v_support=f.v_support,
     )
@@ -348,11 +357,7 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
     al, be, ga = params.alpha, params.beta, params.gamma
     out = np.empty(xs.shape, dtype=float)
     inner_tol = max(tol / 20.0, 1e-13)
-    v_hints = SingularityHints(
-        f.v_breakpoints,
-        f.v_left_exponent + be,
-        f.v_decay_exponent - be + 1.0 + ga,
-    )
+    u_decay, v_hints = _kernel_hints(f, 1.0 + ga, be)
     unpruned = (quad.panel_count((-math.inf, math.inf), f.u_breakpoints, semiaxis=False)
                 * quad.panel_count((0.0, math.inf), f.v_breakpoints, semiaxis=True))
     pruned = (quad.panel_count(f.u_support, f.u_breakpoints, semiaxis=False)
@@ -371,7 +376,7 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
 
             planes = quad.integrate_real_line(
                 inner, inner_tol, breakpoints=f.u_breakpoints,
-                decay_exponent=f.u_decay_exponent + 1.0 + ga, support=f.u_support)
+                decay_exponent=u_decay, support=f.u_support)
             return planes * v[None, :] ** be
 
         out[start:start + block] = quad.integrate_semiaxis(outer, v_hints, tol, support=f.v_support)
@@ -391,6 +396,8 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
         raise ParameterError("the reduction inequality needs gamma > 0")
     if not 1.0 <= p < math.inf:
         raise ParameterError(f"the reduction inequality needs 1 <= p < inf, got {p}")
+    if not 0.0 < tol < 0.5:
+        raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
     if y_grid is None:
         y_grid = (0.5, 1.0, 2.0)
     if not all(0.0 < y < math.inf for y in y_grid):
@@ -423,12 +430,10 @@ def column_integral(params: OperatorParams, a: float, w, tol: float = quad.DEFAU
 
     which is constant in w and equals B(1/2,gamma/2) B(beta-a, alpha+a+1)
     under gamma = alpha+beta+1, -alpha < a+1 < beta+1."""
-    w = HalfPlanePoint.of(w)
-    # |x-u+i(y+v)| is symmetric in z and w: the column is the T+ kernel
-    # of the constant 1 centred at w
+    # |x-u+i(y+v)| is symmetric in z and w: the column is T+ of the
+    # constant 1 at w, with the exponent triple (beta-a, alpha+a, gamma)
     one = Func2D(fn=lambda u, v: 1.0, u_decay_exponent=0.0, v_decay_exponent=0.0)
-    integrand = _compose_kernel(one, w, 1.0 + params.gamma, params.alpha + a, complex_kernel=False)
-    return w.y ** (params.beta - a) * float(quad.integrate_halfplane(integrand, tol))
+    return apply_Tplus(OperatorParams(params.beta - a, params.alpha + a, params.gamma), one, w, tol)
 
 
 # --------------------------------------------------------------------------

@@ -186,12 +186,8 @@ def apply_H_adjoint(params: OperatorParams, a: float, b: float, f: Func1D, y: fl
         H* f(y) = y^(beta-a) * int_0^inf f(x) x^(alpha+b) (x+y)^-gamma dx,
 
     which is H itself with the exponent triple (beta-a, alpha+b, gamma).
-    It is evaluated as y^(beta-a) times the (0, alpha+b, gamma) member so
-    that the outer power is a scalar power: numpy's array power, used by
-    apply_H_many, may differ from it in the last place.
     """
-    integral = apply_H(OperatorParams(0.0, params.alpha + b, params.gamma), f, y, tol)
-    return float(y) ** (params.beta - a) * integral
+    return apply_H(OperatorParams(params.beta - a, params.alpha + b, params.gamma), f, y, tol)
 
 
 # --------------------------------------------------------------------------

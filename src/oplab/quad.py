@@ -430,7 +430,7 @@ def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, s
     return len(_real_line_knots(breakpoints)) + 1  # finite panels and two tails
 
 
-def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
+def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     """Iterated integral of f over the upper half-plane R x (0, inf).
 
     ``f`` is a Func2D-style object: callable as f(u, v) on broadcasting
@@ -439,18 +439,10 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
     u_support, v_support.  The inner integral runs over u in R (batched
     across the v nodes requested by the outer quadrature); the outer
     integral runs over v in (0, inf).  Both integrate only over a finite
-    support.  Complex values are allowed.
+    support, and both are the 1D integrators with their default
+    refinement budget, so a divergent hint raises their DivergenceError.
+    Complex values are allowed.
     """
-    if not f.v_left_exponent > -1.0:
-        raise DivergenceError(
-            f"half-plane integral diverges at v=0: exponent {f.v_left_exponent} <= -1",
-            endpoint="v-origin",
-        )
-    if not f.v_decay_exponent > 1.0:
-        raise DivergenceError(
-            f"half-plane integral diverges as v->inf: decay {f.v_decay_exponent} <= 1",
-            endpoint="v-infinity",
-        )
     inner_tol = max(tol / 20.0, 1e-13)
     u_bps = tuple(f.u_breakpoints)
     u_decay = f.u_decay_exponent
@@ -467,7 +459,7 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
 
         return integrate_real_line(
             inner_integrand, inner_tol, breakpoints=u_bps, decay_exponent=u_decay,
-            support=f.u_support, max_level=max_level,
+            support=f.u_support,
         )
 
     hints = SingularityHints(
@@ -475,7 +467,7 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D, *, max_level: int = 9):
         left_exponent=f.v_left_exponent,
         decay_exponent=f.v_decay_exponent,
     )
-    pair = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support, max_level=max_level)
+    pair = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support)
     return pair[0]
 
 

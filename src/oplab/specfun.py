@@ -5,11 +5,11 @@ Every closed-form operator norm in this package is a Beta value
     B(m, n) = Gamma(m) Gamma(n) / Gamma(m+n)
             = integral_0^inf u^(m-1) (1+u)^(-m-n) du,   m, n > 0,
 
-so the whole norm machinery rests on an accurate log-Gamma.  We use the
-classic Lanczos approximation with g = 7 and 9 coefficients (the Godfrey
-table, also reproduced in Numerical Recipes and the Boost docs), which is
-good to ~1e-15 relative for real x > 0.  Beta is assembled in log space
-and exponentiated, so large arguments cannot overflow prematurely.
+so the whole norm machinery rests on an accurate log-Gamma.  That is
+the standard library's math.lgamma behind a domain check: the checks
+raise DomainError, which upstream signals a violated boundedness
+inequality.  Beta is assembled in log space and exponentiated, so large
+arguments cannot overflow prematurely.
 
 All functions are pure and stateless; they are safe to call from any
 number of concurrent workers.
@@ -18,65 +18,32 @@ number of concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["BetaArgs", "log_gamma", "beta", "log_beta"]
-
-# Lanczos g=7, n=9 coefficient set (Godfrey).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class BetaArgs:
-    """A validated Beta-function argument pair (both must be positive)."""
-
-    m: float
-    n: float
-
-    def __post_init__(self):
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise DomainError(f"beta argument m={self.m} must be a positive finite real")
-        if not (self.n > 0.0 and math.isfinite(self.n)):
-            raise DomainError(f"beta argument n={self.n} must be a positive finite real")
+__all__ = ["log_gamma", "beta", "log_beta"]
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0.
-
-    Raises DomainError for x <= 0 (upstream this signals a violated
-    boundedness inequality, so the message matters).
-    """
+    """ln Gamma(x) for real x > 0, inf where it exceeds the float range
+    (x above ~2.6e305); DomainError for any other x."""
     x = float(x)
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 1.0:
-        # Gamma(x) = Gamma(x+1)/x keeps the Lanczos series in its sweet spot.
-        return log_gamma(x + 1.0) - math.log(x)
-    series = _LANCZOS_COEF[0]
-    for k in range(1, 9):
-        series += _LANCZOS_COEF[k] / (x + k - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(series)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def log_beta(m: float, n: float) -> float:
     """ln B(m, n) = lnGamma(m) + lnGamma(n) - lnGamma(m+n), m, n > 0."""
-    args = BetaArgs(float(m), float(n))
-    return log_gamma(args.m) + log_gamma(args.n) - log_gamma(args.m + args.n)
+    m, n = float(m), float(n)
+    if not (m > 0.0 and math.isfinite(m)):
+        raise DomainError(f"beta argument m={m} must be a positive finite real")
+    if not (n > 0.0 and math.isfinite(n)):
+        raise DomainError(f"beta argument n={n} must be a positive finite real")
+    return log_gamma(m) + log_gamma(n) - log_gamma(m + n)
 
 
 def beta(m: float, n: float) -> float:

@@ -197,7 +197,7 @@ _DU = np.array([[-1e13, -3.7, -1e-3, 0.0, 0.25, 2.0, 1e13]])
 _DV = np.array([[1e-13], [0.7], [1e13]])
 
 
-@pytest.mark.parametrize("s", [1.4, 2.12, 2.85, 3.3, 3.7])
+@pytest.mark.parametrize("s", [1.4, 2.0, 2.12, 2.85, 3.0, 3.3, 3.7, 4.0])
 def test_kernel_is_the_principal_power(s):
     mpmath = pytest.importorskip("mpmath")
     # the grid, and the points where the phase -s*theta is -pi or -3pi,
@@ -213,10 +213,19 @@ def test_kernel_is_the_principal_power(s):
             assert abs(k - complex(want)) <= 1e-14 * abs(want)
 
 
-@pytest.mark.parametrize("s", [2.0, 3.0, 4.0])
-def test_kernel_at_an_integer_power_is_numpys(s):
-    got = _kernel(_DU, _DV, s, complex_kernel=True)
-    assert np.array_equal(got, (_DU + 1j * _DV) ** (-s))
+def test_tplus_of_an_algebraic_source_far_from_the_origin():
+    # the inner u drive needs a tenth refinement level at x = 10
+    mpmath = pytest.importorskip("mpmath")
+    f = func2d("(1+x^2)^(0-1)*ind(y,0.5,2)")
+    got = apply_Tplus(P(0.5, 0.3, 2.0), f, complex(10.0, 2.0))
+
+    def column(v):
+        return mpmath.quad(lambda u: ((10 - u) ** 2 + (2 + v) ** 2) ** -1.5 / (1 + u * u),
+                           [-mpmath.inf, 0, 10, mpmath.inf])
+
+    with mpmath.workdps(20):
+        want = mpmath.sqrt(2) * mpmath.quad(lambda v: v ** 0.3 * column(v), [0.5, 2])
+    assert abs(got - want) <= 1e-6 * want
 
 
 def test_T_self_consistency_across_tolerance():
@@ -283,6 +292,14 @@ def test_reduction_bound_zero_function():
 def test_reduction_requires_positive_gamma():
     with pytest.raises(ParameterError):
         reduction_bound_check(P(0, 0, -0.5), BOX)
+
+
+def test_reduction_rejects_a_bad_tol_at_entry(monkeypatch):
+    # the tol given is named, before any slice norm runs at a clamped tol
+    monkeypatch.setattr(quad, "_drive", None)
+    for tol in (-1.0, 0.0, 0.5, math.nan):
+        with pytest.raises(ParameterError, match=f"got {tol}"):
+            reduction_bound_check(P(0, 0, 1), BOX, tol=tol)
 
 
 # -- support pruning ----------------------------------------------------------------

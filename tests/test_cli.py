@@ -296,7 +296,8 @@ def test_bergman_reduction(capsys):
 
 
 @pytest.mark.parametrize("bad", ["--L 0", "--L -1", "--L inf", "--L 1 --y 0", "--L 1 --y inf",
-                                 "--L 1 --p 0.5", "--L 1 --p inf", "--L 1 --gamma 0"])
+                                 "--L 1 --p 0.5", "--L 1 --p inf", "--L 1 --gamma 0",
+                                 "--L 1 --tol -1"])
 def test_bergman_reduction_rejects_bad_parameters(capsys, bad):
     assert_parameter_error(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0",
                            "--gamma", "1", *bad.split())

@@ -9,9 +9,17 @@ behaviour must reproduce it exactly.  After a deliberate output change,
 regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.json
+
+and list what moved, before or after, with
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+which prints one ``where: old -> new`` line per report field, library
+value or verdict that differs from the stored file.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import itertools
@@ -207,7 +215,61 @@ def test_verdict_reports_identical(golden):
     assert verdict_reports() == golden["verdicts"]
 
 
+def _parse(text: str):
+    """A report or repr as data where it parses (elapsed_s masked as X), else the text."""
+    for load in (json.loads, ast.literal_eval):
+        try:
+            return load(text.replace('"elapsed_s": X', '"elapsed_s": null'))
+        except (ValueError, SyntaxError):
+            pass
+    return text
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _leaves(val, (*path, str(key)))
+    else:
+        yield ".".join(path), obj
+
+
+def diff_lines(old: dict, new: dict) -> list[str]:
+    """'where: old -> new' for every leaf of a CLI report (and exit code),
+    library value or verdict report that differs between two captures."""
+    pairs = [(" ".join(n["argv"]), {"exit": o["exit"], "stdout": _parse(o["stdout"])},
+              {"exit": n["exit"], "stdout": _parse(n["stdout"])})
+             for o, n in zip(old["cli"], new["cli"])]
+    pairs += [(key, _parse(val), _parse(new["values"].get(key, "<missing>")))
+              for key, val in old["values"].items()]
+    pairs += [(f"verdict {i}", _parse(o), _parse(n))
+              for i, (o, n) in enumerate(zip(old["verdicts"], new["verdicts"]))]
+    lines = []
+    for where, o, n in pairs:
+        a, b = dict(_leaves(o)), dict(_leaves(n))
+        lines += [f"{where}: {path}: {a.get(path)!r} -> {b.get(path)!r}"
+                  for path in {**a, **b} if a.get(path) != b.get(path)]
+    return lines
+
+
+def test_diff_lists_each_moved_leaf():
+    old = {"cli": [{"argv": ["cmd"], "exit": 0, "stdout": '{\n "elapsed_s": X,\n "v": 1.0\n}\n'}],
+           "values": {"key": "[1.0, 2.0]"}, "verdicts": ['{"bounded": true}']}
+    new = {"cli": [{"argv": ["cmd"], "exit": 0, "stdout": '{\n "elapsed_s": X,\n "v": 1.5\n}\n'}],
+           "values": {"key": "[1.0, 2.5]"}, "verdicts": ['{"bounded": true}']}
+    assert diff_lines(old, old) == []
+    assert diff_lines(old, new) == ["cmd: stdout.v: 1.0 -> 1.5", "key: 1: 2.0 -> 2.5"]
+
+
 if __name__ == "__main__":
+    cmd = argparse.ArgumentParser(description="Print the golden capture, or with --diff "
+                                  "what differs from the stored file.")
+    cmd.add_argument("--diff", action="store_true")
     os.environ.pop("OPLAB_TOL", None)
-    json.dump(capture(), sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    if cmd.parse_args().diff:
+        with open(GOLDEN) as fh:
+            stored = json.load(fh)
+        for line in diff_lines(stored, capture()):
+            print(line)
+    else:
+        json.dump(capture(), sys.stdout, indent=1)
+        sys.stdout.write("\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oplab.errors import DomainError
 from oplab.quad import SingularityHints, integrate_semiaxis
-from oplab.specfun import BetaArgs, beta, log_beta, log_gamma
+from oplab.specfun import beta, log_beta, log_gamma
 
 
 def test_log_gamma_spot_values():
@@ -24,6 +24,18 @@ def test_log_gamma_accuracy_sweep():
     for x in xs:
         ref = math.lgamma(x)
         assert abs(log_gamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_beta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    for m, n in rng.uniform(0.01, 20.0, (300, 2)):
+        want = mpmath.beta(mpmath.mpf(m), mpmath.mpf(n))
+        assert abs(beta(m, n) - want) <= 1e-13 * want
+
+
+def test_log_gamma_beyond_the_float_range_is_inf():
+    assert log_gamma(1e306) == math.inf
 
 
 def test_log_gamma_domain():
@@ -45,7 +57,7 @@ def test_beta_domain():
     with pytest.raises(DomainError):
         beta(1.0, -0.5)
     with pytest.raises(DomainError):
-        BetaArgs(-1.0, 2.0)
+        log_beta(-1.0, 2.0)
 
 
 def test_beta_large_arguments_no_overflow():
