@@ -22,7 +22,8 @@ accuracy failure or a failed certificate verification.  An error prints
 "sample" and "residual".
 
 Reports are JSON with a versioned schema; every numeric result carries
-the tolerance it was computed to.  Identical argv produce byte-identical
+the tolerance it was computed to, except a scanned L^inf norm, which is
+marked "lower_bound" instead.  Identical argv produce byte-identical
 output apart from the elapsed_s field.  Infinity is spelled "inf" both
 in flags and in JSON.  Tolerance precedence: --tol flag, then the
 OPLAB_TOL environment variable, then per-command defaults.
@@ -304,9 +305,10 @@ def _cmd_estimate(args):
     src = WeightedSpaceSpec(args.p, args.a)
     nf = hilbert.weighted_lp_norm(f, src, tol)
     verdict = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
+    scanned = math.isinf(args.p) and math.isfinite(nf)  # a log-grid scan: a lower bound
     results = {
         "applied": [{"x": x, "Hf": num(float(v), tol)} for x, v in zip(args.points, values)],
-        "source_norm": num(nf, tol),
+        "source_norm": {"value": nf, "lower_bound": True} if scanned else num(nf, tol),
         **_verdict(verdict),
     }
     if verdict.bounded and not math.isinf(args.q):

@@ -91,6 +91,7 @@ _T_MAX = 6.0          # tanh-sinh parameter range; weights underflow beyond
 _LOG_TAIL_SPAN = 30.0  # tails integrated numerically out to T*e^30
 _PI_HALF = math.pi / 2.0
 _MIN_LEVEL = 3         # refinement levels always run before convergence counts
+_MAX_LEVEL = 10        # refinement budget of every drive
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def _sanitize(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
-def _drive(panels, integrand, tol, max_level, completion=0.0):
+def _drive(panels, integrand, tol, completion=0.0):
     """Run all panels in lockstep, refining until the total settles."""
     if not (0.0 < tol < 0.5):
         raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
@@ -250,7 +251,7 @@ def _drive(panels, integrand, tol, max_level, completion=0.0):
     mass = None
     prev = None
     change = math.inf
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         x, w = _plan_nodes(plan, level)
         with np.errstate(all="ignore"):
             vals = np.asarray(integrand(x))
@@ -279,7 +280,7 @@ def _drive(panels, integrand, tol, max_level, completion=0.0):
                 return total
         prev = total
     raise AccuracyError(
-        f"quadrature did not reach tol={tol} within {max_level} refinement levels "
+        f"quadrature did not reach tol={tol} within {_MAX_LEVEL} refinement levels "
         f"(last change {change:.3e})",
         estimate=total,
         last_change=change,
@@ -308,7 +309,7 @@ def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None) -> list[f
     return sorted(knots)
 
 
-def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: float | None):
+def _semiaxis(f, hints: SingularityHints, tol: float, cutoff: float | None):
     """Integral of f over (0, cutoff], or over (0, inf) when cutoff is None."""
     if not hints.left_exponent > -1.0:
         raise DivergenceError(
@@ -330,7 +331,7 @@ def _semiaxis(f, hints: SingularityHints, tol: float, max_level: int, cutoff: fl
         if math.isfinite(hints.decay_exponent):
             far = knots[-1] * math.exp(_LOG_TAIL_SPAN)
             completion = _completion(f, [far], hints.decay_exponent - 1.0) + completion
-    return _drive(panels, f, tol, max_level, completion)
+    return _drive(panels, f, tol, completion)
 
 
 def _interval_panels(a: float, b: float, breakpoints: Sequence[float]) -> list[_Panel]:
@@ -350,7 +351,7 @@ def _support_panels(support: tuple[float, float], floor: float,
 # No 1D entry point calls another: each one runs exactly one drive.
 
 def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *,
-                       support: tuple[float, float] = (0.0, math.inf), max_level: int = 10):
+                       support: tuple[float, float] = (0.0, math.inf)):
     """Integral of f over (0, inf) to relative tolerance ``tol``.
 
     ``f`` is called on numpy arrays of nodes and may return a batch with
@@ -363,11 +364,11 @@ def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, 
     """
     panels = _support_panels(support, 0.0, hints.breakpoints)
     if panels is not None:
-        return _drive(panels, f, tol, max_level)
-    return _semiaxis(f, hints, tol, max_level, None)
+        return _drive(panels, f, tol)
+    return _semiaxis(f, hints, tol, None)
 
 
-def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = DEFAULT_TOL_1D, *, max_level: int = 10):
+def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = DEFAULT_TOL_1D):
     """Integral of f over (0, cutoff]; only the origin needs to converge.
 
     This is the entry point for divergence-exponent experiments where the
@@ -375,23 +376,23 @@ def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = 
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise ParameterError(f"cutoff must be positive finite, got {cutoff}")
-    return _semiaxis(f, hints, tol, max_level, cutoff)
+    return _semiaxis(f, hints, tol, cutoff)
 
 
 def _real_line_knots(breakpoints: Sequence[float]) -> list[float]:
     return sorted({float(b) for b in breakpoints}) or [0.0]
 
 
-def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (), max_level: int = 10):
+def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = ()):
     """Integral of f over the finite interval [a, b] (endpoint singularities ok)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a}, {b}]")
-    return _drive(_interval_panels(a, b, breakpoints), f, tol, max_level)
+    return _drive(_interval_panels(a, b, breakpoints), f, tol)
 
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (),
                         decay_exponent: float = math.inf,
-                        support: tuple[float, float] = (-math.inf, math.inf), max_level: int = 10):
+                        support: tuple[float, float] = (-math.inf, math.inf)):
     """Integral of f over the whole real line.
 
     ``decay_exponent`` is the power behaviour |u|^(-tau) for |u| -> inf
@@ -402,7 +403,7 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     """
     panels = _support_panels(support, -math.inf, breakpoints)
     if panels is not None:
-        return _drive(panels, f, tol, max_level)
+        return _drive(panels, f, tol)
     if not decay_exponent > 1.0:
         raise DivergenceError(
             f"real-line integral diverges: decay exponent {decay_exponent} <= 1",
@@ -416,7 +417,7 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     if math.isfinite(decay_exponent):
         far = [knots[-1] + math.expm1(_LOG_TAIL_SPAN), knots[0] - math.expm1(_LOG_TAIL_SPAN)]
         completion = _completion(f, far, decay_exponent - 1.0)
-    return _drive(panels, f, tol, max_level, completion)
+    return _drive(panels, f, tol, completion)
 
 
 def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
@@ -439,8 +440,8 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     u_support, v_support.  The inner integral runs over u in R (batched
     across the v nodes requested by the outer quadrature); the outer
     integral runs over v in (0, inf).  Both integrate only over a finite
-    support, and both are the 1D integrators with their default
-    refinement budget, so a divergent hint raises their DivergenceError.
+    support, and both are the 1D integrators with the one refinement
+    budget of every drive, so a divergent hint raises their DivergenceError.
     Complex values are allowed.
     """
     inner_tol = max(tol / 20.0, 1e-13)

@@ -39,6 +39,13 @@ its interval; InfeasibleCertificateError is left for tuples that pass the
 verdict only through rounding at a window edge.  The classical
 certificate lands at d = 1/4, where the Beta product simplifies to
 bound = 2*sqrt(pi).
+
+Every quadrature here is H applied to the constant 1 through
+hilbert.apply_H_many: (T1) is H1 with the exponent triple
+(alpha t p', ((beta-a)t - s)p' + a, gamma t p'), (T2) is H1 with
+((beta-a)(1-t)q, -r q + alpha(1-t)q + b, gamma(1-t)q), and the diagonal
+L^inf and L^1_a norms are sup H1 and sup H*1, H* having the triple
+(beta-a, alpha+a, gamma).
 """
 
 from __future__ import annotations
@@ -48,14 +55,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import quad
+from . import hilbert, quad
 from .errors import (
     CertificateVerificationError,
     InfeasibleCertificateError,
     ParameterError,
 )
-from .hilbert import OperatorParams, conjugate_exponent, hilbert_verdict
-from .quad import SingularityHints
+from .funcdsl import func1d
+from .hilbert import OperatorParams, WeightedSpaceSpec, conjugate_exponent, hilbert_verdict
 from .specfun import beta as beta_fn
 from .specfun import log_beta
 
@@ -67,6 +74,9 @@ __all__ = [
 _SAMPLE_RANGE = (1e-4, 1e4)  # verification samples, log-uniform
 _INPUT = ("p", "q", "a", "b", "alpha", "beta", "gamma")
 _WITNESS = ("omega", "t", "r", "s", "d", "m1", "m2", "bound")
+# func1d gives the constant 1 decay exponent 0, so apply_H_many keeps the
+# tail completion (a bare Func1D would declare decay inf and drop it)
+_ONE = func1d("1")
 
 
 @dataclass(frozen=True)
@@ -247,13 +257,15 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
                        tol: float = 1e-8) -> VerificationReport:
     """Re-derive both certificate inequalities by quadrature.
 
-    At n_samples log-uniform points in [1e-4, 1e4] the left-hand sides
-    of (T1)/(T2) are integrated numerically and compared against their
-    Beta closed forms times the predicted power of the sample point; the
-    report carries the largest relative residual.  Degenerate exponents
-    (t in {0,1} with p > 1) are flagged instead of integrated; a residual
-    above tol raises CertificateVerificationError naming the inequality
-    and the sample; divergent integrals raise DivergenceError.
+    At n_samples log-uniform points in [1e-4, 1e4], (T1) and (T2) are
+    each one batched H1 (the triples of the module docstring), compared
+    against their Beta closed forms times the predicted power of the
+    sample point; in the limit case p = 1 the supremum test is scanned
+    per sample instead.  The report carries the largest relative
+    residual.  Degenerate exponents (t in {0,1} with p > 1) are flagged
+    instead of integrated; a residual above tol raises
+    CertificateVerificationError naming the inequality and the smallest
+    failing sample; divergent integrals raise DivergenceError.
     """
     if (p, q, a, b) != (cert.p, cert.q, cert.a, cert.b) or params != cert.params:
         raise ParameterError("certificate document does not match the supplied tuple")
@@ -269,65 +281,49 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
             first_test="integral", degenerate=f"t = {t} collapses a kernel power",
         )
     samples = np.geomspace(lo, hi, n_samples)
-    worst = 0.0
 
-    # (T1): integral test for p > 1, supremum test in the limit case
     if cert.limit_case:
         A = (be - a) * t - s
         C = ga * t
         if not (0.0 < A < C):
             raise ParameterError("limit-case certificate has no interior supremum")
-        closed = _sup_constant(A, C)
-        for x in samples:
-            def sup_integrand(ys, x=x):
-                return np.array([yy ** (-s) * ((yy ** (be - a) * x ** al) / (x + yy) ** ga) ** t
-                                 * x ** r for yy in ys])
+
+        def sup(x):
             center = x * A / (C - A)
-            got = quad.log_grid_sup(sup_integrand, center / 10.0, center * 10.0, 200, 60)
-            worst = _residual("supremum test", x, got, closed, tol, worst)
-        first = "supremum"
+            return quad.log_grid_sup(
+                lambda ys: ys ** (-s) * ((ys ** (be - a) * x ** al) / (x + ys) ** ga) ** t * x ** r,
+                center / 10.0, center * 10.0, 200, 60)
+        worst = _residuals("supremum test", samples, np.array([sup(x) for x in samples]),
+                           _sup_constant(A, C), tol)
     else:
         pp = conjugate_exponent(p)
-        y_pow = ((be - a) * t - s) * pp + a
-        kernel_pow = ga * t * pp
-        closed = cert.m1_closed_form
-        x_pow = -r * pp
-        for x in samples:
-            hints = SingularityHints((x,), y_pow, kernel_pow - y_pow)
+        t1 = OperatorParams(al * t * pp, ((be - a) * t - s) * pp + a, ga * t * pp)
+        worst = _residuals("first test integral", samples, hilbert.apply_H_many(t1, _ONE, samples),
+                           cert.m1_closed_form * samples ** (-r * pp), tol)
 
-            def t1_integrand(y, x=x):
-                return x ** (al * t * pp) * y ** y_pow * (x + y) ** (-kernel_pow)
-            got = float(quad.integrate_semiaxis(t1_integrand, hints, quad.DEFAULT_TOL_1D))
-            worst = _residual("first test integral", x, got, closed * x ** x_pow, tol, worst)
-        first = "integral"
-
-    # (T2): always an integral test
-    x_pow2 = -r * q + al * (1.0 - t) * q + b
-    kernel_pow2 = ga * (1.0 - t) * q
-    closed2 = cert.m2_closed_form
-    for y in samples:
-        hints2 = SingularityHints((y,), x_pow2, kernel_pow2 - x_pow2)
-
-        def t2_integrand(x, y=y):
-            return y ** ((be - a) * (1.0 - t) * q) * x ** x_pow2 * (x + y) ** (-kernel_pow2)
-        got = float(quad.integrate_semiaxis(t2_integrand, hints2, quad.DEFAULT_TOL_1D))
-        worst = _residual("second test integral", y, got, closed2 * y ** (-s * q), tol, worst)
+    t2 = OperatorParams((be - a) * (1.0 - t) * q, -r * q + al * (1.0 - t) * q + b, ga * (1.0 - t) * q)
+    worst2 = _residuals("second test integral", samples, hilbert.apply_H_many(t2, _ONE, samples),
+                        cert.m2_closed_form * samples ** (-s * q), tol)
 
     return VerificationReport(
-        passed=True, max_residual=worst, n_samples=n_samples,
+        passed=True, max_residual=max(worst, worst2), n_samples=n_samples,
         sample_lo=lo, sample_hi=hi,
-        first_test=first, degenerate=None,
+        first_test="supremum" if cert.limit_case else "integral", degenerate=None,
     )
 
 
-def _residual(name: str, sample: float, got: float, expect: float, tol: float, worst: float) -> float:
-    res = abs(got / expect - 1.0)
-    if res > tol:
+def _residuals(name: str, samples: np.ndarray, got: np.ndarray, expect, tol: float) -> float:
+    """Largest relative residual |got/expect - 1| over the samples; one
+    above tol raises for the smallest failing sample."""
+    res = np.abs(got / expect - 1.0)
+    bad = np.flatnonzero(res > tol)
+    if bad.size:
+        i = bad[0]
         raise CertificateVerificationError(
-            f"{name} residual {res:.3e} exceeds tol {tol} at sample {sample:.6g}",
-            inequality=name, sample=float(sample), residual=res,
+            f"{name} residual {res[i]:.3e} exceeds tol {tol} at sample {samples[i]:.6g}",
+            inequality=name, sample=float(samples[i]), residual=float(res[i]),
         )
-    return max(worst, res)
+    return float(res.max())
 
 
 # --------------------------------------------------------------------------
@@ -341,22 +337,28 @@ class SupTestReport:
     grid: tuple[float, ...]
     values: tuple[float, ...]
     supremum: float
-    exact_norm: float | None   # Beta closed form when the preconditions hold
+    exact_norm: float | None   # the sharp norm when its preconditions hold
     max_rel_deviation: float   # spread of the profile: max/min - 1
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _sup_test(line, hints: SingularityHints, grid, exact: float | None,
-              tol: float) -> SupTestReport:
-    """Profile of t -> int_0^inf line(t, s) ds over the grid (default five
-    log-spaced points in [0.1, 10])."""
+def _sup_test(params: OperatorParams, grid, tol: float, space: tuple,
+              diagonal: OperatorParams) -> SupTestReport:
+    """Profile of H1 over the grid (default five log-spaced points in
+    [0.1, 10]) as one batched hilbert.apply_H_many; the exact norm is
+    hilbert.sharp_norm of the diagonal triple on L^p_a, space = (p, a),
+    or None where that raises ParameterError."""
     grid = np.asarray(np.geomspace(0.1, 10.0, 5) if grid is None else grid, dtype=float)
-    values = [float(quad.integrate_semiaxis(lambda s, t=t: line(t, s), hints, tol)) for t in grid]
+    values = tuple(float(v) for v in hilbert.apply_H_many(params, _ONE, grid, tol))
+    try:
+        exact = hilbert.sharp_norm(WeightedSpaceSpec(*space), diagonal)
+    except ParameterError:
+        exact = None
     vmax, vmin = max(values), min(values)
     return SupTestReport(
-        grid=tuple(grid), values=tuple(values), supremum=vmax,
+        grid=tuple(grid), values=values, supremum=vmax,
         exact_norm=exact, max_rel_deviation=vmax / vmin - 1.0,
     )
 
@@ -364,29 +366,21 @@ def _sup_test(line, hints: SingularityHints, grid, exact: float | None,
 def sup_test_L1(params: OperatorParams, a: float, y_grid=None,
                 tol: float = quad.DEFAULT_TOL_1D) -> SupTestReport:
     """Column-integral test: c(y) = int_0^inf K(x,y) x^a dx with the
-    L^1_a kernel K = x^alpha y^(beta-a) (x+y)^-gamma.
+    L^1_a kernel K = x^alpha y^(beta-a) (x+y)^-gamma, i.e. H*1, the
+    constant 1 under H with the adjoint triple (beta-a, alpha+a, gamma).
 
     Under -alpha < a+1 < beta+1 and gamma = alpha+beta+1 every c(y)
     equals B(beta-a, alpha+a+1) and the supremum is the exact L^1_a
     operator norm.  Divergence of the column integral is the expected
     signal outside that window and propagates as DivergenceError.
     """
-    al, be, ga = params.alpha, params.beta, params.gamma
-    exact = None
-    if (-al < a + 1.0 < be + 1.0) and abs(ga - (al + be + 1.0)) <= 1e-12:
-        exact = beta_fn(be - a, al + a + 1.0)
-    return _sup_test(lambda y, x: x ** (al + a) * y ** (be - a) * (x + y) ** (-ga),
-                     SingularityHints((), al + a, ga - al - a), y_grid, exact, tol)
+    adjoint = OperatorParams(params.beta - a, params.alpha + a, params.gamma)
+    return _sup_test(adjoint, y_grid, tol, (1.0, a), params)
 
 
 def sup_test_Linf(params: OperatorParams, x_grid=None,
                   tol: float = quad.DEFAULT_TOL_1D) -> SupTestReport:
-    """Row-integral test: r(x) = int_0^inf x^alpha y^beta (x+y)^-gamma dy;
-    constant B(beta+1, alpha) (the exact Linf norm) under alpha > 0,
-    beta > -1, gamma = alpha+beta+1."""
-    al, be, ga = params.alpha, params.beta, params.gamma
-    exact = None
-    if al > 0.0 and be > -1.0 and abs(ga - (al + be + 1.0)) <= 1e-12:
-        exact = beta_fn(be + 1.0, al)
-    return _sup_test(lambda x, y: x ** al * y ** be * (x + y) ** (-ga),
-                     SingularityHints((), be, ga - be), x_grid, exact, tol)
+    """Row-integral test: r(x) = int_0^inf x^alpha y^beta (x+y)^-gamma dy,
+    i.e. H1; constant B(beta+1, alpha) (the exact Linf norm) under
+    alpha > 0, beta > -1, gamma = alpha+beta+1."""
+    return _sup_test(params, x_grid, tol, (math.inf, None), params)

@@ -208,6 +208,18 @@ def test_estimate_constant_function_attains_linf_sharp_norm(capsys):
         assert row["Hf"]["value"] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_estimate_labels_a_scanned_linf_norm_a_lower_bound(capsys):
+    # a finite p = inf norm is a log-grid scan: a lower bound, with no tol
+    doc = run_json(capsys, "estimate", "--expr", "x*exp(0-x)", "--p", "inf", "--q", "inf",
+                   "--alpha", "0.5", "--beta", "0", "--gamma", "1.5")
+    assert doc["results"]["source_norm"] == {"value": pytest.approx(math.exp(-1.0), rel=1e-12),
+                                             "lower_bound": True}
+    # the hint rule's inf is not a scan and keeps its tol
+    doc = run_json(capsys, "estimate", "--expr", "x^(0-0.5)*ind(0,1)", "--p", "inf", "--q", "inf",
+                   "--alpha", "0.5", "--beta", "0", "--gamma", "1.5")
+    assert doc["results"]["source_norm"] == {"value": "inf", "tol": quad.DEFAULT_TOL_1D}
+
+
 @pytest.mark.parametrize("expr", ["0*ind(1,2)", "x^(1/0)", "(0-1)^0.5*ind(1,2)"])
 def test_estimate_zero_or_bad_constant_expr(capsys, expr):
     assert_parameter_error(

@@ -257,7 +257,7 @@ def test_accuracy_error_budget():
     # an integrand with a hidden interior feature the hints do not declare
     f = lambda y: 1.0 / ((y - math.pi) ** 2 + 1e-24)
     with pytest.raises(AccuracyError):
-        integrate_semiaxis(f, SingularityHints((), 0.0, 2.0), 1e-13, max_level=4)
+        integrate_semiaxis(f, SingularityHints((), 0.0, 2.0), 1e-13)
 
 
 def test_hint_validation():

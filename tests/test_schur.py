@@ -7,15 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from oplab import quad
 from oplab.errors import (
     CertificateVerificationError,
     DivergenceError,
+    DomainError,
     ParameterError,
 )
 from oplab.funcdsl import func1d
 from oplab.hilbert import (
     OperatorParams,
     WeightedSpaceSpec,
+    apply_H_adjoint,
+    apply_H_many,
     hilbert_verdict,
     image_norm,
     sharp_norm,
@@ -102,6 +106,32 @@ def test_verify_residual_exceeded_raises():
     with pytest.raises(CertificateVerificationError) as exc:
         verify_certificate(bad, *CLASSICAL[:4], CLASSICAL[4], n_samples=3)
     assert exc.value.residual > 1e-8
+    # every sample fails; the smallest one is named
+    assert exc.value.inequality == "first test integral"
+    assert exc.value.sample == 1e-4
+
+
+def test_verify_second_residual_exceeded_raises():
+    cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
+    bad = dataclasses.replace(cert, m2_closed_form=cert.m2_closed_form * 1.001)
+    with pytest.raises(CertificateVerificationError) as exc:
+        verify_certificate(bad, *CLASSICAL[:4], CLASSICAL[4], n_samples=3)
+    assert exc.value.inequality == "second test integral"
+    assert exc.value.sample == 1e-4
+    assert exc.value.residual == pytest.approx(1.0 - 1.0 / 1.001, rel=1e-6)
+
+
+def test_verify_batches_each_test_integral(monkeypatch):
+    # (T1) and (T2) are each one apply_H_many over the samples: two drives
+    # of at most 64 probes apiece, not one drive per sample
+    drives = []
+    drive = quad.integrate_semiaxis
+    monkeypatch.setattr(quad, "integrate_semiaxis",
+                        lambda *args, **kwargs: drives.append(1) or drive(*args, **kwargs))
+    cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
+    rep = verify_certificate(cert, *CLASSICAL[:4], CLASSICAL[4], n_samples=100)
+    assert rep.passed and rep.max_residual <= 1e-8
+    assert len(drives) == 4
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])
@@ -216,6 +246,21 @@ def test_sup_Linf_examples():
 def test_sup_Linf_divergence():
     with pytest.raises(DivergenceError):
         sup_test_Linf(P(0, 0, 1))  # alpha > 0 fails
+
+
+def test_sup_tests_reject_a_zero_probe():
+    with pytest.raises(DomainError, match="probe points must be positive"):
+        sup_test_Linf(P(0.5, 0, 1.5), x_grid=(0.0, 1.0))
+    with pytest.raises(DomainError, match="probe points must be positive"):
+        sup_test_L1(P(0.5, 0.5, 2), 0.0, (-1.0, 1.0))
+
+
+def test_sup_tests_are_H1_and_its_adjoint():
+    params, a, grid = P(0.3, 0.2, 1.7), 0.1, (0.5, 2.0)
+    one = func1d("1")
+    assert sup_test_Linf(params, grid).values == tuple(apply_H_many(params, one, grid))
+    assert sup_test_L1(params, a, grid).values == tuple(
+        apply_H_adjoint(params, a, a, one, y) for y in grid)
 
 
 def test_sup_profile_without_exact_mode():
