@@ -575,6 +575,60 @@ def _support(e: Expr, var: str) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
+# piece sums: sum of c * x^s * ind(lo, hi)
+# --------------------------------------------------------------------------
+
+def _factors(e: Expr, sign: float = 1.0):
+    """(sign, factors) of a product, with its negations pulled out."""
+    if isinstance(e, Neg):
+        return _factors(e.arg, -sign)
+    if isinstance(e, BinOp) and e.op == "*":
+        sign, left = _factors(e.left, sign)
+        sign, right = _factors(e.right, sign)
+        return sign, left + right
+    return sign, [e]
+
+
+def _piece(e: Expr) -> tuple[float, float, float, float] | None:
+    """(c, s, lo, hi) of a product of constants, x, x^s and at least one
+    ind(lo, hi) of x, with the indicators intersected; else None."""
+    c, factors = _factors(e)
+    s, lo, hi, has_ind = 0.0, 0.0, math.inf, False
+    for factor in factors:
+        const = _fold_const(factor)
+        if const is not None:
+            c *= const
+        elif isinstance(factor, Var) and factor.name == "x":
+            s += 1.0
+        elif isinstance(factor, Pow) and factor.base == Var("x"):
+            s += factor.exponent
+        elif isinstance(factor, Ind) and factor.var == "x":
+            lo, hi, has_ind = max(lo, factor.lo), min(hi, factor.hi), True
+        else:
+            return None
+    if not (has_ind and math.isfinite(c) and lo < hi):
+        return None
+    return (c, s, lo, hi)
+
+
+def _pieces(e: Expr) -> tuple | None:
+    """The terms (c, s, lo, hi) of e when e is a +/- sum of pieces
+    c * x^s * ind(lo, hi) on (0, inf), else None."""
+    if isinstance(e, BinOp) and e.op in "+-":
+        left, right = _pieces(e.left), _pieces(e.right)
+        if left is None or right is None:
+            return None
+        if e.op == "-":
+            right = tuple((-c, s, lo, hi) for c, s, lo, hi in right)
+        return left + right
+    if isinstance(e, Neg):
+        inner = _pieces(e.arg)
+        return None if inner is None else tuple((-c, s, lo, hi) for c, s, lo, hi in inner)
+    term = _piece(e)
+    return None if term is None else (term,)
+
+
+# --------------------------------------------------------------------------
 # Func1D / Func2D: evaluable functions with quadrature hints attached
 # --------------------------------------------------------------------------
 
@@ -583,7 +637,10 @@ class Func1D:
     """A function on (0, inf) plus the hints quadrature needs.
 
     fn must accept numpy arrays.  left_exponent / decay_exponent describe
-    f ~ C*y^sigma at 0+ and f ~ C*y^(-tau) at infinity.
+    f ~ C*y^sigma at 0+ and f ~ C*y^(-tau) at infinity.  pieces, when
+    set, is f as a sum of terms c * y^s * ind(lo, hi), given as
+    (c, s, lo, hi) with 0 <= lo < hi <= inf: hilbert applies H to such a
+    sum in closed form.
     """
 
     fn: Callable
@@ -591,19 +648,23 @@ class Func1D:
     left_exponent: float = 0.0
     decay_exponent: float = math.inf
     label: str = ""
+    pieces: tuple | None = None
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
 
     def dilate(self, R: float) -> "Func1D":
-        """The dilation f_R(y) = f(R*y); same endpoint exponents."""
+        """The dilation f_R(y) = f(R*y); same endpoint exponents, and each
+        piece c*y^s*ind(lo,hi) becomes c*R^s*y^s*ind(lo/R,hi/R)."""
         R = float(R)
         if not R > 0:
             raise DomainError(f"dilation factor must be positive, got {R}")
         inner = self.fn
+        pieces = self.pieces and tuple((c * R ** s, s, lo / R, hi / R)
+                                       for c, s, lo, hi in self.pieces)
         return replace(self, fn=lambda y: inner(R * y),
                        breakpoints=tuple(b / R for b in self.breakpoints),
-                       label=f"{self.label or 'f'}(x*{_fmt_num(R)})")
+                       label=f"{self.label or 'f'}(x*{_fmt_num(R)})", pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -674,7 +735,7 @@ def func1d(src: str | Expr) -> Func1D:
             return _vanish_outside(_full(_eval(e, {"x": arr}, strict=False), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
-                  decay_exponent=decay, label=pretty(e))
+                  decay_exponent=decay, label=pretty(e), pieces=_pieces(e))
 
 
 def func2d(src: str | Expr) -> Func2D:

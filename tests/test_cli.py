@@ -351,3 +351,11 @@ def test_tolerance_precedence(capsys, monkeypatch):
     doc = run_json(capsys, "estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2",
                    "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0", "--gamma", "1")
     assert doc["tolerances"]["tol"] == 1e-10
+
+
+def test_dilate_zero_source_is_a_parameter_error(capsys):
+    code, out, err = run_cli(capsys, "dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                             "--alpha", "0", "--beta", "0", "--gamma", "1", "--expr", "0*ind(1,2)")
+    assert code == EXIT_PARAMS
+    assert json.loads(err) == {"error": "parameters",
+                               "detail": "the growth fit needs a source function of nonzero norm"}

@@ -327,3 +327,32 @@ def test_dilation():
     h = func2d("ind(-0.25,0.25)*ind(y,1,2)").dilate(4.0)
     assert h.u_breakpoints == (-0.0625, 0.0625)
     assert h.v_breakpoints == (0.25, 0.5)
+
+
+@pytest.mark.parametrize("src, pieces", [
+    ("2*x^0.5*ind(1,2)-ind(3,inf)", ((2.0, 0.5, 1.0, 2.0), (-1.0, 0.0, 3.0, math.inf))),
+    ("x^(0-0.9)*ind(0,1)", ((1.0, -0.9, 0.0, 1.0),)),
+    ("-(ind(1,2)+3*x*x*ind(0,1))", ((-1.0, 0.0, 1.0, 2.0), (-3.0, 2.0, 0.0, 1.0))),
+    ("ind(-1,4)*x^2*ind(2,inf)*(0-2)", ((-2.0, 2.0, 2.0, 4.0),)),
+    ("0*ind(1,2)", ((0.0, 0.0, 1.0, 2.0),)),
+    ("ind(1,2)/2", None),
+    ("exp(x)*ind(0,1)", None),
+    ("abs(x)*ind(0,1)", None),
+    ("log(x)*ind(1,2)", None),
+    ("(x-1)^0.5*ind(1,2)", None),
+    ("(x^2)^0.5*ind(1,2)", None),
+    ("1", None),
+    ("x^2", None),
+    ("ind(1,2)+1", None),
+    ("ind(1,2)*ind(3,4)", None),
+    ("ind(y,1,2)", None),
+    ("(ind(1,2)+ind(3,4))*2", None),
+])
+def test_piece_sums_are_recognised(src, pieces):
+    assert func1d(src).pieces == pieces
+
+
+def test_dilation_carries_the_pieces():
+    f = func1d("3*x^2*ind(1,2)-ind(4,inf)").dilate(2.0)
+    assert f.pieces == ((12.0, 2.0, 0.5, 1.0), (-1.0, 0.0, 2.0, math.inf))
+    assert func1d("exp(x)*ind(0,1)").dilate(2.0).pieces is None

@@ -1,10 +1,12 @@
 """Half-line operator family: application, norms, verdicts, sharpness."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oplab import hilbert, quad
 from oplab.errors import DivergenceError, DomainError, ParameterError
 from oplab.funcdsl import func1d
 from oplab.hilbert import (
@@ -85,6 +87,144 @@ def test_duality_pairing():
 
     rhs = float(quad.integrate_semiaxis(outer, SingularityHints((1.0, 2.0)), 1e-10))
     assert abs(lhs - rhs) <= 1e-8
+
+
+# -- closed form for piece sums ---------------------------------------------
+
+def test_beta_segment_matches_mpmath_betainc():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    got, want = [], []
+    for _ in range(300):
+        a, b, z2 = rng.uniform(-2.5, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(1e-6, 0.5)
+        r = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)])
+        if r == 0.0:
+            a = abs(a) + 0.1   # z1 = 0 needs a > 0
+        z1, dz = z2 * r, z2 * (1.0 - r)
+        got.append(hilbert._beta_segment(z1, min(z1 + dz, 0.5), dz, a, b))
+        with mpmath.workdps(40):
+            want.append(float(mpmath.betainc(a, b, z1, mpmath.mpf(z1) + mpmath.mpf(dz))))
+    got, want = np.array(got), np.array(want)
+    finite = np.isfinite(got)
+    assert finite.mean() > 0.95   # the rest cancels too much and hands over
+    assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-14
+
+
+def _H_reference(mpmath, pieces, params, x):
+    """H f(x) from 2F1 antiderivatives at 40 digits."""
+    with mpmath.workdps(40):
+        x, ga = mpmath.mpf(x), mpmath.mpf(params.gamma)
+        total = 0
+        for c, s, lo, hi in pieces:
+            m = mpmath.mpf(s) + params.beta
+            if math.isinf(hi):   # int_lo^inf y^m (x+y)^-g dy, through u = 1/y
+                k = ga - m - 1
+                part = mpmath.mpf(lo) ** (-k) / k * mpmath.hyp2f1(ga, k, k + 1, -x / lo)
+            else:
+                def F(Y):
+                    return Y ** (m + 1) / (m + 1) * x ** -ga * mpmath.hyp2f1(ga, m + 1, m + 2, -Y / x)
+                part = F(mpmath.mpf(hi)) - (F(mpmath.mpf(lo)) if lo > 0 else 0)
+            total += c * part
+        return float(x ** params.alpha * total)
+
+
+@pytest.mark.parametrize("src, params", [
+    ("x^20*ind(1,2)", P(0.1, 3, 1.1)),              # needs well over 60 terms near x = 1
+    ("ind(100,100.001)", P(0, 0, 2)),               # narrow: no cancellation in the differences
+    ("x^(0-0.9)*ind(0,1)", P(0.5, 0, 1)),           # lo = 0
+    ("x^0.3*ind(2,inf)", P(0.2, 0.1, 2.5)),         # hi = inf
+    ("x^(0-2.5)*ind(1,3)", P(0.2, 0.1, 0.7)),       # a = m+1 <= 0
+    ("x^3*ind(0.5,4)", P(0.1, 0.2, 0.5)),           # b = gamma-m-1 <= 0
+    ("2*x^0.5*ind(1,2)-ind(3,inf)", P(0.3, 0.2, 1.9)),
+])
+def test_closed_form_H_matches_hyp2f1(src, params):
+    mpmath = pytest.importorskip("mpmath")
+    f = func1d(src)
+    xs = np.geomspace(1e-8, 1e8, 33)
+    want = np.array([_H_reference(mpmath, f.pieces, params, x) for x in xs])
+    series = hilbert._apply_pieces(params, f.pieces, xs)
+    closed = np.isfinite(series)
+    assert closed.mean() > 0.9
+    assert np.max(np.abs(series[closed] - want[closed]) / np.abs(want[closed])) <= 1e-13
+    # probes where the series gives up run the quadrature
+    got = apply_H_many(params, f, xs)
+    assert np.array_equal(got[closed], series[closed])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+
+@pytest.mark.parametrize("src, params", [
+    ("ind(1,2)", P(0.3, 0.2, 1.5)), ("x^(0-0.9)*ind(0,1)", P(0.5, 0, 1)),
+    ("2*x^0.5*ind(1,2)-ind(3,inf)", P(0.3, 0.2, 1.9)), ("x^(0-0.3)*ind(0.5,inf)", P(0, 0.4, 1.7)),
+])
+def test_closed_form_agrees_with_the_quadrature(src, params):
+    f = func1d(src)
+    xs = np.geomspace(1e-3, 1e3, 25)
+    closed = apply_H_many(params, f, xs)
+    quadrature = apply_H_many(params, dataclasses.replace(f, pieces=None), xs)
+    assert not np.array_equal(closed, quadrature)
+    assert np.max(np.abs(closed - quadrature) / np.abs(quadrature)) <= 1e-9
+
+
+def test_integer_beta_parameters_hand_over_to_the_quadrature():
+    # ind(1,2) under (0,0,1) has b = gamma-m-1 = 0: the quadrature runs
+    f = func1d("ind(1,2)")
+    assert np.isnan(hilbert._apply_pieces(P(0, 0, 1), f.pieces, np.array([0.5, 1.0, 3.0]))).all()
+    assert apply_H(P(0, 0, 1), f, 1.0) == pytest.approx(math.log(1.5), rel=1e-10)
+
+
+@pytest.mark.parametrize("src, params, x", [
+    ("x^3.608*ind(0.0019,0.0828)", P(0.28, 2.77, 0.68), 1e42),   # z2^a is subnormal
+    ("x^3.362*ind(0,0.153)", P(1.9, 1.29, 0.56), 1e-45),         # x^(alpha+m+1-gamma) is
+])
+def test_underflow_hands_over_to_the_quadrature(src, params, x):
+    mpmath = pytest.importorskip("mpmath")
+    f = func1d(src)
+    (c, s, lo, hi), = f.pieces
+    m = s + params.beta
+    a, b = m + 1.0, params.gamma - m - 1.0
+    with mpmath.workdps(50):
+        X, half = mpmath.mpf(x), mpmath.mpf(1) / 2
+        if hi < x:   # the piece lies below y = x
+            seg = mpmath.betainc(a, b, lo / (X + lo), hi / (X + hi))
+        else:        # lo = 0 < x < hi
+            seg = mpmath.betainc(a, b, 0, half) + mpmath.betainc(b, a, X / (X + hi), half)
+        want = float(c * X ** (params.alpha + m + 1 - params.gamma) * seg)
+    assert np.isnan(hilbert._apply_pieces(params, f.pieces, np.array([x]))).all()
+    assert apply_H(params, f, x) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("src, endpoint", [("x^(0-1.5)*ind(0,1)", "origin"),
+                                           ("x^2*ind(1,inf)", "infinity")])
+def test_divergent_pieces_still_raise(src, endpoint):
+    with pytest.raises(DivergenceError) as exc:
+        apply_H(P(0, 0, 1), func1d(src), 1.0)
+    assert exc.value.endpoint == endpoint
+
+
+def _count_drives(monkeypatch):
+    drives = []
+    for name in ("integrate_semiaxis", "integrate_truncated"):
+        original = getattr(quad, name)
+        monkeypatch.setattr(quad, name, lambda *args, _f=original, **kwargs:
+                            drives.append(1) or _f(*args, **kwargs))
+    return drives
+
+
+def test_piece_sources_run_no_drive(monkeypatch):
+    drives = _count_drives(monkeypatch)
+    apply_H_many(P(0.3, 0.2, 1.9), func1d("2*x^0.5*ind(1,2)-ind(3,inf)"), np.geomspace(1e-3, 1e3, 200))
+    assert drives == []
+    apply_H_many(P(0.3, 0.2, 1.9), func1d("exp(0-x)"), np.geomspace(1e-3, 1e3, 200))
+    assert len(drives) == 4   # 200 probes in batches of 64
+
+
+@pytest.mark.parametrize("xi", [0.05, 1.0, 3.5])
+def test_extremal_quotient_runs_one_drive(monkeypatch, xi):
+    # window (0, 2): the correction integral inside it, the direct pairing
+    # beyond it (at xi = 2 the inner piece has a = 0 and runs the quadrature)
+    drives = _count_drives(monkeypatch)
+    extremal_quotient(WeightedSpaceSpec(2.0, 0.0), P(0.5, 0.5, 2.0), xi)
+    assert len(drives) == 1
 
 
 # -- norms -------------------------------------------------------------------
@@ -339,6 +479,14 @@ def test_growth_exponent_balanced():
 def test_growth_exponent_unbalanced():
     assert growth_exponent(2, 2, 0, 0, P(0, 0, 2)) == pytest.approx(-1.0, abs=0.02)
     assert growth_exponent(2, 2, 0, 0, P(0, 0, 0.5)) == pytest.approx(0.5, abs=0.01)
+
+
+def test_growth_exponent_needs_nonzero_norms():
+    with pytest.raises(ParameterError, match="nonzero norm"):
+        growth_exponent(2, 2, 0, 0, P(0, 0, 1), f=func1d("0*ind(1,2)"))
+    # x^300 underflows to 0 on the truncated window (0, 0.001/R]
+    with pytest.raises(ParameterError, match="truncated image norm is zero"):
+        growth_exponent(2, 2, 0, 0, P(300, 0, 301), cutoff=1e-3)
 
 
 @pytest.mark.parametrize("R_grid", [[], [2.0], [3.0, 3.0]])
