@@ -396,8 +396,7 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
         raise ParameterError("the reduction inequality needs gamma > 0")
     if not 1.0 <= p < math.inf:
         raise ParameterError(f"the reduction inequality needs 1 <= p < inf, got {p}")
-    if not 0.0 < tol < 0.5:
-        raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
+    quad._check_tol(tol)
     if y_grid is None:
         y_grid = (0.5, 1.0, 2.0)
     if not all(0.0 < y < math.inf for y in y_grid):

@@ -373,6 +373,8 @@ def _cmd_sweep(args):
         raise OplabError(f"sweep needs --{' --'.join(missing)}")
     if args.num < 0:
         raise ParameterError(f"--num must be non-negative, got {args.num}")
+    if any(math.isnan(v) for v in (args.start, args.stop, *base.values()) if v is not None):
+        raise ParameterError("sweep values must be numbers, got nan")
     grid = np.linspace(args.start, args.stop, args.num)
     buf = io.StringIO()
     writer = csv.writer(buf)

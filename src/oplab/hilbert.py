@@ -20,7 +20,8 @@ provides:
     diagonal case gamma = alpha+beta+1 (reducing to B(beta-a, alpha+a+1)
     at p = 1 and B(beta+1, alpha) at p = inf),
   * the truncated-power extremal family whose Rayleigh quotients approach
-    the sharp norm from below as xi -> 0,
+    the sharp norm from below as xi -> 0, each the sum of two incomplete
+    Beta values B_{1/2}, applied as H of two pieces at x = 1,
   * dilation-covariance residuals and the dilation growth-exponent
     experiment that reproduces the necessity of the balance relation.
 
@@ -76,8 +77,8 @@ class OperatorParams:
 class WeightedSpaceSpec:
     """L^p_a data: exponent p in [1, inf] and weight exponent a.
 
-    The weight exponent must satisfy a > -1 when p is finite and must be
-    absent (None) when p = inf, where the weight is meaningless.
+    The weight exponent must be finite with a > -1 when p is finite and
+    must be absent (None) when p = inf, where the weight is meaningless.
     """
 
     p: float
@@ -90,8 +91,8 @@ class WeightedSpaceSpec:
             return
         if not self.p >= 1.0:
             raise ParameterError(f"p must satisfy 1 <= p <= inf, got {self.p}")
-        if self.a is None or not self.a > -1.0:
-            raise ParameterError(f"weight exponent must satisfy a > -1, got {self.a}")
+        if self.a is None or not -1.0 < self.a < math.inf:
+            raise ParameterError(f"weight exponent must be finite with a > -1, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -161,12 +162,13 @@ def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
 
         sum_n (1-b)_n/n! * (z2^(a+n) - z1^(a+n)) / (a+n),
 
-    valid for any a that is not a non-positive integer when z1 > 0 (the
-    analytic continuation in a), and for a > 0 when z1 = 0.  Each
-    difference is z2^k * -expm1(-k*log1p(dz/z1)), k = a+n, free of
-    cancellation on narrow segments.  Terms are added in blocks until the
-    tail bound |term_n| * rho/(1-rho), rho = z2*max(1, |1-b/(n+1)|) (the
-    largest later term ratio), falls below 2^-56 of the partial sum.  The
+    valid for any a when z1 > 0 (the analytic continuation in a), and for
+    a > 0 when z1 = 0.  Each difference is z2^k * -expm1(-k*log1p(dz/z1)),
+    k = a+n, free of cancellation on narrow segments; where a is a
+    non-positive integer, the term n = -a has k = 0 and is the limit
+    z2^0 * log(z2/z1).  Terms are added in blocks until the tail bound
+    |term_n| * rho/(1-rho), rho = z2*max(1, |1-b/(n+1)|) (the largest
+    later term ratio), falls below 2^-56 of the partial sum.  The
     result is NaN where that takes more than _SERIES_CAP terms, where the
     terms cancel by more than a factor _SERIES_COND (large b near
     z = 1/2), so that the value would lose more than ~1e-14 relative, and
@@ -184,6 +186,8 @@ def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
     total = np.zeros(z1.size)       # total, absum and the terms leave out the factor z2^a
     absum = np.zeros(z1.size)
     done = np.zeros(z1.size, dtype=bool)
+    poles = np.flatnonzero((a <= 0.0) & (a == np.round(a)))  # elements with a term k = 0
+    pole_n = -a[poles]
     with np.errstate(all="ignore"):
         log_ratio = np.log1p(dz / z1)   # log(z2/z1), inf at z1 = 0
         powers = np.exp(n * np.log(z2))  # z2^n within the block
@@ -199,6 +203,10 @@ def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
             terms *= powers
             neg_k *= log_ratio
             terms *= np.expm1(neg_k, out=neg_k)
+            if poles.size:
+                hit = (start <= pole_n) & (pole_n < start + _SERIES_BLOCK)
+                rows, cols = (pole_n[hit] - start).astype(int), poles[hit]
+                terms[rows, cols] = table[rows, b_index[cols]] * powers[rows, cols] * log_ratio[cols]
             total += terms.sum(axis=0)
             absum += np.abs(terms).sum(axis=0)
             # every later term ratio is at most rho
@@ -221,22 +229,23 @@ def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
 
 def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
     """H f(xs) for f = sum c*y^s*ind(lo,hi) in closed form, NaN at probes
-    where a series gives up, and at every probe when a piece diverges or a
-    Beta parameter is a non-positive integer.
+    where a series gives up, and at every probe when a piece diverges
+    (then the quadrature raises its DivergenceError).
 
     With y = x*t a piece gives c*x^e int t^m (1+t)^-gamma dt over
     [lo, hi]/x, m = s+beta, e = alpha+m+1-gamma.  Split at y = x: on
     [lo, min(hi, x)], z = y/(x+y) makes it the Beta segment
     (a, b) = (m+1, gamma-m-1); on [max(lo, x), hi], z = x/(x+y) makes it
-    the segment (b, a).  Both keep z <= 1/2.
+    the segment (b, a).  Both keep z <= 1/2.  A Beta parameter that is a
+    non-positive integer gives the series' log term; it has z1 > 0 on every
+    piece that converges.
     """
     c, s, lo, hi = (np.array(col, dtype=float) for col in zip(*pieces))
     m = s + params.beta
     a, b = m + 1.0, params.gamma - m - 1.0
     e = params.alpha + m + 1.0 - params.gamma
     diverges = ((lo == 0.0) & (a <= 0.0)) | (np.isinf(hi) & (b <= 0.0))
-    integer = ((a <= 0.0) & (a == np.round(a))) | ((b <= 0.0) & (b == np.round(b)))
-    if (diverges | integer).any():
+    if diverges.any():
         return np.full(xs.shape, np.nan)
     x = xs[:, None]
     below, above = np.nonzero(lo < x), np.nonzero(hi > x)
@@ -272,6 +281,7 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     quadrature (one shared refinement per batch of probes), which also
     raises DivergenceError for a divergent piece.
     """
+    quad._check_tol(tol)
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0):
         raise DomainError("probe points must be positive")
@@ -415,8 +425,11 @@ def bilinear_pairing(params: OperatorParams, f: Func1D, g: Func1D, weight: float
 
 def solve_gamma(p: float, q: float, a: float | None, b: float | None,
                 alpha: float, beta: float) -> float:
-    """The gamma that satisfies the balance relation exactly."""
-    return alpha + beta + 1.0 - weight_term(a, p) + weight_term(b, q)
+    """The gamma that satisfies the balance relation exactly, for valid
+    spaces L^p_a, L^q_b and finite alpha, beta (OperatorParams checks them)."""
+    WeightedSpaceSpec(p, a), WeightedSpaceSpec(q, b)
+    gamma = alpha + beta + 1.0 - weight_term(a, p) + weight_term(b, q)
+    return OperatorParams(alpha, beta, gamma).gamma
 
 
 def source_window_holds(p: float, a: float, params: OperatorParams) -> bool:
@@ -428,12 +441,6 @@ def target_window_holds(q: float, b: float, params: OperatorParams) -> bool:
     """-q*alpha < b+1 < q(gamma-alpha); equivalent to the source window
     whenever the balance relation holds."""
     return -q * params.alpha < b + 1.0 < q * (params.gamma - params.alpha)
-
-
-def _weights_valid(p, a):
-    if math.isinf(p):
-        return a is None
-    return a is not None and a > -1.0
 
 
 def diagonal_relation(params: OperatorParams) -> RelationCheck:
@@ -492,10 +499,7 @@ def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
         raise ParameterError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
     if p > q:
         raise ParameterError(f"only the upper-triangle case p <= q is covered, got p={p} > q={q}")
-    if not _weights_valid(p, a):
-        raise ParameterError(f"source weight invalid for p={p}: a={a}")
-    if not _weights_valid(q, b):
-        raise ParameterError(f"target weight invalid for q={q}: b={b}")
+    WeightedSpaceSpec(p, a), WeightedSpaceSpec(q, b)   # raise for an invalid weight
 
     if math.isinf(q) and math.isinf(p):
         return verdict_report("hilbert", "Linf -> Linf", *sup_criteria(params),
@@ -554,22 +558,24 @@ def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: floa
 
         f(x) = x^(-(a+1+xi)/p) [x >= 1],    g(x) = x^(-(a+1+xi)/p') [x >= 1],
 
-    whose norms are xi^(-1/p) and xi^(-1/p').  For xi inside the window
-    (0, p(beta+1)-(a+1)) the pairing is evaluated through the proof
-    decomposition: the full-range inner integral collapses to a Beta
-    value (times int_1^inf x^(-1-xi) dx = 1/xi, both in closed form) and
-    only the small correction term
+    whose norms are xi^(-1/p) and xi^(-1/p').  With m = beta - (a+1+xi)/p,
 
-        corr = int_1^inf x^(a+alpha-(a+1+xi)/p') int_0^1 y^(beta-(a+1+xi)/p) (x+y)^-gamma dy dx
+        Q(xi) = I(gamma-m-2) + I(m+xi),
+        I(s)  = int_0^1 w^s (1+w)^-gamma dw = B_{1/2}(s+1, gamma-s-1),
 
-    is one outer quadrature, giving  quotient = B(...) - xi*corr.  The
-    inner integral is H of the piece y^(-(a+1+xi)/p) [y <= 1] under the
-    triple (0, beta, gamma), in closed form.  A direct DE quadrature of
-    the x^(-1-xi) outer tail cannot reach the required accuracy for small
-    xi.  For xi at or beyond the window (where the decomposition's pieces
-    diverge individually but the quotient is still finite) the pairing is
-    integrated directly over [1,inf)^2, the inner integral being H of the
-    piece y^(-(a+1+xi)/p) [y >= 1].
+    evaluated as H_(0,0,gamma) of x^(gamma-m-2) [x <= 1] + x^(m+xi) [x <= 1]
+    at x = 1, in closed form.  Derivation: y = x*t turns the pairing into
+    Q = xi int_1^inf x^(-1-xi) J(1/x) dx, J(u) = int_u^inf t^m (1+t)^-gamma dt,
+    the diagonal relation making the power of x exactly -1-xi; w = 1/x
+    gives xi int_0^1 w^(xi-1) J(w) dw; integrating by parts gives
+    J(1) + I(m+xi), and t = 1/w turns J(1) into I(gamma-m-2).
+
+    Both I converge for every xi > 0 inside the window
+    -p*alpha < a+1 < p(beta+1): m+xi+1 = beta+1-(a+1)/p + xi/p' > 0 and
+    gamma-m-1 = alpha+(a+1+xi)/p > 0.  Both exponents grow with xi, so Q
+    falls strictly in xi, and it rises to the sharp norm
+    B(beta+1-(a+1)/p, alpha+(a+1)/p) as xi -> 0.  ``tol`` applies only
+    where the series hands a probe to the quadrature.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
     p, a = space.p, space.a
@@ -579,40 +585,13 @@ def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: floa
         raise ParameterError("extremal quotient needs the diagonal relation gamma = alpha+beta+1")
     if not -p * al < a + 1.0 < p * (be + 1.0):
         raise ParameterError("diagonal window -p*alpha < a+1 < p(beta+1) is violated")
-    if not xi > 0.0:
-        raise ParameterError(f"xi must be positive, got {xi}")
-    pp = conjugate_exponent(p)
-    e_f = (a + 1.0 + xi) / p    # exponent of f
-    e_g = (a + 1.0 + xi) / pp   # exponent of g
-    window = ExtremalFamily(xi, space).window(params)
-    outer_pow = a + al - e_g
-    inner = OperatorParams(0.0, be, ga)
-
-    def outer(source):
-        """x^outer_pow * int source(y) y^beta (x+y)^-gamma dy on x >= 1,
-        zero below."""
-        def integrand(xs):
-            mask = xs >= 1.0
-            out = np.zeros_like(xs)
-            if mask.any():
-                out[mask] = xs[mask] ** outer_pow * apply_H_many(inner, source, xs[mask], tol / 10.0)
-            return out
-        return integrand
-
-    power = Pow(Var("x"), -e_f)
-    if xi < window:
-        lead = beta_fn(be + 1.0 - e_f, al + e_f)
-        source = func1d(BinOp("*", power, Ind("x", 0.0, 1.0)))
-        corr_hints = SingularityHints((1.0,), 0.0, ga - outer_pow)
-        corr = float(quad.integrate_semiaxis(outer(source), corr_hints, tol))
-        return lead - xi * corr
-
-    # out-of-window fallback: direct iterated integral on [1, inf)^2
-    source = func1d(BinOp("*", power, Ind("x", 1.0, math.inf)))
-    outer_decay = min(1.0 + xi, ga - outer_pow)
-    pairing = float(quad.integrate_semiaxis(
-        outer(source), SingularityHints((1.0,), 0.0, outer_decay), tol))
-    return xi * pairing
+    if not 0.0 < xi < math.inf:
+        raise ParameterError(f"xi must be positive and finite, got {xi}")
+    m = be - (a + 1.0 + xi) / p
+    unit = Ind("x", 0.0, 1.0)
+    source = func1d(BinOp("+", BinOp("*", Pow(Var("x"), ga - m - 2.0), unit),
+                          BinOp("*", Pow(Var("x"), m + xi), unit)))
+    return apply_H(OperatorParams(0.0, 0.0, ga), source, 1.0, tol)
 
 
 # --------------------------------------------------------------------------

@@ -242,10 +242,15 @@ def _sanitize(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
+def _check_tol(tol: float) -> None:
+    """The relative tolerance every entry point accepts: 0 < tol < 0.5."""
+    if not 0.0 < tol < 0.5:
+        raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
+
+
 def _drive(panels, integrand, tol, completion=0.0):
     """Run all panels in lockstep, refining until the total settles."""
-    if not (0.0 < tol < 0.5):
-        raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
+    _check_tol(tol)
     plan = _plan(panels)
     partial = None
     mass = None

@@ -321,6 +321,22 @@ def test_solve_gamma(capsys):
     assert doc["results"]["gamma"]["value"] == pytest.approx(0.2 + 0.3 + 1 - 0.5 + 0.5)
 
 
+_EXTREMAL = ["extremal", "--p", "2", "--a", "0", "--alpha", "0", "--beta", "0", "--gamma", "1"]
+_SOLVE = ["solve-gamma", "--p", "2", "--q", "3", "--b", "0.5", "--alpha", "0.2", "--beta", "0.3"]
+
+
+@pytest.mark.parametrize("args, detail", [
+    (_EXTREMAL + ["--xi", "0.1", "--tol", "-1"], "tolerance"),   # no quadrature drive checks it
+    (_EXTREMAL + ["--xi", "0.1", "--tol", "nan"], "tolerance"),
+    (_EXTREMAL + ["--xi", "inf"], "xi must be positive and finite"),
+    (_SOLVE, "weight exponent"),                                 # --a missing
+])
+def test_extremal_and_solve_gamma_reject_bad_input(capsys, args, detail):
+    code, out, err = run_cli(capsys, *args)
+    assert code == EXIT_PARAMS and out == ""
+    assert detail in json.loads(err)["detail"]
+
+
 def test_invalid_parameters_exit_code(capsys):
     code, out, err = run_cli(capsys, "sharp-norm", "--p", "2", "--a", "-2",
                              "--alpha", "0", "--beta", "0", "--gamma", "1")

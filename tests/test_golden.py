@@ -207,6 +207,40 @@ def test_every_cli_command_is_pinned():
     assert leaves and leaves <= pinned, sorted(leaves - pinned)
 
 
+def _float_values(argv):
+    """Indices in argv of the values its command's parser reads as floats."""
+    parser = cli.build_parser()
+    for word in itertools.takewhile(lambda s: not s.startswith("--"), argv):
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    flags = {opt for action in parser._actions if action.type is float for opt in action.option_strings}
+    return [i + 1 for i, word in enumerate(argv) if word in flags]
+
+
+def test_nan_in_any_float_flag_is_a_reported_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPLAB_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in COMMANDS:   # the certificate documents that certify verify reads
+            if argv[0] == "certify" and "--out" in argv:
+                assert cli.main(list(argv)) == 0
+    shutil.copy("report.json", "cert.json")
+    failed = []
+    for argv in COMMANDS:
+        for i in _float_values(argv):
+            bad = [*argv[:i], "nan", *argv[i + 1:]]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(bad)
+            except Exception as exc:
+                failed.append(f"{' '.join(bad)}: {exc!r}")
+                continue
+            if code not in (2, 3, 4) or "error" not in json.loads(err.getvalue() or "{}"):
+                failed.append(f"{' '.join(bad)}: exit {code}")
+    assert failed == []
+
+
 def test_library_values_identical(golden):
     assert library_values() == golden["values"]
 

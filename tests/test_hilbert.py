@@ -165,11 +165,24 @@ def test_closed_form_agrees_with_the_quadrature(src, params):
     assert np.max(np.abs(closed - quadrature) / np.abs(quadrature)) <= 1e-9
 
 
-def test_integer_beta_parameters_hand_over_to_the_quadrature():
-    # ind(1,2) under (0,0,1) has b = gamma-m-1 = 0: the quadrature runs
-    f = func1d("ind(1,2)")
-    assert np.isnan(hilbert._apply_pieces(P(0, 0, 1), f.pieces, np.array([0.5, 1.0, 3.0]))).all()
-    assert apply_H(P(0, 0, 1), f, 1.0) == pytest.approx(math.log(1.5), rel=1e-10)
+def test_integer_beta_parameters_take_the_log_term():
+    # ind(1,2) under (0,0,1), the classical operator, has b = gamma-m-1 = 0:
+    # the segment above y = x is the pole term log(z2/z1)
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-4, 1e4, 17)
+    got = hilbert._apply_pieces(P(0, 0, 1), func1d("ind(1,2)").pieces, xs)
+    assert np.max(np.abs(got - np.log1p(1.0 / (xs + 1.0))) / got) <= 1e-14   # ln((x+2)/(x+1))
+    # Beta parameter a = m+1 = -1 and -2 below y = x, and b = -1 above it
+    for src, params in [("x^(0-2)*ind(1,3)", P(0.2, 0, 1.3)), ("x^(0-3)*ind(0.5,2)", P(0.1, 0, 0.7)),
+                        ("x^2*ind(1,2)", P(0, 0, 2))]:
+        (c, s, lo, hi), = func1d(src).pieces
+        got = hilbert._apply_pieces(params, func1d(src).pieces, xs)
+        assert np.isfinite(got).all()
+        with mpmath.workdps(40):
+            want = np.array([float(c * mpmath.mpf(x) ** params.alpha * mpmath.quad(
+                lambda y: y ** (s + params.beta) * (x + y) ** -params.gamma, [lo, hi]))
+                for x in xs])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, src
 
 
 @pytest.mark.parametrize("src, params, x", [
@@ -210,6 +223,12 @@ def _count_drives(monkeypatch):
     return drives
 
 
+def test_apply_H_many_checks_tol_without_a_drive():
+    for tol in (-5.0, 0.5, math.nan):
+        with pytest.raises(ParameterError, match="tolerance"):
+            apply_H_many(P(0.1, 0.2, 1.3), func1d("ind(1,3)"), [1.0], tol=tol)
+
+
 def test_piece_sources_run_no_drive(monkeypatch):
     drives = _count_drives(monkeypatch)
     apply_H_many(P(0.3, 0.2, 1.9), func1d("2*x^0.5*ind(1,2)-ind(3,inf)"), np.geomspace(1e-3, 1e3, 200))
@@ -218,13 +237,13 @@ def test_piece_sources_run_no_drive(monkeypatch):
     assert len(drives) == 4   # 200 probes in batches of 64
 
 
-@pytest.mark.parametrize("xi", [0.05, 1.0, 3.5])
-def test_extremal_quotient_runs_one_drive(monkeypatch, xi):
-    # window (0, 2): the correction integral inside it, the direct pairing
-    # beyond it (at xi = 2 the inner piece has a = 0 and runs the quadrature)
+@pytest.mark.parametrize("xi", [0.05, 2.0, 3.5])
+def test_extremal_quotient_runs_no_drive(monkeypatch, xi):
+    # window (0, 2): inside it, on its edge (b = 0 in both Beta segments)
+    # and beyond it
     drives = _count_drives(monkeypatch)
     extremal_quotient(WeightedSpaceSpec(2.0, 0.0), P(0.5, 0.5, 2.0), xi)
-    assert len(drives) == 1
+    assert drives == []
 
 
 # -- norms -------------------------------------------------------------------
@@ -281,6 +300,23 @@ def test_space_spec_validation():
     with pytest.raises(ParameterError):
         WeightedSpaceSpec(INF, 0.0)  # weight must be absent at p = inf
     WeightedSpaceSpec(INF)  # fine
+    for a in (INF, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            WeightedSpaceSpec(2.0, a)
+
+
+def test_solve_gamma_validates_its_spaces():
+    with pytest.raises(ParameterError, match="weight exponent"):
+        solve_gamma(2, 3, None, 0.5, 0.2, 0.3)   # a missing at finite p
+    with pytest.raises(ParameterError, match="weight exponent"):
+        solve_gamma(2, 3, -3, 0.5, 0.2, 0.3)
+    with pytest.raises(ParameterError, match="p must satisfy"):
+        solve_gamma(0.5, 3, 0, 0.5, 0.2, 0.3)
+    with pytest.raises(ParameterError, match="p must satisfy"):
+        solve_gamma(math.nan, 3, 0, 0.5, 0.2, 0.3)
+    with pytest.raises(ParameterError, match="alpha must be a finite real"):
+        solve_gamma(2, 3, 0, 0.5, math.nan, 0.3)
+    assert solve_gamma(2, INF, 0, None, 0.5, 0.0) == 1.0
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -395,6 +431,25 @@ def test_extremal_quotient_out_of_window():
     # still finite and below the operator norm
     val = extremal_quotient(WeightedSpaceSpec(2, 0), P(0, 0, 1), 1.0)
     assert 0.0 < val < math.pi
+
+
+def test_extremal_quotient_matches_mpmath_betainc():
+    # Q = B_{1/2}(gamma-m-1, m+1) + B_{1/2}(m+xi+1, gamma-m-xi-1),
+    # m = beta-(a+1+xi)/p, inside, on and beyond the window p(beta+1)-(a+1)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        p, al, be = rng.uniform(1.2, 4.0), rng.uniform(0.0, 1.0), rng.uniform(-0.5, 1.0)
+        a = rng.uniform(max(-1.0, -p * al - 1.0), p * (be + 1.0) - 1.0)
+        window = p * (be + 1.0) - (a + 1.0)
+        for xi in (window * 1e-3, window * rng.uniform(0.05, 0.95), window, window * rng.uniform(1.0, 3.0)):
+            got = extremal_quotient(WeightedSpaceSpec(p, a), P(al, be, al + be + 1.0), xi)
+            with mpmath.workdps(40):
+                ga, m = mpmath.mpf(al) + be + 1, be - (a + 1 + mpmath.mpf(xi)) / p
+                half = mpmath.mpf(1) / 2
+                want = (mpmath.betainc(ga - m - 1, m + 1, 0, half)
+                        + mpmath.betainc(m + xi + 1, ga - m - xi - 1, 0, half))
+            assert abs(got - want) <= 1e-14 * want, (p, a, al, be, xi)
 
 
 def test_extremal_quotient_monotone_sequence():
