@@ -42,8 +42,9 @@ checks of the reproducing identity P_nu f = f on holomorphic probes.
 The T+ criteria on the covered regimes are the half-line criteria at
 the outer exponents (hilbert.sup_criteria, to_sup_criteria,
 finite_criteria), which is what the reduction inequality transfers; the
-mixed norm at finite q is the half-line L^q_nu norm of the slice norms
-v -> ||f_v||_p.  The quadratures over a source f (T+, T, P_nu, mixed
+mixed norm is the half-line L^q_nu norm of the slice norms
+v -> ||f_v||_p at every q, at q = inf the half-line L^inf norm and its
+log-grid scan.  The quadratures over a source f (T+, T, P_nu, mixed
 norms, both sides of the reduction check) integrate f only over its
 supports (Func2D.u_support / v_support, the support= of the quad
 integrators): the kernels are finite and nonzero, so a box or slab
@@ -171,7 +172,9 @@ def kernel_row_integral(alpha: float, y: float) -> float:
 
 
 def _slice_norm(f: Func2D, p: float, tol: float) -> Func1D:
-    """v -> || f_v ||_{L^p(du)} as a Func1D with f's v hints."""
+    """v -> || f_v ||_{L^p(du)} as a Func1D with f's v hints; the finite
+    positive ends of f's v support join the breakpoints, so the q = inf
+    scan covers the support."""
     def fn(v):
         vcol = v[:, None]
         vals = quad.integrate_real_line(
@@ -179,26 +182,21 @@ def _slice_norm(f: Func2D, p: float, tol: float) -> Func1D:
             decay_exponent=p * f.u_decay_exponent, support=f.u_support)
         return np.asarray(vals) ** (1.0 / p)
 
-    return Func1D(fn=fn, breakpoints=f.v_breakpoints, left_exponent=f.v_left_exponent,
-                  decay_exponent=f.v_decay_exponent, label="slice p-norm")
+    ends = tuple(v for v in f.v_support if 0.0 < v < math.inf)
+    return Func1D(fn=fn, breakpoints=f.v_breakpoints + ends,
+                  left_exponent=f.v_left_exponent, decay_exponent=f.v_decay_exponent,
+                  label="slice p-norm")
 
 
 def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """||f||_{p,q,nu} = (int_0^inf (int_R |f|^p dx)^{q/p} y^nu dy)^{1/q},
-    the half-line L^q_nu norm of the slice norms, with the sup-over-y
-    convention when q = inf: inf when f's v hint exponents say the slice
-    norms are unbounded at 0 or at infinity, otherwise the heuristic of
-    the half-line essential sup, quad.log_grid_sup, on a 241-point grid
-    over [1e-6, 1e6] widened to f's v breakpoints and support, with 80
-    refinement steps."""
+    the half-line L^q_nu norm (weighted_lp_norm) of the slice norms, with
+    the sup-over-y convention when q = inf: the half-line L^inf norm, inf
+    when f's v hint exponents say the slice norms are unbounded and
+    otherwise its log-grid scan, a heuristic lower bound."""
     p, q, nu = spec.p, spec.q, spec.nu
     if math.isinf(p):
         raise ParameterError("p = inf mixed norms are not supported; use pointwise sup checks")
-    if math.isinf(q):
-        if f.v_left_exponent < 0.0 or f.v_decay_exponent < 0.0:
-            return math.inf
-        return quad.log_grid_sup(_slice_norm(f, p, tol / 10.0), 1e-6, 1e6, 241, 80,
-                                 knots=(*f.v_breakpoints, *f.v_support))
     return weighted_lp_norm(_slice_norm(f, p, max(tol / 20.0, 1e-13)), WeightedSpaceSpec(q, nu), tol)
 
 

@@ -538,7 +538,7 @@ def _axis_hints(e: Expr, var: str, positive_axis: bool):
     if positive_axis:
         bps = {b for b in bps if b > 0}
     kind0, c0 = _asym(e, var, "zero")
-    left = 0.0 if kind0 == _ZERO else c0
+    left = math.inf if kind0 == _ZERO else c0
     decay = _decay(e, var)
     if not positive_axis:
         decay = min(decay, _decay(_mirror(e, var), var))

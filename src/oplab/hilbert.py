@@ -11,7 +11,9 @@ provides:
     form, through the incomplete Beta function, for sums of pieces
     c*y^s*ind(lo,hi), and by quadrature for every other source,
   * weighted norms (essential sup for p = inf via a documented
-    grid-plus-refinement heuristic),
+    grid-plus-refinement heuristic); H f is itself a Func1D whose
+    endpoint exponents are derived in one place, so its norms, the
+    duality pairing and the co-dilating window norm read the same hints,
   * boundedness verdicts from the parameter criteria -- the balance
     relation gamma = alpha + beta + 1 - (a+1)/p + (b+1)/q together with
     the weight window -p(gamma-beta-1) < a+1 < p(beta+1) in the finite
@@ -288,7 +290,8 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     # Fringe nodes of an enclosing quadrature can push probes below any
     # physical scale.  Clamping replaces H f(x) by H f(1e-150) there; the
     # mass of any admissible outer integrand below the floor is under
-    # ~1e-150^(q*alpha+b+1), negligible against every tolerance in use,
+    # ~1e-150^(q*l+b+1), l the left exponent of H f (see _image),
+    # negligible against every tolerance in use,
     # and the kernel knee at y ~ x stays resolvable by the panels below.
     xs_eval = np.clip(xs, 1e-150, None)
     out = _apply_pieces(params, f.pieces, xs_eval) if f.pieces else np.full(xs.shape, np.nan)
@@ -363,23 +366,13 @@ def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFA
     return val ** (1.0 / p)
 
 
-def _truncated_q_norm(params: OperatorParams, f: Func1D, q: float, b: float,
-                      cutoff: float, tol: float) -> float:
-    """(int_0^cutoff |H f(x)|^q x^b dx)^(1/q), the co-dilating window norm."""
-    hints = SingularityHints(
-        tuple(bp for bp in f.breakpoints if bp < cutoff),
-        q * params.alpha + b,
-    )
-
-    def integrand(xs):
-        return np.abs(apply_H_many(params, f, xs, tol / 10.0)) ** q * xs ** b
-
-    val = float(quad.integrate_truncated(integrand, hints, cutoff, tol))
-    return val ** (1.0 / q)
-
-
-def _image_hints(params: OperatorParams, f: Func1D) -> tuple[float, float]:
-    """(left exponent, decay exponent) of x -> H f(x); used for norm hints."""
+def _image(params: OperatorParams, f: Func1D, tol: float) -> Func1D:
+    """H f as a Func1D: apply_H_many at tol/10, no breakpoints (H f is
+    real-analytic on (0, inf)), and H f's endpoint exponents.  Near 0,
+    H f ~ x^alpha, or x^(alpha+1+sigma+beta-gamma) when the mass of
+    f(y) y^(beta-gamma) near y = x dominates (sigma+beta-gamma <= -1,
+    sigma the left exponent of f); the decay exponent gamma-alpha drops
+    by beta+1-tau when f's decay exponent tau <= beta+1."""
     al, be, ga = params.alpha, params.beta, params.gamma
     left = al
     if f.left_exponent + be - ga <= -1.0:
@@ -387,34 +380,30 @@ def _image_hints(params: OperatorParams, f: Func1D) -> tuple[float, float]:
     decay = ga - al
     if f.decay_exponent <= be + 1.0:
         decay = ga - al - (be + 1.0 - f.decay_exponent)
-    return left, decay
+    return Func1D(fn=lambda xs: apply_H_many(params, f, xs, tol / 10.0),
+                  left_exponent=left, decay_exponent=decay, label=f"H({f.label})")
 
 
 def image_norm(params: OperatorParams, f: Func1D, q: float, b: float,
                tol: float = quad.DEFAULT_TOL_1D) -> float:
-    """|| H f ||_{q,b} by nested quadrature (batched over the outer nodes)."""
-    left, decay = _image_hints(params, f)
-    hints = SingularityHints((), q * left + b, q * decay - b)
-
-    def integrand(xs):
-        return np.abs(apply_H_many(params, f, xs, tol / 10.0)) ** q * xs ** b
-
-    val = float(quad.integrate_semiaxis(integrand, hints, tol))
-    return val ** (1.0 / q)
+    """|| H f ||_{q,b}, the weighted_lp_norm of H f (nested quadrature,
+    batched over the outer nodes); (q, b) must be a valid
+    WeightedSpaceSpec."""
+    return weighted_lp_norm(_image(params, f, tol), WeightedSpaceSpec(q, b), tol)
 
 
 def bilinear_pairing(params: OperatorParams, f: Func1D, g: Func1D, weight: float,
                      tol: float = quad.DEFAULT_TOL_1D) -> float:
     """<H f, g> with measure x^weight dx, by iterated quadrature."""
-    left_H, decay_H = _image_hints(params, f)
+    Hf = _image(params, f, tol)
     hints = SingularityHints(
         g.breakpoints,
-        g.left_exponent + left_H + weight,
-        g.decay_exponent + decay_H - weight,
+        g.left_exponent + Hf.left_exponent + weight,
+        g.decay_exponent + Hf.decay_exponent - weight,
     )
 
     def integrand(xs):
-        return apply_H_many(params, f, xs, tol / 10.0) * g(xs) * xs ** weight
+        return Hf(xs) * g(xs) * xs ** weight
 
     return float(quad.integrate_semiaxis(integrand, hints, tol))
 
@@ -630,7 +619,9 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
 
     Returns -kappa fitted by least squares on log Q vs log R: zero when
     the balance relation holds, and the divergence exponent
-    -(gamma-alpha-beta-1-(b+1)/q+(a+1)/p) when it fails.
+    -(gamma-alpha-beta-1-(b+1)/q+(a+1)/p) when it fails.  The window
+    integral is completed at 0 with H f_R's own left exponent; f's
+    breakpoints do not split it, since H f_R is smooth there.
     """
     if math.isinf(p) or math.isinf(q):
         raise ParameterError("the growth experiment needs finite p and q")
@@ -648,7 +639,13 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
         nf = weighted_lp_norm(f_R, space, tol)
         if nf == 0.0:
             raise ParameterError("the growth fit needs a source function of nonzero norm")
-        nH = _truncated_q_norm(params, f_R, q, b, cutoff / R, tol)
+        Hf_R = _image(params, f_R, tol)
+
+        def integrand(xs):
+            return np.abs(Hf_R(xs)) ** q * xs ** b
+
+        hints = SingularityHints((), q * Hf_R.left_exponent + b)
+        nH = float(quad.integrate_truncated(integrand, hints, cutoff / R, tol)) ** (1.0 / q)
         if nH == 0.0:
             raise ParameterError(f"the truncated image norm is zero at R = {R}")
         logs.append(math.log(nH / nf))

@@ -267,6 +267,15 @@ def test_dilate(capsys):
     assert doc["results"]["predicted"]["value"] == pytest.approx(-1.0)
 
 
+def test_dilate_singular_source(capsys):
+    # H f ~ x^-0.9 near 0, not x^alpha: the co-dilating window is
+    # completed at 0 with that exponent
+    doc = run_json(capsys, "dilate", "--expr", "x^(0-0.9)*ind(0,1)", "--p", "1", "--q", "1",
+                   "--a", "0", "--b", "0", "--alpha", "0.2", "--beta", "0", "--gamma", "1.2")
+    residual = doc["results"]["residual"]
+    assert residual["value"] <= 10 * residual["tol"]
+
+
 @pytest.mark.parametrize("r_num", ["1", "0", "-1"])
 def test_dilate_needs_two_R(capsys, r_num):
     assert_parameter_error(

@@ -169,14 +169,18 @@ def test_pretty_round_trip_random(src):
 
 
 def test_hint_extraction():
+    # zero near an end: exponent inf there, at 0 as at infinity
     f = func1d("ind(1,2)")
     assert f.breakpoints == (1.0, 2.0)
-    assert f.left_exponent == 0.0 and math.isinf(f.decay_exponent)
+    assert math.isinf(f.left_exponent) and math.isinf(f.decay_exponent)
 
     f = func1d("x^(-0.75)*ind(1,inf)")
     assert f.breakpoints == (1.0,)
-    assert f.left_exponent == 0.0  # vanishes near the origin
+    assert math.isinf(f.left_exponent)
     assert f.decay_exponent == pytest.approx(0.75)
+
+    assert func1d("x^(0-0.9)*ind(0,1)").left_exponent == pytest.approx(-0.9)
+    assert func1d("ind(0,1)").left_exponent == 0.0
 
     f = func1d("x^2/(1+x)^6")
     assert f.left_exponent == pytest.approx(2.0)
@@ -190,6 +194,7 @@ def test_hint_extraction():
     assert g.u_breakpoints == (-0.25, 0.25)
     assert g.v_breakpoints == (1.0, 2.0)
     assert math.isinf(g.u_decay_exponent) and math.isinf(g.v_decay_exponent)
+    assert math.isinf(func2d("ind(y,1,2)").v_left_exponent)
 
 
 HINT_CORPUS = [

@@ -67,6 +67,9 @@ COMMANDS = [
     ["certify", "--p", "1", "--q", "1", "--a", "0", "--b", "0",
      "--alpha", "0.5", "--beta", "0.5", "--gamma", "2", "--out", "cert1.json"],
     ["certify", "verify", "--cert", "cert1.json", "--samples", "20"],
+    # a source singular at 0, whose image is singular there too
+    ["dilate", "--expr", "x^(0-0.9)*ind(0,1)", "--p", "1", "--q", "1", "--a", "0", "--b", "0",
+     "--alpha", "0.2", "--beta", "0", "--gamma", "1.2"],
 ]
 
 

@@ -292,6 +292,19 @@ def test_weighted_norm_divergence():
         weighted_lp_norm(func1d("1/(1+x)"), WeightedSpaceSpec(2, 1.5))
 
 
+def test_image_of_a_source_vanishing_near_the_origin():
+    # ind(1,2) is zero near 0, so H f ~ x^alpha there whatever gamma
+    params, f = P(0, 0, 2), func1d("ind(1,2)")
+    assert abs(image_norm(params, f, 2, 0) - math.sqrt(1.5 - 2.0 * math.log(2.0))) <= 1e-10
+    assert abs(bilinear_pairing(params, f, func1d("ind(0.5,3)"), 0) - math.log(4.0 / 3.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("q, b", [(0.5, 0.0), (2.0, -1.5), (math.nan, 0.0)])
+def test_image_norm_validates_its_space(q, b):
+    with pytest.raises(ParameterError):
+        image_norm(P(0, 0, 1), func1d("ind(1,2)"), q, b)
+
+
 def test_space_spec_validation():
     with pytest.raises(ParameterError):
         WeightedSpaceSpec(0.5, 0.0)
@@ -542,6 +555,40 @@ def test_growth_exponent_needs_nonzero_norms():
     # x^300 underflows to 0 on the truncated window (0, 0.001/R]
     with pytest.raises(ParameterError, match="truncated image norm is zero"):
         growth_exponent(2, 2, 0, 0, P(300, 0, 301), cutoff=1e-3)
+
+
+def test_codilating_norm_of_a_singular_source(monkeypatch):
+    # int_0^10 |H f| dx for f = x^-0.9 ind(0,1) under (0.2, 0, 1.2): H f ~ x^-0.9
+    # at 0, not x^alpha.  Reference: mpmath, x = u^10,
+    # int_0^(10^0.1) 10 betainc(0.1, 1.1, 0, 1/(1+u^10)) du
+    values = []
+    real = quad.integrate_truncated
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        values.append(float(out))
+        return out
+
+    monkeypatch.setattr(quad, "integrate_truncated", recorded)
+    growth_exponent(1, 1, 0, 0, P(0.2, 0, 1.2), f=func1d("x^(0-0.9)*ind(0,1)"),
+                    R_grid=[1.0, 2.0])
+    assert abs(values[0] - 120.2501842446051) <= 1e-10
+
+
+def test_growth_exponent_probe_count(monkeypatch):
+    # the README dilate command: H f is smooth at f's edges, so they do
+    # not split the co-dilating window
+    probes = []
+    real = hilbert.apply_H_many
+
+    def counted(params, f, xs, *args, **kwargs):
+        out = real(params, f, xs, *args, **kwargs)
+        probes.append(out.size)
+        return out
+
+    monkeypatch.setattr(hilbert, "apply_H_many", counted)
+    assert growth_exponent(2, 2, 0, 0, P(0, 0, 2)) == pytest.approx(-1.0, abs=0.02)
+    assert 0 < sum(probes) <= 3600
 
 
 @pytest.mark.parametrize("R_grid", [[], [2.0], [3.0, 3.0]])
