@@ -38,9 +38,11 @@ reduction inequality
 
 that transfers half-line boundedness to the half-plane, and numerical
 checks of the reproducing identity P_nu f = f on holomorphic probes.
+The verdicts and the exact norms are closed forms; they live in
+oplab.theory, which needs no numpy, and are re-exported here.
 
 The T+ criteria on the covered regimes are the half-line criteria at
-the outer exponents (hilbert.sup_criteria, to_sup_criteria,
+the outer exponents (theory.sup_criteria, to_sup_criteria,
 finite_criteria), which is what the reduction inequality transfers; the
 mixed norm is the half-line L^q_nu norm of the slice norms
 v -> ||f_v||_p at every q, at q = inf the half-line L^inf norm and its
@@ -65,12 +67,11 @@ import numpy as np
 from . import quad
 from .errors import DivergenceError, DomainError, ParameterError
 from .funcdsl import Func1D, Func2D
-from .hilbert import (OperatorParams, WeightedSpaceSpec, apply_H, diagonal_relation,
-                      finite_criteria, sharp_norm, sup_criteria, to_sup_criteria,
-                      weighted_lp_norm)
+from .hilbert import apply_H, weighted_lp_norm
 from .quad import SingularityHints
-from .reports import ConditionReport, InequalityCheck, RelationCheck, verdict_report
 from .specfun import beta as beta_fn
+from .theory import (BergmanVerdictRequest, MixedNormSpec, OperatorParams, WeightedSpaceSpec,
+                     bergman_verdict, tplus_exact_norm)
 
 __all__ = [
     "HalfPlanePoint", "MixedNormSpec", "BergmanVerdictRequest",
@@ -102,50 +103,6 @@ class HalfPlanePoint:
             return z
         z = complex(z)
         return cls(z.real, z.imag)
-
-
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """L^{p,q}_nu data: inner exponent p, outer exponent q, weight nu.
-
-    nu must satisfy nu > -1 when q is finite and must be absent (None)
-    when q = inf, where the norm is the sup over y of the slice norms.
-    """
-
-    p: float
-    q: float
-    nu: float | None = None
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ParameterError(f"p must satisfy 1 <= p <= inf, got {self.p}")
-        if not self.q >= 1.0:
-            raise ParameterError(f"q must satisfy 1 <= q <= inf, got {self.q}")
-        if math.isinf(self.q):
-            if self.nu is not None:
-                raise ParameterError("q = inf takes no weight exponent; pass nu=None")
-        else:
-            if self.nu is None or not self.nu > -1.0:
-                raise ParameterError(f"weight exponent must satisfy nu > -1, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class BergmanVerdictRequest:
-    """Which operator, between which mixed-norm spaces."""
-
-    operator: str  # "tplus" | "t" | "projection"
-    source: MixedNormSpec
-    target: MixedNormSpec
-    params: OperatorParams
-
-    def __post_init__(self):
-        if self.operator not in ("tplus", "t", "projection"):
-            raise ParameterError(f"unknown operator selector {self.operator!r}")
-        if self.operator == "projection":
-            if self.params.alpha != 0.0 or not diagonal_relation(self.params).holds:
-                raise ParameterError(
-                    "the projection selector requires alpha = 0 and gamma = beta + 1 "
-                    "(beta is the projection weight)")
 
 
 def default_probe_grid() -> list[HalfPlanePoint]:
@@ -431,135 +388,3 @@ def column_integral(params: OperatorParams, a: float, w, tol: float = quad.DEFAU
     # constant 1 at w, with the exponent triple (beta-a, alpha+a, gamma)
     one = Func2D(fn=lambda u, v: 1.0, u_decay_exponent=0.0, v_decay_exponent=0.0)
     return apply_Tplus(OperatorParams(params.beta - a, params.alpha + a, params.gamma), one, w, tol)
-
-
-# --------------------------------------------------------------------------
-# verdicts and exact norms
-# --------------------------------------------------------------------------
-
-def tplus_exact_norm(case: str, params: OperatorParams, a: float | None = None) -> float:
-    """Exact T+ norm in the endpoint cases: B(1/2, gamma/2) times the
-    half-line sharp norm (hilbert.sharp_norm) on the matching space.
-
-    case = "linf":  B(1/2, gamma/2) B(beta+1, alpha) under
-                    gamma = alpha+beta+1, alpha > 0, beta > -1.
-    case = "l1a":   B(1/2, gamma/2) B(beta-a, alpha+a+1) under
-                    gamma = alpha+beta+1, -alpha < a+1 < beta+1.
-    """
-    if case == "linf":
-        space = WeightedSpaceSpec(math.inf)
-    elif case == "l1a":
-        space = WeightedSpaceSpec(1.0, a)
-    else:
-        raise ParameterError(f"unknown exact-norm case {case!r} (use 'linf' or 'l1a')")
-    norm = sharp_norm(space, params)  # its checks come first, and they imply gamma > 0
-    return beta_fn(0.5, params.gamma / 2.0) * norm
-
-
-def _tplus_verdict(req: BergmanVerdictRequest) -> ConditionReport:
-    al, be, ga = req.params.alpha, req.params.beta, req.params.gamma
-    src, tgt = req.source, req.target
-    p, q, a = src.p, src.q, src.nu
-    r, b = tgt.q, tgt.nu
-    op = req.operator
-
-    if src.p != tgt.p:
-        raise ParameterError("source and target must share the inner exponent p")
-
-    if math.isinf(p):
-        if not (math.isinf(q) and math.isinf(r)):
-            raise ParameterError("p = inf is covered only in the sup-to-sup case")
-        return verdict_report(op, "Linf -> Linf", *sup_criteria(req.params),
-                              notes=("exact norm B(1/2,gamma/2)B(beta+1,alpha) when bounded",))
-
-    if p == 1.0 and q == 1.0 and r == 1.0:
-        if a is None or b is None or a != b:
-            raise ParameterError("the weighted L1 case needs matching weights a = b > -1")
-        ineqs = (InequalityCheck("-alpha < a+1", a + 1.0, lower=-al),
-                 InequalityCheck("a+1 < beta+1", a + 1.0, upper=be + 1.0))
-        return verdict_report(op, "L1_a -> L1_a", diagonal_relation(req.params), ineqs,
-                              notes=("exact norm B(1/2,gamma/2)B(beta-a,alpha+a+1) when bounded",))
-
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"unsupported inner exponent p = {p}")
-
-    if 1.0 < q < math.inf and not math.isinf(r):
-        if not q <= r:
-            raise ParameterError("only the upper-triangle case q <= r is covered")
-        return verdict_report(op, "Lpq_a -> Lpr_b (finite)",
-                              *finite_criteria(q, r, a, b, req.params, "q", "r"))
-
-    if 1.0 < q < math.inf and math.isinf(r):
-        # the alpha > 0 clause is stored; the equivalent window form is
-        # computed and displayed for cross-checking
-        cross = (InequalityCheck("-q(gamma-beta-1) < a+1", a + 1.0, lower=-q * (ga - be - 1.0)),)
-        return verdict_report(op, "Lpq_a -> Lp,inf", *to_sup_criteria(q, a, req.params, "q"),
-                              cross=cross)
-
-    if q == 1.0:
-        if a != 0.0:
-            raise ParameterError("q = 1 sources are the unweighted L^{p,1} spaces (nu = 0)")
-        if math.isinf(r):
-            relation = RelationCheck("gamma = alpha+beta", ga, al + be)
-            ineqs = (InequalityCheck("alpha > 0", al, lower=0.0),
-                     InequalityCheck("beta > 0", be, lower=0.0))
-            return verdict_report(op, "Lp1 -> Lp,inf", relation, ineqs)
-        if r == 1.0:
-            if b != 0.0:
-                raise ParameterError("the L^{p,1} -> L^{p,1} case is unweighted (nu = 0)")
-            ineqs = (InequalityCheck("alpha > -1", al, lower=-1.0),
-                     InequalityCheck("beta > 0", be, lower=0.0))
-            return verdict_report(op, "Lp1 -> Lp1", diagonal_relation(req.params), ineqs)
-        relation = RelationCheck("gamma = alpha+beta+(b+1)/r", ga, al + be + (b + 1.0) / r)
-        ineqs = (InequalityCheck("gamma > beta", be, upper=ga),
-                 InequalityCheck("beta > 0", be, lower=0.0))
-        return verdict_report(op, "Lp1 -> Lpr_b", relation, ineqs)
-
-    if math.isinf(q) and math.isinf(r):
-        return verdict_report(op, "Lp,inf -> Lp,inf", *sup_criteria(req.params))
-
-    raise ParameterError(
-        f"unsupported regime: source q={q}, target r={r} (q = inf sources pair only with r = inf)")
-
-
-def _projection_verdict(req: BergmanVerdictRequest) -> ConditionReport:
-    be = req.params.beta  # the projection weight
-    src, tgt = req.source, req.target
-    p, q, a = src.p, src.q, src.nu
-    r, b = tgt.q, tgt.nu
-    if src.p != tgt.p:
-        raise ParameterError("source and target must share the inner exponent p")
-    if not be > -1.0:
-        raise ParameterError(f"projection weight must satisfy beta > -1, got {be}")
-
-    if p == 1.0 and q == 1.0 and r == 1.0 and a is not None and a == b:
-        ineqs = (InequalityCheck("a < beta", a, upper=be),)
-        return verdict_report("projection", "L1_a -> A1_a", None, ineqs)
-
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"unsupported inner exponent p = {p} for the projection")
-
-    if 1.0 < q <= r < math.inf:
-        relation = RelationCheck("(a+1)/q = (b+1)/r", (a + 1.0) / q, (b + 1.0) / r)
-        ineqs = (InequalityCheck("a+1 < q(beta+1)", a + 1.0, upper=q * (be + 1.0)),)
-        return verdict_report("projection", "Lpq_a -> Apr_b", relation, ineqs)
-
-    if q == 1.0 and a == 0.0 and 1.0 < r < math.inf:
-        relation = RelationCheck("r = b+1", float(r), b + 1.0)
-        ineqs = (InequalityCheck("beta > 0", be, lower=0.0),)
-        return verdict_report("projection", "Lp1 -> Apr_b", relation, ineqs)
-
-    if q == 1.0 and a == 0.0 and r == 1.0 and b == 0.0:
-        ineqs = (InequalityCheck("beta > 0", be, lower=0.0),)
-        return verdict_report("projection", "Lp1 -> Ap1", None, ineqs)
-
-    raise ParameterError("unsupported regime for the projection corollaries")
-
-
-def bergman_verdict(req: BergmanVerdictRequest) -> ConditionReport:
-    """Boundedness verdict for T+, T, or the projection P_beta between
-    mixed-norm spaces.  T shares the T+ criteria on the covered regimes;
-    the projection specializes them through alpha = 0, gamma = beta+1."""
-    if req.operator == "projection":
-        return _projection_verdict(req)
-    return _tplus_verdict(req)

@@ -27,6 +27,10 @@ marked "lower_bound" instead.  Identical argv produce byte-identical
 output apart from the elapsed_s field.  Infinity is spelled "inf" both
 in flags and in JSON.  Tolerance precedence: --tol flag, then the
 OPLAB_TOL environment variable, then per-command defaults.
+
+The closed-form commands (verdict, sharp-norm, certify, sweep and
+solve-gamma) run without numpy; the modules that integrate are imported
+only by the commands that need them.
 """
 
 from __future__ import annotations
@@ -40,13 +44,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import bergman, hilbert, quad, schur
+from . import theory
 from .errors import AccuracyError, DivergenceError, OplabError, ParameterError
-from .funcdsl import func1d, func2d
-from .hilbert import OperatorParams, WeightedSpaceSpec
 from .reports import RELATION_EPS, jsonable
+from .theory import OperatorParams, WeightedSpaceSpec
 
 SCHEMA = 1
 
@@ -90,6 +91,12 @@ def _report(args, inputs: dict, results: dict, tolerances: dict) -> dict:
 
 def _inputs(args, *keys) -> dict:
     return {k: getattr(args, k) for k in keys}
+
+
+def func1d(text: str):
+    """funcdsl.func1d, imported on first use: the expression language needs numpy."""
+    from .funcdsl import func1d as build
+    return build(text)
 
 
 def _params(args) -> OperatorParams:
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the report to stdout and the certificate document to --out; sweep: CSV).
 
 def _cmd_verdict_hilbert(args):
-    rep = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, _params(args))
+    rep = theory.hilbert_verdict(args.p, args.q, args.a, args.b, _params(args))
     return _inputs(args, *_SPACES, *_PARAMS), _verdict(rep), _RELATION
 
 
@@ -253,24 +260,25 @@ def _cmd_verdict_bergman(args):
         if args.operator != "projection":
             raise OplabError("--gamma is required for tplus/t verdicts")
         args.gamma = args.beta + 1.0
-    src = bergman.MixedNormSpec(args.p, args.q, args.a)
-    tgt = bergman.MixedNormSpec(args.p, args.r, args.b)
-    rep = bergman.bergman_verdict(bergman.BergmanVerdictRequest(args.operator, src, tgt, _params(args)))
+    src = theory.MixedNormSpec(args.p, args.q, args.a)
+    tgt = theory.MixedNormSpec(args.p, args.r, args.b)
+    rep = theory.bergman_verdict(theory.BergmanVerdictRequest(args.operator, src, tgt, _params(args)))
     return _inputs(args, "operator", "p", "q", "r", "a", "b", *_PARAMS), _verdict(rep), _RELATION
 
 
 def _cmd_sharp_norm(args):
-    value = hilbert.sharp_norm(WeightedSpaceSpec(args.p, args.a), _params(args))
+    value = theory.sharp_norm(WeightedSpaceSpec(args.p, args.a), _params(args))
     return _inputs(args, "p", "a", *_PARAMS), {"norm": num(value, 1e-13)}, _RELATION
 
 
 def _cmd_certify_verify(args):
+    from . import schur
     try:
         with open(args.cert) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read certificate document {args.cert!r}: {exc}") from exc
-    cert = schur.SchurCertificate.from_dict(doc)
+    cert = theory.SchurCertificate.from_dict(doc)
     cert.validate()
     tol = resolve_tol(args.tol, 1e-8)
     rep = schur.verify_certificate(
@@ -286,7 +294,7 @@ def _cmd_certify(args):
     missing = [k for k in required if getattr(args, k) is None]
     if missing:
         raise OplabError(f"certify needs --{' --'.join(missing)}")
-    cert = schur.find_certificate(args.p, args.q, args.a, args.b, _params(args), d=args.d)
+    cert = theory.find_certificate(args.p, args.q, args.a, args.b, _params(args), d=args.d)
     results = {"certificate": cert.to_dict(), "bound": num(cert.bound, 1e-13)}
     emit(_report(args, _inputs(args, *required), results, _RELATION))
     if args.out:
@@ -294,6 +302,9 @@ def _cmd_certify(args):
 
 
 def _cmd_estimate(args):
+    import numpy as np
+
+    from . import hilbert, quad
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
     params = _params(args)
     f = func1d(args.expr)
@@ -304,7 +315,7 @@ def _cmd_estimate(args):
     values = hilbert.apply_H_many(params, f, np.array(args.points), tol)
     src = WeightedSpaceSpec(args.p, args.a)
     nf = hilbert.weighted_lp_norm(f, src, tol)
-    verdict = hilbert.hilbert_verdict(args.p, args.q, args.a, args.b, params)
+    verdict = theory.hilbert_verdict(args.p, args.q, args.a, args.b, params)
     scanned = math.isinf(args.p) and math.isfinite(nf)  # a log-grid scan: a lower bound
     results = {
         "applied": [{"x": x, "Hf": num(float(v), tol)} for x, v in zip(args.points, values)],
@@ -319,17 +330,18 @@ def _cmd_estimate(args):
         results["quotient"] = num(nHf / nf, tol)
         if args.p == args.q and args.a == args.b:
             try:
-                results["sharp_norm"] = num(hilbert.sharp_norm(src, params), 1e-13)
+                results["sharp_norm"] = num(theory.sharp_norm(src, params), 1e-13)
             except OplabError:
                 pass
     return _inputs(args, "expr", *_SPACES, *_PARAMS, "points"), results, {"tol": tol}
 
 
 def _cmd_extremal(args):
+    from . import hilbert, quad
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
     params = _params(args)
     space = WeightedSpaceSpec(args.p, args.a)
-    sharp = hilbert.sharp_norm(space, params)
+    sharp = theory.sharp_norm(space, params)
     rows = []
     for xi in args.xi:
         qv = hilbert.extremal_quotient(space, params, xi, tol)
@@ -343,6 +355,9 @@ def _cmd_extremal(args):
 
 
 def _cmd_dilate(args):
+    import numpy as np
+
+    from . import hilbert
     tol = resolve_tol(args.tol, 1e-9)
     f = func1d(args.expr)
     if args.r_num < 2:
@@ -352,7 +367,7 @@ def _cmd_dilate(args):
     slope = hilbert.growth_exponent(args.p, args.q, args.a, args.b, _params(args),
                                     f=f, R_grid=grid, tol=tol, cutoff=args.cutoff)
     kappa = (args.gamma - args.alpha - args.beta - 1.0
-             - hilbert.weight_term(args.b, args.q) + hilbert.weight_term(args.a, args.p))
+             - theory.weight_term(args.b, args.q) + theory.weight_term(args.a, args.p))
     predicted = -kappa
     args.R_grid = [float(r) for r in grid]
     results = {
@@ -361,6 +376,18 @@ def _cmd_dilate(args):
         "residual": num(abs(slope - predicted), tol),
     }
     return _inputs(args, *_SPACES, *_PARAMS, "expr", "R_grid", "cutoff"), results, {"tol": tol}
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for finite start and stop, bit for bit:
+    start + i*step, step = (stop-start)/(num-1), with stop itself last."""
+    if num <= 1:
+        return [start + 0.0 * (stop - start)] * num
+    div = num - 1
+    step = (stop - start) / div
+    if step == 0.0:   # numpy scales i/div by the difference where the step underflows
+        return [start + i / div * (stop - start) for i in range(div)] + [stop]
+    return [start + i * step for i in range(div)] + [stop]
 
 
 _SWEEP_COLUMNS = ["value", "bounded", "sharp_norm", "schur_bound", "relation_residual"]
@@ -375,29 +402,31 @@ def _cmd_sweep(args):
         raise ParameterError(f"--num must be non-negative, got {args.num}")
     if any(math.isnan(v) for v in (args.start, args.stop, *base.values()) if v is not None):
         raise ParameterError("sweep values must be numbers, got nan")
-    grid = np.linspace(args.start, args.stop, args.num)
+    if math.isinf(args.start) or math.isinf(args.stop):
+        raise ParameterError(f"--start and --stop must be finite, got {args.start} and {args.stop}")
+    grid = _linspace(args.start, args.stop, args.num)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([args.vary] + _SWEEP_COLUMNS[1:])
     for value in grid:
         point = dict(base)
-        point[args.vary] = float(value)
+        point[args.vary] = value
         params = OperatorParams(point["alpha"], point["beta"], point["gamma"])
         row = [f"{value:.12g}"]
         try:
-            verdict = hilbert.hilbert_verdict(point["p"], point["q"], point["a"],
-                                              point["b"], params)
+            verdict = theory.hilbert_verdict(point["p"], point["q"], point["a"],
+                                             point["b"], params)
         except OplabError:
             writer.writerow(row + ["error", "", "", ""])
             continue
         row.append("yes" if verdict.bounded else "no")
         try:
-            row.append(f"{hilbert.sharp_norm(WeightedSpaceSpec(point['p'], point['a']), params):.12g}"
+            row.append(f"{theory.sharp_norm(WeightedSpaceSpec(point['p'], point['a']), params):.12g}"
                        if point["p"] == point["q"] and point["a"] == point["b"] else "")
         except OplabError:
             row.append("")
         try:
-            row.append(f"{schur.find_certificate(point['p'], point['q'], point['a'], point['b'], params).bound:.12g}"
+            row.append(f"{theory.find_certificate(point['p'], point['q'], point['a'], point['b'], params).bound:.12g}"
                        if verdict.bounded and not math.isinf(point["q"]) else "")
         except OplabError:
             row.append("")
@@ -413,6 +442,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_bergman_reproduce(args):
+    from . import bergman, quad
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_2D)
     rows = bergman.reproduce_check(args.nu, args.power, tol=tol)
     worst = max(r["abs_error"] for r in rows)
@@ -423,6 +453,8 @@ def _cmd_bergman_reproduce(args):
 
 
 def _cmd_bergman_reduction(args):
+    from . import bergman
+    from .funcdsl import func2d
     tol = resolve_tol(args.tol, 1e-5)
     rows = []
     for L in args.L:
@@ -436,7 +468,7 @@ def _cmd_bergman_reduction(args):
 
 
 def _cmd_solve_gamma(args):
-    value = hilbert.solve_gamma(args.p, args.q, args.a, args.b, args.alpha, args.beta)
+    value = theory.solve_gamma(args.p, args.q, args.a, args.b, args.alpha, args.beta)
     return _inputs(args, *_SPACES, "alpha", "beta"), {"gamma": num(value, 0.0)}, {}
 
 

@@ -14,11 +14,12 @@ provides:
     grid-plus-refinement heuristic); H f is itself a Func1D whose
     endpoint exponents are derived in one place, so its norms, the
     duality pairing and the co-dilating window norm read the same hints,
-  * boundedness verdicts from the parameter criteria -- the balance
+  * re-exported from oplab.theory, where they need no numpy: the
+    boundedness verdicts from the parameter criteria -- the balance
     relation gamma = alpha + beta + 1 - (a+1)/p + (b+1)/q together with
     the weight window -p(gamma-beta-1) < a+1 < p(beta+1) in the finite
-    regime, and the endpoint variants for q = inf and p = q = inf,
-  * the closed-form sharp norm B(beta+1-(a+1)/p, alpha+(a+1)/p) in the
+    regime, and the endpoint variants for q = inf and p = q = inf -- and
+    the closed-form sharp norm B(beta+1-(a+1)/p, alpha+(a+1)/p) in the
     diagonal case gamma = alpha+beta+1 (reducing to B(beta-a, alpha+a+1)
     at p = 1 and B(beta+1, alpha) at p = inf),
   * the truncated-power extremal family whose Rayleigh quotients approach
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,8 +44,11 @@ from . import quad
 from .errors import DomainError, ParameterError
 from .funcdsl import BinOp, Func1D, Ind, Pow, Var, func1d
 from .quad import SingularityHints
-from .reports import ConditionReport, InequalityCheck, RelationCheck, verdict_report
-from .specfun import beta as beta_fn
+from .specfun import beta as beta_fn  # noqa: F401 (bound for perfbench/tracing.py, which wraps it)
+from .theory import (OperatorParams, WeightedSpaceSpec, conjugate_exponent,
+                     diagonal_relation, finite_criteria, hilbert_verdict, sharp_norm,
+                     solve_gamma, source_window_holds, sup_criteria, target_window_holds,
+                     to_sup_criteria, weight_term)
 
 __all__ = [
     "OperatorParams", "WeightedSpaceSpec", "ExtremalFamily",
@@ -58,43 +61,6 @@ __all__ = [
 ]
 
 _BATCH = 64  # x-chunk size for batched applications (bounds peak memory)
-
-
-@dataclass(frozen=True)
-class OperatorParams:
-    """Kernel exponent triple (alpha, beta, gamma) of x^alpha y^beta (x+y)^-gamma."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParameterError(f"{name} must be a finite real, got {v}")
-
-
-@dataclass(frozen=True)
-class WeightedSpaceSpec:
-    """L^p_a data: exponent p in [1, inf] and weight exponent a.
-
-    The weight exponent must be finite with a > -1 when p is finite and
-    must be absent (None) when p = inf, where the weight is meaningless.
-    """
-
-    p: float
-    a: float | None = None
-
-    def __post_init__(self):
-        if math.isinf(self.p):
-            if self.a is not None:
-                raise ParameterError("p = inf takes no weight exponent; pass a=None")
-            return
-        if not self.p >= 1.0:
-            raise ParameterError(f"p must satisfy 1 <= p <= inf, got {self.p}")
-        if self.a is None or not -1.0 < self.a < math.inf:
-            raise ParameterError(f"weight exponent must be finite with a > -1, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -120,21 +86,6 @@ class ExtremalFamily:
         self.validate(params)
         gap = params.beta + 1.0 - (self.space.a + 1.0 + self.xi) / self.space.p
         return self.xi / (gap * (gap + self.xi))
-
-
-def conjugate_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
-
-
-def weight_term(a: float | None, p: float) -> float:
-    """(a+1)/p with the p = inf convention (a+1)/inf = 0."""
-    if math.isinf(p):
-        return 0.0
-    return (a + 1.0) / p
 
 
 # --------------------------------------------------------------------------
@@ -409,136 +360,8 @@ def bilinear_pairing(params: OperatorParams, f: Func1D, g: Func1D, weight: float
 
 
 # --------------------------------------------------------------------------
-# boundedness verdicts
+# the extremal family
 # --------------------------------------------------------------------------
-
-def solve_gamma(p: float, q: float, a: float | None, b: float | None,
-                alpha: float, beta: float) -> float:
-    """The gamma that satisfies the balance relation exactly, for valid
-    spaces L^p_a, L^q_b and finite alpha, beta (OperatorParams checks them)."""
-    WeightedSpaceSpec(p, a), WeightedSpaceSpec(q, b)
-    gamma = alpha + beta + 1.0 - weight_term(a, p) + weight_term(b, q)
-    return OperatorParams(alpha, beta, gamma).gamma
-
-
-def source_window_holds(p: float, a: float, params: OperatorParams) -> bool:
-    """-p(gamma-beta-1) < a+1 < p(beta+1)."""
-    return -p * (params.gamma - params.beta - 1.0) < a + 1.0 < p * (params.beta + 1.0)
-
-
-def target_window_holds(q: float, b: float, params: OperatorParams) -> bool:
-    """-q*alpha < b+1 < q(gamma-alpha); equivalent to the source window
-    whenever the balance relation holds."""
-    return -q * params.alpha < b + 1.0 < q * (params.gamma - params.alpha)
-
-
-def diagonal_relation(params: OperatorParams) -> RelationCheck:
-    """gamma = alpha+beta+1, the balance relation of the diagonal and sup cases."""
-    return RelationCheck("gamma = alpha+beta+1", params.gamma, params.alpha + params.beta + 1.0)
-
-
-# The regime criteria below serve H and, through the reduction
-# ||(T+ f)_y||_p <= B(1/2,gamma/2) H(v -> ||f_v||_p)(y), the Bergman-type T+
-# with the outer exponents in place of (p, q); ``pl``/``ql`` spell the
-# exponents in the clause names.
-
-def sup_criteria(params: OperatorParams):
-    """(relation, clauses) of the sup-to-sup regime."""
-    return diagonal_relation(params), (
-        InequalityCheck("alpha > 0", params.alpha, lower=0.0),
-        InequalityCheck("beta > -1", params.beta, lower=-1.0),
-    )
-
-
-def to_sup_criteria(p: float, a: float, params: OperatorParams, pl: str = "p"):
-    """(relation, clauses) of the L^p_a -> L^inf regime, 1 < p < inf."""
-    al, be, ga = params.alpha, params.beta, params.gamma
-    return RelationCheck(f"gamma = alpha+beta+1-(a+1)/{pl}", ga, al + be + 1.0 - (a + 1.0) / p), (
-        InequalityCheck("alpha > 0", al, lower=0.0),
-        InequalityCheck(f"a+1 < {pl}(beta+1)", a + 1.0, upper=p * (be + 1.0)),
-    )
-
-
-def finite_criteria(p: float, q: float, a: float, b: float, params: OperatorParams,
-                    pl: str = "p", ql: str = "q"):
-    """(relation, source-window clauses, target-window cross-checks) of the
-    finite regime L^p_a -> L^q_b."""
-    al, be, ga = params.alpha, params.beta, params.gamma
-    relation = RelationCheck(f"gamma = alpha+beta+1-(a+1)/{pl}+(b+1)/{ql}",
-                             ga, al + be + 1.0 - (a + 1.0) / p + (b + 1.0) / q)
-    return relation, (
-        InequalityCheck(f"-{pl}(gamma-beta-1) < a+1", a + 1.0, lower=-p * (ga - be - 1.0)),
-        InequalityCheck(f"a+1 < {pl}(beta+1)", a + 1.0, upper=p * (be + 1.0)),
-    ), (
-        InequalityCheck(f"-{ql}*alpha < b+1", b + 1.0, lower=-q * al),
-        InequalityCheck(f"b+1 < {ql}(gamma-alpha)", b + 1.0, upper=q * (ga - al)),
-    )
-
-
-def hilbert_verdict(p: float, q: float, a: float | None, b: float | None,
-                    params: OperatorParams) -> ConditionReport:
-    """Boundedness verdict for H : L^p_a -> L^q_b.
-
-    Covered regimes: p,q finite with 1 <= p <= q; finite p with q = inf;
-    p = q = inf.  The report carries the balance-relation arithmetic, the
-    strict inequalities with both sides, and the equivalent target-side
-    window as a cross-check.
-    """
-    if not (p >= 1.0 and q >= 1.0):
-        raise ParameterError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
-    if p > q:
-        raise ParameterError(f"only the upper-triangle case p <= q is covered, got p={p} > q={q}")
-    WeightedSpaceSpec(p, a), WeightedSpaceSpec(q, b)   # raise for an invalid weight
-
-    if math.isinf(q) and math.isinf(p):
-        return verdict_report("hilbert", "Linf -> Linf", *sup_criteria(params),
-                              notes=("sharp norm B(beta+1, alpha) available when bounded",),
-                              accepted="sup-to-sup criterion")
-
-    if math.isinf(q):
-        if not 1.0 < p:
-            raise ParameterError("the L^p_a -> Linf regime needs 1 < p < inf")
-        return verdict_report("hilbert", "Lp_a -> Linf", *to_sup_criteria(p, a, params),
-                              accepted="finite-to-sup criterion")
-
-    return verdict_report("hilbert", "Lp_a -> Lq_b (finite)", *finite_criteria(p, q, a, b, params),
-                          accepted="finite-regime criterion")
-
-
-# --------------------------------------------------------------------------
-# sharp norm and the extremal family
-# --------------------------------------------------------------------------
-
-def sharp_norm(space: WeightedSpaceSpec, params: OperatorParams) -> float:
-    """Exact operator norm on the diagonal gamma = alpha+beta+1.
-
-    Finite p:   B(beta+1-(a+1)/p, alpha+(a+1)/p)  under -p*alpha < a+1 < p(beta+1)
-    p = inf:    B(beta+1, alpha)                  under alpha > 0, beta > -1
-    (p = 1 reduces the first formula to B(beta-a, alpha+a+1).)
-    """
-    al, be = params.alpha, params.beta
-    relation = diagonal_relation(params)
-    if not relation.holds:
-        raise ParameterError(
-            f"sharp norm needs the diagonal relation gamma = alpha+beta+1; "
-            f"residual {relation.residual:.3e}"
-        )
-    if math.isinf(space.p):
-        if not al > 0.0:
-            raise ParameterError(f"sharp norm on Linf needs alpha > 0, got alpha={al}")
-        if not be > -1.0:
-            raise ParameterError(f"sharp norm on Linf needs beta > -1, got beta={be}")
-        return beta_fn(be + 1.0, al)
-    p, a = space.p, space.a
-    if not -p * al < a + 1.0:
-        raise ParameterError(f"violated: -p*alpha < a+1 (i.e. {-p * al} < {a + 1.0} fails)")
-    if not a + 1.0 < p * (be + 1.0):
-        raise ParameterError(f"violated: a+1 < p(beta+1) (i.e. {a + 1.0} < {p * (be + 1.0)} fails)")
-    # beta+1-(a+1)/p cancels near the window edge a+1 = p(beta+1), so both
-    # arguments are formed exactly from the float inputs and rounded once
-    w = (Fraction(a) + 1) / Fraction(p)
-    return beta_fn(float(Fraction(be) + 1 - w), float(Fraction(al) + w))
-
 
 def extremal_quotient(space: WeightedSpaceSpec, params: OperatorParams, xi: float,
                       tol: float = quad.DEFAULT_TOL_1D) -> float:

@@ -8,9 +8,8 @@ evaluated, so a report is self-auditing and can be serialized as-is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["RelationCheck", "InequalityCheck", "ConditionReport", "RELATION_EPS",
            "jsonable", "verdict_report"]
@@ -27,8 +26,8 @@ def jsonable(obj):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = float(obj)
+    if type(obj).__module__ == "numpy" and isinstance(obj, numbers.Real):
+        obj = float(obj)  # a numpy float or integer scalar, matched without importing numpy
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj

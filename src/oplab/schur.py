@@ -40,6 +40,8 @@ verdict only through rounding at a window edge.  The classical
 certificate lands at d = 1/4, where the Beta product simplifies to
 bound = 2*sqrt(pi).
 
+The construction (SchurCertificate, find_certificate) is closed-form and
+lives in oplab.theory, which needs no numpy; it is re-exported here.
 Every quadrature here is H applied to the constant 1 through
 hilbert.apply_H_many: (T1) is H1 with the exponent triple
 (alpha t p', ((beta-a)t - s)p' + a, gamma t p'), (T2) is H1 with
@@ -56,15 +58,15 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import hilbert, quad
-from .errors import (
-    CertificateVerificationError,
-    InfeasibleCertificateError,
-    ParameterError,
-)
+from .errors import CertificateVerificationError, ParameterError
 from .funcdsl import func1d
-from .hilbert import OperatorParams, WeightedSpaceSpec, conjugate_exponent, hilbert_verdict
-from .specfun import beta as beta_fn
-from .specfun import log_beta
+from .theory import (OperatorParams, SchurCertificate, WeightedSpaceSpec, _sup_constant,
+                     conjugate_exponent, find_certificate)
+
+# bound only for perfbench/tracing.py, which wraps these names
+from .specfun import beta as beta_fn  # noqa: F401
+from .specfun import log_beta  # noqa: F401
+from .theory import hilbert_verdict  # noqa: F401
 
 __all__ = [
     "SchurCertificate", "VerificationReport", "SupTestReport",
@@ -72,164 +74,9 @@ __all__ = [
 ]
 
 _SAMPLE_RANGE = (1e-4, 1e4)  # verification samples, log-uniform
-_INPUT = ("p", "q", "a", "b", "alpha", "beta", "gamma")
-_WITNESS = ("omega", "t", "r", "s", "d", "m1", "m2", "bound")
 # func1d gives the constant 1 decay exponent 0, so apply_H_many keeps the
 # tail completion (a bare Func1D would declare decay inf and drop it)
 _ONE = func1d("1")
-
-
-@dataclass(frozen=True)
-class SchurCertificate:
-    """The exponent witness plus its Beta-product constants.
-
-    m1_closed_form is M1^p' (a Beta value) for p > 1 and the sup constant
-    C1 itself in the limit case p = 1; m2_closed_form is always M2^q.
-    """
-
-    p: float
-    q: float
-    a: float
-    b: float
-    alpha: float
-    beta: float
-    gamma: float
-    omega: float
-    t: float
-    r: float
-    s: float
-    d: float
-    m1: float
-    m2: float
-    bound: float
-    m1_closed_form: float
-    m2_closed_form: float
-    limit_case: bool
-
-    @property
-    def params(self) -> OperatorParams:
-        return OperatorParams(self.alpha, self.beta, self.gamma)
-
-    def validate(self):
-        """Re-check every defining invariant; raises ParameterError naming
-        the first violated one (used when loading untrusted documents)."""
-        # the exponent range and the sign of omega guard the divisions below
-        if not 1.0 <= self.p <= self.q < math.inf:
-            raise ParameterError("certificate invariant violated: 1 <= p <= q < inf")
-        if not self.omega < 0.0:
-            raise ParameterError("certificate invariant violated: omega < 0")
-        pp = conjugate_exponent(self.p)
-        a1p = 0.0 if math.isinf(pp) else (self.a + 1.0) / pp
-        bq = (self.b + 1.0) / self.q
-        checks = [
-            ("omega = alpha+beta-gamma-a", abs(self.omega - (self.alpha + self.beta - self.gamma - self.a)) <= 1e-9),
-            ("0 < t <= 1", 0.0 < self.t <= 1.0),
-            ("t = (-(a+1)/p' + s - r)/omega", abs(self.t - ((-a1p + self.s - self.r) / self.omega)) <= 1e-9),
-            ("d = r - s", abs(self.d - (self.r - self.s)) <= 1e-12),
-            ("0 < d < (b+1)/q", 0.0 < self.d < bq),
-            ("s-window lower: -(beta-a)(1-t) < s", -(self.beta - self.a) * (1.0 - self.t) < self.s),
-            ("s-window upper: s < (a+1)/p' + (beta-a) t", self.s < a1p + (self.beta - self.a) * self.t),
-            ("r-window lower: -alpha t < r", -self.alpha * self.t < self.r),
-            ("r-window upper: r < (b+1)/q + alpha(1-t)", self.r < bq + self.alpha * (1.0 - self.t)),
-            ("bound = m1*m2", abs(self.bound - self.m1 * self.m2) <= 1e-9 * abs(self.bound)),
-        ]
-        for name, ok in checks:
-            if not ok:
-                raise ParameterError(f"certificate invariant violated: {name}")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "schur-certificate",
-            "input": {k: getattr(self, k) for k in _INPUT},
-            "certificate": {k: getattr(self, k) for k in _WITNESS},
-            "closed_forms": {"m1": self.m1_closed_form, "m2": self.m2_closed_form},
-            "limit_case": self.limit_case,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SchurCertificate":
-        """Load a certificate document (or the full report of ``certify``);
-        ParameterError names a missing or non-numeric field."""
-        try:
-            if doc.get("kind") != "schur-certificate" and "results" in doc:
-                doc = doc["results"]["certificate"]
-            fields = {k: doc["input"][k] for k in _INPUT}
-            fields.update({k: doc["certificate"][k] for k in _WITNESS})
-            fields.update(m1_closed_form=doc["closed_forms"]["m1"],
-                          m2_closed_form=doc["closed_forms"]["m2"])
-            limit_case = bool(doc.get("limit_case", fields["p"] == 1.0))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ParameterError(f"not a certificate document (missing field or section: {exc})") from exc
-        for name, value in fields.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParameterError(f"certificate field {name} must be a number, got {value!r}")
-        return cls(**fields, limit_case=limit_case)
-
-
-def _sup_constant(A: float, C: float) -> float:
-    """max over u > 0 of u^A (1+u)^(-C) for 0 < A < C."""
-    B = C - A
-    return math.exp(A * math.log(A) + B * math.log(B) - C * math.log(C))
-
-
-def find_certificate(p: float, q: float, a: float, b: float,
-                     params: OperatorParams, d: float | None = None) -> SchurCertificate:
-    """Construct a boundedness certificate for H : L^p_a -> L^q_b.
-
-    Requires the verdict to accept (1 <= p <= q < inf regime); the witness
-    then exists for every d = r - s in (0, (b+1)/q) (see the module
-    docstring), so d is the window midpoint unless a specific d is forced.
-    """
-    if math.isinf(q):
-        raise ParameterError("certificates cover finite target exponents only (q < inf)")
-    verdict = hilbert_verdict(p, q, a, b, params)
-    if not verdict.bounded:
-        raise ParameterError(f"not in the bounded regime ({verdict.decided_by}); no certificate exists")
-    al, be, ga = params.alpha, params.beta, params.gamma
-    pp = conjugate_exponent(p)
-    a1p = 0.0 if math.isinf(pp) else (a + 1.0) / pp
-    bq = (b + 1.0) / q
-    omega = al + be - ga - a
-    if not omega < 0.0:
-        raise ParameterError(f"omega = alpha+beta-gamma-a = {omega} must be negative")
-    d = bq / 2.0 if d is None else float(d)
-    if not 0.0 < d < bq:
-        raise ParameterError(f"forced d must lie in (0, {bq}), got {d}")
-
-    t = (-d - a1p) / omega
-    lo = max(-(be - a) * (1.0 - t), -al * t - d)
-    hi = min(a1p + (be - a) * t, bq + al * (1.0 - t) - d)
-    if not (0.0 < t < 1.0 and lo < hi):
-        raise InfeasibleCertificateError(
-            f"no feasible exponent witness at d = {d} for (p={p}, q={q}, a={a}, b={b}, {params})"
-        )
-    s = 0.5 * (lo + hi)
-    return _build(p, q, a, b, params, omega, t, s, s + d, d)
-
-
-def _build(p, q, a, b, params, omega, t, s, r, d) -> SchurCertificate:
-    al, be = params.alpha, params.beta
-    limit = p == 1.0
-    m2_cf = beta_fn(-r * q + al * (1.0 - t) * q + b + 1.0, (be - a) * (1.0 - t) * q + s * q)
-    m2 = math.exp(log_beta(-r * q + al * (1.0 - t) * q + b + 1.0,
-                           (be - a) * (1.0 - t) * q + s * q) / q)
-    if limit:
-        A = (be - a) * t - s
-        C = params.gamma * t
-        m1_cf = _sup_constant(A, C)
-        m1 = m1_cf
-    else:
-        pp = conjugate_exponent(p)
-        arg1 = -s * pp + (be - a) * t * pp + a + 1.0
-        arg2 = al * t * pp + r * pp
-        m1_cf = beta_fn(arg1, arg2)
-        m1 = math.exp(log_beta(arg1, arg2) / pp)
-    return SchurCertificate(
-        p=p, q=q, a=a, b=b, alpha=al, beta=be, gamma=params.gamma,
-        omega=omega, t=t, r=r, s=s, d=d, m1=m1, m2=m2, bound=m1 * m2,
-        m1_closed_form=m1_cf, m2_closed_form=m2_cf, limit_case=limit,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 import json
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 
 from oplab import quad
 from oplab.bergman import reduction_bound_check
-from oplab.cli import EXIT_ACCURACY, EXIT_DIVERGENCE, EXIT_OK, EXIT_PARAMS, main
+from oplab.cli import EXIT_ACCURACY, EXIT_DIVERGENCE, EXIT_OK, EXIT_PARAMS, _linspace, main
 from oplab.errors import AccuracyError
 from oplab.funcdsl import func2d
 from oplab.hilbert import OperatorParams
+from oplab.reports import jsonable
 
 
 def run_cli(capsys, *args):
@@ -243,6 +246,42 @@ def test_sweep_negative_num(capsys):
     assert_parameter_error(
         capsys, "sweep", "--vary", "gamma", "--start", "0.5", "--stop", "1.5", "--num", "-1",
         "--p", "2", "--q", "2", "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0")
+
+
+@pytest.mark.parametrize("vary,start,stop", [("p", "1", "inf"), ("q", "2", "inf"),
+                                              ("gamma", "-inf", "1"), ("a", "inf", "inf")])
+def test_sweep_infinite_endpoint(capsys, vary, start, stop):
+    base = {"p": "2", "q": "4", "a": "0", "b": "0", "alpha": "0", "beta": "0", "gamma": "1"}
+    flags = [w for k, v in base.items() if k != vary for w in (f"--{k}", v)]
+    assert_parameter_error(capsys, "sweep", "--vary", vary, f"--start={start}", f"--stop={stop}",
+                           "--num", "3", *flags)
+
+
+def _linspace_cases():
+    rng = random.Random(20261018)
+    cases = [(0.5, 1.5, n) for n in (0, 1, 2, 11)]
+    cases += [(1.5, 0.5, 11), (2.0, 2.0, 5), (-3.0, -1.0, 7), (-0.0, 1.0, 1), (-0.0, -1.0, 3),
+              (1.0, 1.0 + 5 * math.ulp(1.0), 11),        # a step of half an ulp of start
+              (1e6, 1e6 + math.ulp(1e6), 3), (0.0, 5e-324, 3)]  # the last step underflows
+    for _ in range(200):
+        start, stop = (rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-8, 8) for _ in range(2))
+        cases.append((start, stop, rng.randrange(0, 40)))
+    return cases
+
+
+def test_sweep_grid_is_numpy_linspace_bit_for_bit():
+    for start, stop, num in _linspace_cases():
+        want = [float(v).hex() for v in np.linspace(start, stop, num)]
+        assert [v.hex() for v in _linspace(start, stop, num)] == want, (start, stop, num)
+
+
+def test_jsonable_numpy_scalars():
+    doc = {"x": [np.float64(0.5), {"y": np.float32(0.5)}], "n": (np.int64(3),),
+           "inf": np.float64(math.inf), "k": 1, "flag": True}
+    out = jsonable(doc)
+    assert out == {"x": [0.5, {"y": 0.5}], "n": [3.0], "inf": "inf", "k": 1, "flag": True}
+    assert [type(v) for v in (out["x"][0], out["x"][1]["y"], out["n"][0])] == [float] * 3
+    assert type(out["k"]) is int and out["flag"] is True
 
 
 def test_non_numeric_tolerance_variable(capsys, monkeypatch):

@@ -42,3 +42,25 @@ def test_tracer_installs_and_uninstalls():
     assert counts["schur.samples"] == 5
     assert counts["hilbert.probes"] == 5
     assert counts["quad.drives"] == 1
+
+
+def test_tracer_sees_the_lazy_cli(capsys):
+    # the golden estimate argv; cli imports funcdsl only inside the command,
+    # and its module-level func1d is the name the tracer rebinds
+    argv = ["estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+            "--alpha", "0", "--beta", "0", "--gamma", "1"]
+    before = _bindings()
+    lazy = cli.func1d
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert cli.func1d is not lazy
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert cli.func1d is lazy
+    assert _bindings() == before
+    counts = tracer.counters()
+    assert counts["funcdsl.parse_calls"] == 1
+    assert counts["funcdsl.eval_points"] > 0
