@@ -302,8 +302,6 @@ def _cmd_certify(args):
 
 
 def _cmd_estimate(args):
-    import numpy as np
-
     from . import hilbert, quad
     tol = resolve_tol(args.tol, quad.DEFAULT_TOL_1D)
     params = _params(args)
@@ -312,7 +310,7 @@ def _cmd_estimate(args):
         args.points = [float(s) for s in args.points.split(",") if s.strip()]
     except ValueError as exc:
         raise ParameterError(f"--points must be comma-separated numbers: {exc}") from exc
-    values = hilbert.apply_H_many(params, f, np.array(args.points), tol)
+    values = hilbert.apply_H_many(params, f, args.points, tol)
     src = WeightedSpaceSpec(args.p, args.a)
     nf = hilbert.weighted_lp_norm(f, src, tol)
     verdict = theory.hilbert_verdict(args.p, args.q, args.a, args.b, params)
