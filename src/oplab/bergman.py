@@ -161,9 +161,12 @@ def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D)
 # operator application
 # --------------------------------------------------------------------------
 
-def _kernel(du, dv, s: float, complex_kernel: bool):
+def _kernel(du, dv, s: float, complex_kernel: bool, factor=None):
     """|du + i dv|^-s, or with complex_kernel the principal (du + i dv)^-s,
-    for du = x-u and dv = y+v > 0 broadcasting to the kernel's shape.
+    for du = x-u and dv = y+v > 0 broadcasting to the kernel's shape; a
+    real factor (the weight v^beta or v^nu of _compose_kernel) multiplies
+    the real modulus buffer in place, which for the complex kernel costs
+    less than scaling its complex result.
 
     numpy's complex power would call a scalar cpow per element, so the
     power is the phase e^(i phi), phi = -s theta with
@@ -176,7 +179,10 @@ def _kernel(du, dv, s: float, complex_kernel: bool):
     few ulp of |e^(i phi)| = 1.
     """
     if not complex_kernel:
-        return (du ** 2 + dv ** 2) ** (-s / 2.0)
+        modulus = (du ** 2 + dv ** 2) ** (-s / 2.0)
+        if factor is not None:
+            modulus *= factor
+        return modulus
     t = np.asarray(np.arctan2(dv, du))
     t *= -s / 2.0
     np.tan(t, out=t)
@@ -188,7 +194,10 @@ def _kernel(du, dv, s: float, complex_kernel: bool):
     out.real /= t
     out.imag /= t
     np.add(du ** 2, dv ** 2, out=t)
-    out *= np.power(t, -s / 2.0, out=t)
+    np.power(t, -s / 2.0, out=t)
+    if factor is not None:
+        t *= factor
+    out *= t
     return out
 
 
@@ -210,7 +219,7 @@ def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: f
     x, y = z.x, z.y
 
     def fn(u, v):
-        return f(u, v) * np.asarray(v) ** weight * _kernel(x - u, y + v, kernel_power, complex_kernel)
+        return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, np.asarray(v) ** weight)
 
     u_decay, v_hints = _kernel_hints(f, kernel_power, weight)
     return Func2D(

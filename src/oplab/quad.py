@@ -35,7 +35,15 @@ Integrands are evaluated on numpy arrays of nodes and may return a
 batch: an array of shape (..., n) is summed over its last axis, so a
 single adaptive run can integrate a whole family (all components are
 refined in lockstep and convergence is judged in the batch sup norm).
-Complex integrands are supported.
+A value that only broadcasts against the nodes (a scalar, a (k, 1)
+column) is broadcast first.  Each level's value and |value| sums are
+per-row contractions, np.einsum("...k,k->...", vals, w), which sum
+every row by the same loop whatever the batch: a row gives the same
+bits integrated alone or in a family.  A BLAS product (vals @ w,
+np.dot) is faster but blocks the rows, so a row's sum would depend on
+how many rows share its batch.  Complex integrands are supported; the
+half-plane integrator splits them into real channels, so its drives
+run in real arithmetic.
 
 Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
@@ -55,6 +63,8 @@ beyond the outermost knot where the hints certify the decay, and in the
 completions: under/overflow there is expected and its true contribution
 is below double precision.  Anywhere else the integrand is undefined
 inside its domain, and the drive raises DomainError naming the abscissa.
+The weights are positive, so a non-finite value leaves its row's sum
+non-finite: the drive checks the sums and scans the values only then.
 
 Everything here is pure and reentrant: the node tables are module caches
 filled once per level and never modified, and no call mutates shared state.
@@ -242,14 +252,23 @@ def _sanitize(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
+def _row_sums(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's weighted sum of vals and of |vals| over the node axis,
+    by einsum, never BLAS, so that a row's bits do not depend on its batch
+    (see the module docstring)."""
+    return np.einsum("...k,k->...", vals, w), np.einsum("...k,k->...", np.abs(vals), w)
+
+
 def _check_tol(tol: float) -> None:
     """The relative tolerance every entry point accepts: 0 < tol < 0.5."""
     if not 0.0 < tol < 0.5:
         raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
 
 
-def _drive(panels, integrand, tol, completion=0.0):
-    """Run all panels in lockstep, refining until the total settles."""
+def _drive(panels, integrand, tol, completion=0.0, magnitude=np.abs):
+    """Run all panels in lockstep, refining until the total settles: until
+    the largest entry of magnitude(change) is within tol of the largest
+    entry of magnitude(total), the batch sup norm."""
     _check_tol(tol)
     plan = _plan(panels)
     partial = None
@@ -260,7 +279,12 @@ def _drive(panels, integrand, tol, completion=0.0):
         x, w = _plan_nodes(plan, level)
         with np.errstate(all="ignore"):
             vals = np.asarray(integrand(x))
-        if not np.isfinite(vals).all():
+            if vals.shape[-1:] != x.shape:  # einsum needs the node axis
+                vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, x.shape))
+            contrib, absorb = _row_sums(vals, w)
+        # a non-finite value leaves its row's sum non-finite (the weights
+        # are positive): only then are the values scanned
+        if not np.isfinite(contrib).all() and not np.isfinite(vals).all():
             # a mapped panel lies beyond the outermost knots, where the hints
             # certify the decay: all its nodes count as fringe
             fringe = _level_nodes(level)[5]
@@ -269,19 +293,17 @@ def _drive(panels, integrand, tol, completion=0.0):
             if inside[0].size:
                 raise DomainError(f"integrand is {vals[inside][0]} at {float(x[inside[-1][0]])!r}, "
                                   "away from the ends of its quadrature panel")
-            vals = _sanitize(vals)
-        contrib = (vals * w).sum(axis=-1)
-        absorb = (np.abs(vals) * w).sum(axis=-1)
+            contrib, absorb = _row_sums(_sanitize(vals), w)
         partial = contrib if partial is None else partial + contrib
         mass = absorb if mass is None else mass + absorb
         total = (2.0 ** (-level)) * partial + completion
         if prev is not None:
-            change = float(np.abs(total - prev).max())
+            change = float(magnitude(total - prev).max())
         if level >= _MIN_LEVEL:
             # the mass floor recognizes cancellation-to-zero: nothing below
             # machine epsilon times the L1 mass is resolvable anyway
             floor = 1e-15 * (2.0 ** (-level)) * float(mass.max()) + 1e-300
-            if change <= max(tol * float(np.abs(total).max()), floor):
+            if change <= max(tol * float(magnitude(total).max()), floor):
                 return total
         prev = total
     raise AccuracyError(
@@ -314,7 +336,7 @@ def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None) -> list[f
     return sorted(knots)
 
 
-def _semiaxis(f, hints: SingularityHints, tol: float, cutoff: float | None):
+def _semiaxis(f, hints: SingularityHints, tol: float, cutoff: float | None, magnitude=np.abs):
     """Integral of f over (0, cutoff], or over (0, inf) when cutoff is None."""
     if not hints.left_exponent > -1.0:
         raise DivergenceError(
@@ -336,7 +358,7 @@ def _semiaxis(f, hints: SingularityHints, tol: float, cutoff: float | None):
         if math.isfinite(hints.decay_exponent):
             far = knots[-1] * math.exp(_LOG_TAIL_SPAN)
             completion = _completion(f, [far], hints.decay_exponent - 1.0) + completion
-    return _drive(panels, f, tol, completion)
+    return _drive(panels, f, tol, completion, magnitude)
 
 
 def _interval_panels(a: float, b: float, breakpoints: Sequence[float]) -> list[_Panel]:
@@ -356,7 +378,7 @@ def _support_panels(support: tuple[float, float], floor: float,
 # No 1D entry point calls another: each one runs exactly one drive.
 
 def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *,
-                       support: tuple[float, float] = (0.0, math.inf)):
+                       support: tuple[float, float] = (0.0, math.inf), magnitude=np.abs):
     """Integral of f over (0, inf) to relative tolerance ``tol``.
 
     ``f`` is called on numpy arrays of nodes and may return a batch with
@@ -365,12 +387,16 @@ def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, 
     converge, AccuracyError when the refinement budget runs out.  An f
     that vanishes outside a ``support`` [lo, hi] with 0 < lo and hi
     finite is integrated over that interval only (breakpoints inside it
-    kept), and the endpoint exponents are not consulted.
+    kept), and the endpoint exponents are not consulted.  ``magnitude``
+    maps a result, and its change between refinement levels, to the
+    nonnegative entries whose largest is the batch sup norm that decides
+    convergence; integrate_halfplane passes one that measures its
+    (re, im) rows as one complex modulus.
     """
     panels = _support_panels(support, 0.0, hints.breakpoints)
     if panels is not None:
-        return _drive(panels, f, tol)
-    return _semiaxis(f, hints, tol, None)
+        return _drive(panels, f, tol, 0.0, magnitude)
+    return _semiaxis(f, hints, tol, None, magnitude)
 
 
 def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = DEFAULT_TOL_1D):
@@ -397,18 +423,19 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, br
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (),
                         decay_exponent: float = math.inf,
-                        support: tuple[float, float] = (-math.inf, math.inf)):
+                        support: tuple[float, float] = (-math.inf, math.inf), magnitude=np.abs):
     """Integral of f over the whole real line.
 
     ``decay_exponent`` is the power behaviour |u|^(-tau) for |u| -> inf
     and must exceed 1.  Batched integrands are supported exactly as in
-    integrate_semiaxis.  An f that vanishes outside a finite ``support``
-    [lo, hi] is integrated over that interval only (breakpoints inside it
-    kept), and the decay exponent is not consulted.
+    integrate_semiaxis, and so is ``magnitude``.  An f that vanishes
+    outside a finite ``support`` [lo, hi] is integrated over that interval
+    only (breakpoints inside it kept), and the decay exponent is not
+    consulted.
     """
     panels = _support_panels(support, -math.inf, breakpoints)
     if panels is not None:
-        return _drive(panels, f, tol)
+        return _drive(panels, f, tol, 0.0, magnitude)
     if not decay_exponent > 1.0:
         raise DivergenceError(
             f"real-line integral diverges: decay exponent {decay_exponent} <= 1",
@@ -422,7 +449,7 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     if math.isfinite(decay_exponent):
         far = [knots[-1] + math.expm1(_LOG_TAIL_SPAN), knots[0] - math.expm1(_LOG_TAIL_SPAN)]
         completion = _completion(f, far, decay_exponent - 1.0)
-    return _drive(panels, f, tol, completion)
+    return _drive(panels, f, tol, completion, magnitude)
 
 
 def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
@@ -447,25 +474,35 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     integral runs over v in (0, inf).  Both integrate only over a finite
     support, and both are the 1D integrators with the one refinement
     budget of every drive, so a divergent hint raises their DivergenceError.
-    Complex values are allowed.
+
+    Complex values are allowed (f real or complex at every call), and the
+    drives still work in real arithmetic: the inner integrand writes f
+    into real channels, (value, |f|) for a real f and (re, im, |f|) for a
+    complex one, and the result is a float or rebuilds complex(re, im).
+    The |f| mass channel lets the outer convergence test see the true
+    two-dimensional scale when the inner integrals cancel to noise.  The
+    drives measure the (re, im) rows as one complex modulus, so they stop
+    where a complex channel would.
     """
     inner_tol = max(tol / 20.0, 1e-13)
     u_bps = tuple(f.u_breakpoints)
     u_decay = f.u_decay_exponent
 
-    # The integral is carried together with a companion |f| mass channel:
-    # when the inner integrals cancel to noise, the outer convergence
-    # criterion still sees the true two-dimensional scale.
     def outer_integrand(v: np.ndarray):
         vcol = v[:, None]
 
         def inner_integrand(u: np.ndarray):
             vals = np.asarray(f(u[None, :], vcol))
-            return np.stack([vals, np.abs(vals).astype(vals.dtype)])
+            parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
+            out = np.empty((len(parts) + 1, v.size, u.size))
+            for row, part in zip(out, parts):
+                np.copyto(row, part)
+            np.abs(vals, out=out[-1])
+            return out
 
         return integrate_real_line(
             inner_integrand, inner_tol, breakpoints=u_bps, decay_exponent=u_decay,
-            support=f.u_support,
+            support=f.u_support, magnitude=_channel_magnitude,
         )
 
     hints = SingularityHints(
@@ -473,8 +510,17 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
         left_exponent=f.v_left_exponent,
         decay_exponent=f.v_decay_exponent,
     )
-    pair = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support)
-    return pair[0]
+    channels = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support,
+                                  magnitude=_channel_magnitude)
+    return channels[0] if len(channels) == 2 else complex(channels[0], channels[1])
+
+
+def _channel_magnitude(channels: np.ndarray) -> np.ndarray:
+    """|value| and |mass| of integrate_halfplane's channels, the value of
+    (re, im, |f|) channels as the modulus hypot(re, im)."""
+    if len(channels) == 2:
+        return np.abs(channels)
+    return np.stack([np.hypot(channels[0], channels[1]), np.abs(channels[2])])
 
 
 def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int, knots: Sequence[float] = ()) -> float:

@@ -275,6 +275,46 @@ def test_projection_modulus_bound():
     assert lhs <= rhs * (1.0 + 1e-5)
 
 
+# T of BOX at (0.5, 0.3, 2.12) and P_0.47 of the m = 3 probe on the default
+# grid, at tol 1e-6, as computed when the half-plane drives still carried a
+# complex |f| channel: the real channels move them by a few ulp at most
+_T_BOX = [
+    complex(0.03296290323874465, -0.0038612120413639146),
+    complex(0.009206305412874012, 0.04826114307808147),
+    complex(-0.03206953929354224, 0.008544389846862465),
+    complex(0.025787420601068766, 0.004292172427452638),
+    complex(0.00630164860885101, 0.03303439887126343),
+    complex(-0.022396483251682503, 0.013483743670083453),
+    complex(0.012522617264939608, 0.006877075313703241),
+    complex(0.003043143168364087, 0.015952715152174935),
+    complex(-0.009111614801083244, 0.011004025797461165),
+]
+_P_PROBE = [
+    complex(-0.03277196176604459, -0.16750113791533913),
+    complex(0.29629629629635773, 2.7755575615628914e-17),
+    complex(-0.03277196176604459, 0.16750113791533916),
+    complex(0.016000000000001312, -0.08800000000000019),
+    complex(0.12500000000006006, 0.0),
+    complex(0.016000000000001312, 0.08800000000000022),
+    complex(0.018000000000000013, -0.02600000000000001),
+    complex(0.03703703703707026, 3.469446951953614e-18),
+    complex(0.018000000000000013, 0.02600000000000001),
+]
+
+
+def test_real_channels_keep_the_result_types_and_values():
+    grid = default_probe_grid()
+    params = P(0.5, 0.3, 2.12)
+    for z, t_old, p_old in zip(grid, _T_BOX, _P_PROBE):
+        t_new = apply_T(params, BOX, z, 1e-6)
+        p_new = bergman_project(0.47, reproducing_probe(3), z, 1e-6)
+        assert type(t_new) is complex and type(p_new) is complex
+        assert abs(t_new - t_old) <= 1e-14 * abs(t_old)
+        assert abs(p_new - p_old) <= 1e-14 * abs(p_old)
+    assert type(apply_Tplus(params, BOX, grid[0], 1e-6)) is float
+    assert type(column_integral(P(0, 1, 2), 0.0, grid[0], 1e-6)) is float
+
+
 # -- reduction inequality ---------------------------------------------------------
 
 def test_reduction_bound_box():

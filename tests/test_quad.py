@@ -205,6 +205,15 @@ def test_non_finite_values_off_the_fringe_raise():
         integrate_interval(g, 0.0, 1.0)
     with pytest.raises(DomainError, match="away from the ends"):
         integrate_semiaxis(lambda y: np.stack([np.exp(-y), g(y)]), SingularityHints((0.25, 1.0)))
+    # and in a complex half-plane integrand, whose drives carry real channels
+    nan_box = Func2D(fn=lambda u, v: np.where((np.abs(u - 0.3) < 0.1) & (v > 1.0) & (v < 2.0),
+                                              np.nan, 1j) * np.exp(-u * u - v),
+                     u_breakpoints=(-1.0, 1.0), v_breakpoints=(1.0, 2.0))
+    with pytest.raises(DomainError, match=r"integrand is nan at 0\.3"):
+        integrate_halfplane(nan_box)
+    # a fringe inf in one row of a batch is zeroed too
+    got = integrate_interval(lambda y: np.stack([np.ones_like(y), f(y)]), 0.0, 1.0, 1e-12)
+    assert np.allclose(got, 1.0, rtol=1e-12)
     # a mapped panel lies past the outermost knot, where the hints certify
     # the decay: inf*0 there (y^25 overflows, e^-y underflows) is zeroed
     tail = lambda y: y ** 25 * np.exp(-y)
@@ -213,6 +222,43 @@ def test_non_finite_values_off_the_fringe_raise():
     origin = lambda y: y ** -30 * np.exp(-1.0 / y)
     assert float(integrate_semiaxis(origin, SingularityHints(decay_exponent=30.0))) \
         == pytest.approx(math.gamma(29), rel=1e-10)
+
+
+def _family_rows(u, n):
+    k = np.arange(n)[:, None]
+    return (1.0 + 0.1 * k) * (1.0 + (u - 0.05 * k) ** 2) ** -1.5
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_row_integrates_alike_alone_and_in_a_batch(dtype):
+    # every row converges at the first level that counts (tol 0.25), so the
+    # batch and each row alone run the same levels over the same panels:
+    # a BLAS reduction (vals @ w) would block the rows and break the bits
+    n = 37
+    phase = np.exp(0.3j * np.arange(n))[:, None] if dtype is complex else np.ones((n, 1))
+
+    def family(u):
+        return phase * _family_rows(u, n)
+
+    kw = dict(breakpoints=(-1.0, 0.5, 2.0), decay_exponent=3.0)
+    batch = integrate_real_line(family, 0.25, **kw)
+    for i in range(n):
+        alone = integrate_real_line(lambda u: family(u)[i], 0.25, **kw)
+        assert batch[i] == alone
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 7, 16, 33, 100, 1001):
+        vals, w = rng.standard_normal((n, size)).astype(dtype), rng.uniform(size=size)
+        sums, masses = quad._row_sums(vals, w)
+        for i in range(n):
+            assert (sums[i], masses[i]) == quad._row_sums(vals[i], w)
+
+
+def test_integrands_that_only_broadcast_against_the_nodes():
+    assert float(integrate_interval(lambda y: 2.0, 0.0, 3.0)) == pytest.approx(6.0, rel=1e-14)
+    got = integrate_interval(lambda y: np.array([[1.0], [-2.0]]), 0.0, 3.0)
+    assert np.allclose(got, [3.0, -6.0], rtol=1e-14)
+    slab = Func2D(fn=lambda u, v: 1.0, u_support=(-1.0, 1.0), v_support=(1.0, 2.0))
+    assert float(integrate_halfplane(slab, 1e-8)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_halfplane_examples():

@@ -18,6 +18,7 @@ from oplab.funcdsl import func1d
 from oplab.hilbert import (
     OperatorParams,
     WeightedSpaceSpec,
+    apply_H,
     apply_H_adjoint,
     apply_H_many,
     hilbert_verdict,
@@ -259,8 +260,12 @@ def test_sup_tests_are_H1_and_its_adjoint():
     params, a, grid = P(0.3, 0.2, 1.7), 0.1, (0.5, 2.0)
     one = func1d("1")
     assert sup_test_Linf(params, grid).values == tuple(apply_H_many(params, one, grid))
-    assert sup_test_L1(params, a, grid).values == tuple(
-        apply_H_adjoint(params, a, a, one, y) for y in grid)
+    # like for like: the batched L1 test is one batched drive of H1 under the
+    # adjoint triple, and the per-point adjoint is one drive of that H1
+    adjoint = P(params.beta - a, params.alpha + a, params.gamma)
+    assert sup_test_L1(params, a, grid).values == tuple(apply_H_many(adjoint, one, grid))
+    for y in grid:
+        assert apply_H_adjoint(params, a, a, one, y) == apply_H(adjoint, one, y)
 
 
 def test_sup_profile_without_exact_mode():
