@@ -52,6 +52,22 @@ supports (Func2D.u_support / v_support, the support= of the quad
 integrators): the kernels are finite and nonzero, so a box or slab
 source spends no nodes where it vanishes.
 
+T+, T and P_nu of a source that lives on the whole u line with no u
+knots (_centred: a slab, the reproducing probe, the constant 1 of the
+column integral) integrate over s = (u - x)/(y + v) instead of u.  Then
+z - conj(w) = (y+v)(i - s), so the kernel is the fixed profile
+(i - s)^-k (or |i - s|^-k) times (y+v)^-k: the inner rule sits at the
+kernel's own scale, with one knot at s = 0, and the profile is
+evaluated once per row of s nodes, shared by every v.  In u the column
+integral was 1.1e-4 off: the inner tails stop short of the kernel's
+width at large v (1.8e-5 of it, with the v hint of _kernel_hints
+fixed), and that hint ignored what the u integral leaves.  A source
+with a finite u support or u knots keeps the u rule, since its knots
+would move with v in s.  Far from an algebraically decaying source its
+peak at s = -x/(y+v) is narrower than the s nodes there: the drives
+raise AccuracyError over a range of |x| (30 to 1e5 for the README's
+example), and beyond it they miss the peak without noticing.
+
 All operations are pure; probe grids and quadratures may be evaluated
 concurrently and merged in input order.
 """
@@ -202,29 +218,58 @@ def _kernel(du, dv, s: float, complex_kernel: bool, factor=None):
 
 
 def _kernel_hints(f: Func2D, kernel_power: float, weight: float) -> tuple[float, SingularityHints]:
-    """The u decay exponent and the v hints of f(w) v^weight |z - conj(w)|^(-kernel_power):
-    the kernel adds kernel_power to both decays, the weight shifts the v exponents."""
+    """The u (or s) decay exponent and the v hints of
+    f(w) v^weight |z - conj(w)|^(-kernel_power): the kernel adds
+    kernel_power to both decays and the weight shifts the v exponents.
+    Against a source whose u decay tau_u is below 1 the u integral keeps
+    (y+v)^(1 - tau_u) of the kernel's (y+v)^-kernel_power, so the v decay
+    is kernel_power - weight + tau_v - max(0, 1 - tau_u)."""
     v_hints = SingularityHints(
         f.v_breakpoints,
         f.v_left_exponent + weight,
-        f.v_decay_exponent - weight + kernel_power,
+        f.v_decay_exponent - weight + kernel_power - max(0.0, 1.0 - f.u_decay_exponent),
     )
     return f.u_decay_exponent + kernel_power, v_hints
 
 
+def _centred(f: Func2D) -> bool:
+    """Whether the u integral of f against a kernel runs in the
+    kernel-centred coordinate s = (u - x)/(y + v): f lives on the whole u
+    line with no u knots, which in s would move with v."""
+    return f.u_support == (-math.inf, math.inf) and not f.u_breakpoints
+
+
+def _centred_integrand(f: Func2D, x, y: float, kernel_power: float, weight: float,
+                       complex_kernel: bool):
+    """(s, v) -> f(x + d s, v) v^weight d^(1-p) K(s), d = y+v: the integrand
+    f(w) v^weight (z - conj(w))^-p with u = x + d s, du = d ds, where
+    z - conj(w) = d (i - s), so the kernel is the fixed profile
+    K(s) = (i - s)^-p (or |i - s|^-p), evaluated on the s nodes alone.
+    x may be an array broadcasting against s and v (a batch of points)."""
+    def fn(s, v):
+        d = y + v
+        scale = v ** weight * d ** (1.0 - kernel_power)
+        return f(x + d * s, v) * scale * _kernel(-s, 1.0, kernel_power, complex_kernel)
+    return fn
+
+
 def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: float,
                     complex_kernel: bool) -> Func2D:
-    """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints;
-    the kernel factors are finite and nonzero, so f's supports carry over."""
+    """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints,
+    over (u, v), or over (s, v) when f is _centred; the kernel factors are
+    finite and nonzero, so f's supports carry over."""
     x, y = z.x, z.y
-
-    def fn(u, v):
-        return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, np.asarray(v) ** weight)
-
     u_decay, v_hints = _kernel_hints(f, kernel_power, weight)
+    if _centred(f):
+        fn = _centred_integrand(f, x, y, kernel_power, weight, complex_kernel)
+        u_breakpoints = (0.0,)
+    else:
+        def fn(u, v):
+            return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, np.asarray(v) ** weight)
+        u_breakpoints = tuple(sorted({*f.u_breakpoints, x}))
     return Func2D(
         fn=fn,
-        u_breakpoints=tuple(sorted({*f.u_breakpoints, x})),
+        u_breakpoints=u_breakpoints,
         v_breakpoints=v_hints.breakpoints,
         u_decay_exponent=u_decay,
         v_left_exponent=v_hints.left_exponent,
@@ -317,11 +362,14 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
     The abscissae go through the (x, v, u) kernel tensor in blocks of 8
     on f's unpruned (u, v) grid; where f's supports prune panels from
     the grid the block grows in proportion, so the tensor keeps its size.
+    A _centred source is integrated over (x, v, s) instead, where every
+    abscissa shares the kernel profile of the s nodes.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
     out = np.empty(xs.shape, dtype=float)
     inner_tol = max(tol / 20.0, 1e-13)
     u_decay, v_hints = _kernel_hints(f, 1.0 + ga, be)
+    centred = _centred(f)
     unpruned = (quad.panel_count((-math.inf, math.inf), f.u_breakpoints, semiaxis=False)
                 * quad.panel_count((0.0, math.inf), f.v_breakpoints, semiaxis=True))
     pruned = (quad.panel_count(f.u_support, f.u_breakpoints, semiaxis=False)
@@ -333,6 +381,11 @@ def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, to
 
         def outer(v):
             vrow = v[None, :, None]
+            if centred:
+                fn = _centred_integrand(f, xcol, y, 1.0 + ga, be, False)
+                return quad.integrate_real_line(
+                    lambda s: fn(s[None, None, :], vrow), inner_tol, breakpoints=(0.0,),
+                    decay_exponent=u_decay)
 
             def inner(u):
                 u = u[None, None, :]
@@ -373,6 +426,9 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
     # so the values) of the full-domain path.
     lo, hi = f.u_support
     x_knots = () if -math.inf < lo < hi < math.inf else f.u_breakpoints
+    # T+ f(x+iy) decays like |x|^-(1+gamma), or like f itself when f's u
+    # decay is slower
+    lhs_decay = p * min(1.0 + params.gamma, f.u_decay_exponent)
     rows = []
     for y in y_grid:
         def lhs_integrand(xs):
@@ -380,7 +436,7 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
 
         lhs = float(quad.integrate_real_line(
             lhs_integrand, tol, breakpoints=x_knots,
-            decay_exponent=p * (1.0 + params.gamma))) ** (1.0 / p)
+            decay_exponent=lhs_decay)) ** (1.0 / p)
         rhs = c_gamma * apply_H(params, slice_norm, y, tol)
         rows.append({"y": float(y), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
     return rows

@@ -102,6 +102,7 @@ _LOG_TAIL_SPAN = 30.0  # tails integrated numerically out to T*e^30
 _PI_HALF = math.pi / 2.0
 _MIN_LEVEL = 3         # refinement levels always run before convergence counts
 _MAX_LEVEL = 10        # refinement budget of every drive
+_BLOCK_ELEMENTS = 1 << 15  # (v, u) values per integrand call of integrate_halfplane's inner drives
 
 
 @dataclass(frozen=True)
@@ -474,6 +475,11 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     integral runs over v in (0, inf).  Both integrate only over a finite
     support, and both are the 1D integrators with the one refinement
     budget of every drive, so a divergent hint raises their DivergenceError.
+    The first coordinate need not be u itself: bergman passes kernel
+    integrands of whole-line sources over s = (u - x)/(y + v), with the
+    hints of s.  The inner integrand calls f on blocks of v rows of at
+    most _BLOCK_ELEMENTS values, which bounds its temporaries; each row
+    is still summed alone, so the blocks change no bit.
 
     Complex values are allowed (f real or complex at every call), and the
     drives still work in real arithmetic: the inner integrand writes f
@@ -492,12 +498,17 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
         vcol = v[:, None]
 
         def inner_integrand(u: np.ndarray):
-            vals = np.asarray(f(u[None, :], vcol))
-            parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
-            out = np.empty((len(parts) + 1, v.size, u.size))
-            for row, part in zip(out, parts):
-                np.copyto(row, part)
-            np.abs(vals, out=out[-1])
+            rows = max(1, _BLOCK_ELEMENTS // u.size)
+            out = None
+            for start in range(0, v.size, rows):
+                block = slice(start, start + rows)
+                vals = np.asarray(f(u[None, :], vcol[block]))
+                parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
+                if out is None:
+                    out = np.empty((len(parts) + 1, v.size, u.size))
+                for channel, part in zip(out, parts):
+                    np.copyto(channel[block], part)
+                np.abs(vals, out=out[-1, block])
             return out
 
         return integrate_real_line(

@@ -11,7 +11,10 @@ from oplab.bergman import (
     BergmanVerdictRequest,
     HalfPlanePoint,
     MixedNormSpec,
+    _centred,
     _kernel,
+    _kernel_hints,
+    _tplus_slice,
     apply_T,
     apply_Tplus,
     bergman_constant,
@@ -26,9 +29,9 @@ from oplab.bergman import (
     reproducing_probe,
     tplus_exact_norm,
 )
-from oplab.errors import DivergenceError, ParameterError
-from oplab.funcdsl import func2d
-from oplab.hilbert import OperatorParams, hilbert_verdict, solve_gamma
+from oplab.errors import AccuracyError, DivergenceError, ParameterError
+from oplab.funcdsl import Func2D, func1d, func2d
+from oplab.hilbert import OperatorParams, apply_H, hilbert_verdict, solve_gamma
 from oplab.quad import integrate_real_line
 from oplab.specfun import beta
 
@@ -228,6 +231,62 @@ def test_tplus_of_an_algebraic_source_far_from_the_origin():
     assert abs(got - want) <= 1e-6 * want
 
 
+# -- kernel-centred s coordinates ------------------------------------------------
+
+ALGEBRAIC = func2d("(1+x^2)^(0-1)*y^0.5*exp(0-y)")
+# T+ of ALGEBRAIC at x + 0.5i under (0.5, 0.3, 2), by mpmath at 20 digits
+_ALGEBRAIC_TPLUS = {0.0: 0.3834243949882127, 3.0: 0.08986064825891492,
+                    10.0: 0.008165539246064661}
+
+
+def test_whole_line_sources_without_u_knots_are_centred():
+    for f in (ALGEBRAIC, func2d("ind(y,1,2)"), reproducing_probe(3)):
+        assert _centred(f)
+    for src in ("ind(-0.25,0.25)*ind(y,1,2)", "ind(-inf,1)*exp(x)*exp(0-y)*y^0.5",
+                "exp(0-abs(x))*ind(y,1,2)"):
+        assert not _centred(func2d(src))
+
+
+def test_tplus_in_s_coordinates_against_mpmath():
+    params = P(0.5, 0.3, 2.0)
+    xs = np.array(list(_ALGEBRAIC_TPLUS))
+    # the batch shares one kernel profile; at x = 10 the u coordinates raised
+    batch = _tplus_slice(params, ALGEBRAIC, xs, 0.5, 1e-6)
+    for x, sliced in zip(xs, batch):
+        want = _ALGEBRAIC_TPLUS[x]
+        assert abs(apply_Tplus(params, ALGEBRAIC, complex(x, 0.5)) - want) <= 1e-6 * want
+        assert abs(sliced - want) <= 1e-6 * want
+
+
+def test_far_field_of_an_algebraic_source_raises():
+    # at 1e4 + 0.5i the source's peak sits at s = -1e4/(y+v), narrower than
+    # the s nodes there: the residue form gives T = 2.069e-12 - 2.0e-15i,
+    # where the u coordinates silently returned 2.007e-15
+    for apply in (apply_T, apply_Tplus):
+        with pytest.raises(AccuracyError):
+            apply(P(0.5, 0.3, 2.0), ALGEBRAIC, complex(1e4, 0.5))
+
+
+def test_tplus_of_a_slab_is_the_half_line_operator():
+    # T+ of h(v) is B(1/2, gamma/2) H h(y): the s integral of the kernel
+    # profile is its mass
+    params = P(0.3, 0.2, 1.7)
+    slab, h = func2d("ind(y,1,2)*y^0.5"), func1d("x^0.5*ind(1,2)")
+    for z in (HalfPlanePoint(0.0, 0.5), HalfPlanePoint(-3.0, 1.0), HalfPlanePoint(20.0, 2.0)):
+        want = beta(0.5, params.gamma / 2.0) * apply_H(params, h, z.y)
+        assert abs(apply_Tplus(params, slab, z) - want) <= 1e-12 * want
+
+
+def test_kernel_hints_keep_what_the_u_integral_leaves():
+    # a source with u decay tau_u < 1 leaves (y+v)^(1-tau_u) of the kernel's
+    # v decay after the u integral
+    one = Func2D(fn=lambda u, v: 1.0, u_decay_exponent=0.0, v_decay_exponent=0.0)
+    for tau_u, v_decay in ((0.0, 1.3), (0.5, 1.8), (1.0, 2.3), (INF, 2.3)):
+        u_decay, hints = _kernel_hints(dataclasses.replace(one, u_decay_exponent=tau_u), 3.0, 0.7)
+        assert u_decay == tau_u + 3.0
+        assert hints.decay_exponent == pytest.approx(v_decay, rel=1e-15)
+
+
 def test_T_self_consistency_across_tolerance():
     v1 = apply_T(P(0, 0, 1), BOX, complex(0, 1), 1e-6)
     v2 = apply_T(P(0, 0, 1), BOX, complex(0, 1), 1e-8)
@@ -276,8 +335,9 @@ def test_projection_modulus_bound():
 
 
 # T of BOX at (0.5, 0.3, 2.12) and P_0.47 of the m = 3 probe on the default
-# grid, at tol 1e-6, as computed when the half-plane drives still carried a
-# complex |f| channel: the real channels move them by a few ulp at most
+# grid, at tol 1e-6: T as computed when the half-plane drives still carried
+# a complex |f| channel (the real channels move it by a few ulp at most),
+# P in the kernel-centred s coordinates of the whole-line probe
 _T_BOX = [
     complex(0.03296290323874465, -0.0038612120413639146),
     complex(0.009206305412874012, 0.04826114307808147),
@@ -290,6 +350,18 @@ _T_BOX = [
     complex(-0.009111614801083244, 0.011004025797461165),
 ]
 _P_PROBE = [
+    complex(-0.03277196176604459, -0.16750113791533916),
+    complex(0.29629629629629634, 0.0),
+    complex(-0.03277196176604459, 0.16750113791533913),
+    complex(0.016000000000001312, -0.08800000000000019),
+    complex(0.12500000000000017, -1.3877787807814457e-17),
+    complex(0.016000000000001305, 0.08800000000000022),
+    complex(0.01800000000000001, -0.02600000000000001),
+    complex(0.03703703703703647, -3.469446951953614e-18),
+    complex(0.01800000000000001, 0.02600000000000001),
+]
+# the same P values integrated over u, before the s coordinates
+_P_PROBE_U = [
     complex(-0.03277196176604459, -0.16750113791533913),
     complex(0.29629629629635773, 2.7755575615628914e-17),
     complex(-0.03277196176604459, 0.16750113791533916),
@@ -300,6 +372,13 @@ _P_PROBE = [
     complex(0.03703703703707026, 3.469446951953614e-18),
     complex(0.018000000000000013, 0.02600000000000001),
 ]
+
+
+def test_s_coordinates_move_the_probe_values_toward_the_exact_ones():
+    # nearer the exact (i/(z+i))^3, up to an ulp where the u value was exact
+    for z, p_new, p_u in zip(default_probe_grid(), _P_PROBE, _P_PROBE_U):
+        exact = (1j / (z.z + 1j)) ** 3
+        assert abs(p_new - exact) <= abs(p_u - exact) + 2.0 ** -52 * abs(exact)
 
 
 def test_real_channels_keep_the_result_types_and_values():
@@ -321,6 +400,12 @@ def test_reduction_bound_box():
     rows = reduction_bound_check(P(0, 0, 1), BOX, y_grid=(0.5, 1.0, 2.0), tol=1e-5, p=2.0)
     for row in rows:
         assert row["slack"] > 0.0  # strict slack for the box
+
+
+def test_reduction_refuses_a_source_without_u_decay():
+    # T+ f(x+iy) of a slab decays no faster in x than the slab itself
+    with pytest.raises(DivergenceError):
+        reduction_bound_check(P(0, 0, 1), func2d("ind(y,1,2)"), y_grid=(1.0,), tol=1e-4)
 
 
 def test_reduction_bound_zero_function():
@@ -422,6 +507,13 @@ def test_column_integral_constancy():
     assert max(vals) / min(vals) - 1.0 <= 1e-4
     for v in vals:
         assert v == pytest.approx(expect, rel=5e-3)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_column_integral_is_the_closed_form(tol):
+    # B(1/2, gamma/2) B(beta-a, alpha+a+1); the u coordinates were 1.1e-4 off
+    want = beta(0.5, 1.0) * beta(0.3, 1.7)
+    assert abs(column_integral(P(0.5, 0.5, 2.0), 0.2, complex(0.3, 0.7), tol) - want) <= 1e-12
 
 
 # -- exact norms --------------------------------------------------------------------
