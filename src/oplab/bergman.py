@@ -49,8 +49,8 @@ v -> ||f_v||_p at every q, at q = inf the half-line L^inf norm and its
 log-grid scan.  The quadratures over a source f (T+, T, P_nu, mixed
 norms, both sides of the reduction check) integrate f only over its
 supports (Func2D.u_support / v_support, the support= of the quad
-integrators): the kernels are finite and nonzero, so a box or slab
-source spends no nodes where it vanishes.
+integrators): the kernels are finite and nonzero, so a box, slab or
+one-sided source spends no nodes where it vanishes.
 
 T+, T and P_nu of a source that lives on the whole u line with no u
 knots (_centred: a slab, the reproducing probe, the constant 1 of the
@@ -304,7 +304,13 @@ def bergman_constant(nu: float) -> complex:
     """
     if not nu > -1.0:
         raise ParameterError(f"projection weight must satisfy nu > -1, got {nu}")
-    return (2.0 ** nu / math.pi) * (nu + 1.0) * cmath.exp(1j * (2.0 + nu) * math.pi / 2.0)
+    # log |c_nu| decides first, so that 2.0 ** nu cannot overflow
+    log_size = nu * math.log(2.0) + math.log1p(nu) - math.log(math.pi)
+    c_nu = (2.0 ** nu / math.pi) * (nu + 1.0) * cmath.exp(1j * (2.0 + nu) * math.pi / 2.0) \
+        if log_size < 710.0 else math.inf
+    if not cmath.isfinite(c_nu):
+        raise ParameterError(f"c_nu = 2^nu/pi * (nu+1) is not a finite float at nu = {nu}")
+    return c_nu
 
 
 def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> complex:

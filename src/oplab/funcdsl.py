@@ -674,7 +674,8 @@ class Func2D:
     fn(u, v) must broadcast over numpy arrays; complex values are allowed
     (e.g. reproducing-kernel probes).  u_support / v_support are intervals
     outside which fn is identically zero (quadrature integrates only over
-    them where they are finite); func2d derives them from the expression.
+    them, with their finite ends as knots); func2d derives them from the
+    expression.
     """
 
     fn: Callable

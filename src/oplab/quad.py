@@ -7,9 +7,10 @@ Three integration domains appear throughout:
   * the upper half-plane          -- integrate_halfplane (iterated)
 
 All of them are built from tanh-sinh (double-exponential) panels.  The
-domain is split at every declared breakpoint (and at 1 on the half-line),
-so integrands are smooth inside each panel and endpoint power
-singularities y^sigma, sigma > -1, are absorbed by the transform.
+domain is split at every declared breakpoint (and at 1 when a half-line
+drive starts at the origin), so integrands are smooth inside each panel
+and endpoint power singularities y^sigma, sigma > -1, are absorbed by
+the transform.
 
 There is one panel type, plain data: a tanh-sinh rule on an interval
 [a, b], or on s in [0, S], S = 30, through a map.  The half-line tail
@@ -49,12 +50,14 @@ Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
 truncated entry point exists for the divergence-exponent experiments.
 
-Half-plane sources are often compactly supported (boxes, slabs), so
-integrate_real_line and integrate_semiaxis take the support the
-integrand vanishes outside (default: the whole axis).  A finite one (on
-the half-line, one with a positive lower end) is integrated over
-interval panels alone, in the same single drive, with no nodes spent
-on tails or the origin; any other support runs the full rule.
+Half-plane sources are often supported on part of an axis (boxes,
+slabs, one-sided sources), so integrate_real_line and integrate_semiaxis
+take the support the integrand vanishes outside (default: the whole
+axis), and one rule plans every 1D drive from it: the finite ends of the
+support are knots, and only its open ends (the origin and infinity on
+the half-line, -inf and inf on the real line) get mapped panels,
+completions and the hint checks.  integrate_truncated is the half-line
+rule on (0, cutoff), integrate_interval the rule on [a, b].
 
 An integrand value that is NaN or infinite is zeroed only at a fringe
 node of an interval panel, closer than 1e-10 (relative to the
@@ -315,66 +318,71 @@ def _drive(panels, integrand, tol, completion=0.0, magnitude=np.abs):
     )
 
 
-def _completion(integrand, y, denominator: float):
-    """Power-law completion sum_i f(y_i) |y_i| / denominator of the mass
-    beyond the outermost nodes y_i, from one integrand call."""
-    y = np.array(y, dtype=float)
-    with np.errstate(all="ignore"):
-        vals = _sanitize(np.asarray(integrand(y)))
-    return (vals * np.abs(y)).sum(axis=-1) / denominator
+def _completion(integrand, ends) -> float | np.ndarray:
+    """Power-law completions sum_i f(y_i) |y_i| / d of the mass beyond the
+    outermost nodes y_i: one integrand call per (points y, denominator d)
+    end of a plan, each end's term added to the sum of the ends before it."""
+    total = 0.0
+    for k, (y, denominator) in enumerate(ends):
+        y = np.array(y, dtype=float)
+        with np.errstate(all="ignore"):
+            vals = _sanitize(np.asarray(integrand(y)))
+        term = (vals * np.abs(y)).sum(axis=-1) / denominator
+        total = term + total if k else term
+    return total
+
+
+def _support_plan(support: tuple[float, float], floor: float, breakpoints: Sequence[float],
+                  left_exponent: float = 0.0, decay_exponent: float = math.inf):
+    """Panels and completion ends for an integrand that vanishes outside
+    support = (lo, hi) on the axis (floor, inf), floor 0 (the half-line)
+    or -inf (the real line).
+
+    Interval panels run between the knots: the breakpoints inside the
+    support, its finite ends above the floor, and 1 when the half-line
+    origin panel is present.  Mapped panels go only at the open ends, in
+    the order origin (lo = 0 on the half-line), intervals, right tail
+    (hi = inf), left tail (lo = -inf), and only those ends are checked
+    against the exponents and completed: the origin by the left exponent,
+    the tails, whose far points share one end, by the decay exponent.  An
+    empty support (lo >= hi, such as a zero function's (inf, -inf)) keeps
+    the whole axis.
+    """
+    half = floor == 0.0
+    lo, hi = max(support[0], floor), support[1]
+    if not lo < hi:
+        lo, hi = floor, math.inf
+    origin, right, left = half and lo == 0.0, hi == math.inf, lo == -math.inf
+    if origin and not left_exponent > -1.0:
+        raise DivergenceError(f"integral diverges at the origin: left exponent {left_exponent} <= -1",
+                              endpoint="origin")
+    if (right or left) and not decay_exponent > 1.0:
+        what, endpoint = ("integral diverges at infinity", "infinity") if half else \
+            ("real-line integral diverges", "u-infinity")
+        raise DivergenceError(f"{what}: decay exponent {decay_exponent} <= 1", endpoint=endpoint)
+    knots = {float(b) for b in breakpoints if lo < b < hi}
+    knots.update(e for e in (lo, hi) if floor < e < math.inf)
+    if origin and 1.0 < hi:
+        knots.add(1.0)
+    knots = sorted(knots) or [0.0]
+    panels = [_Panel(kind="exp", base=knots[0], sign=-1.0)] if origin else []
+    panels.extend(_Panel(a, b) for a, b in zip(knots, knots[1:]))
+    ends = [([knots[0] * math.exp(-_LOG_TAIL_SPAN)], left_exponent + 1.0)] if origin else []
+    far = []
+    if right:
+        panels.append(_Panel(kind="exp" if half else "expm1", base=knots[-1]))
+        far.append(knots[-1] * math.exp(_LOG_TAIL_SPAN) if half else knots[-1] + math.expm1(_LOG_TAIL_SPAN))
+    if left:
+        panels.append(_Panel(kind="expm1", base=knots[0], sign=-1.0))
+        far.append(knots[0] - math.expm1(_LOG_TAIL_SPAN))
+    if far and math.isfinite(decay_exponent):
+        ends.append((far, decay_exponent - 1.0))
+    return panels, ends
 
 
 # --------------------------------------------------------------------------
 # public entry points
 # --------------------------------------------------------------------------
-
-def _semiaxis_knots(breakpoints: Sequence[float], upper: float | None) -> list[float]:
-    top = upper if upper is not None else max(1.0, breakpoints[-1] if breakpoints else 1.0)
-    knots = {0.0, top}
-    knots.update(b for b in breakpoints if b < top)
-    if 0.0 < 1.0 < top:
-        knots.add(1.0)
-    return sorted(knots)
-
-
-def _semiaxis(f, hints: SingularityHints, tol: float, cutoff: float | None, magnitude=np.abs):
-    """Integral of f over (0, cutoff], or over (0, inf) when cutoff is None."""
-    if not hints.left_exponent > -1.0:
-        raise DivergenceError(
-            f"integral diverges at the origin: left exponent {hints.left_exponent} <= -1",
-            endpoint="origin",
-        )
-    if cutoff is None and not hints.decay_exponent > 1.0:
-        raise DivergenceError(
-            f"integral diverges at infinity: decay exponent {hints.decay_exponent} <= 1",
-            endpoint="infinity",
-        )
-    knots = _semiaxis_knots(hints.breakpoints, cutoff)
-    panels = [_Panel(kind="exp", base=knots[1], sign=-1.0)]
-    panels.extend(_Panel(a, b) for a, b in zip(knots[1:], knots[2:]))
-    near = knots[1] * math.exp(-_LOG_TAIL_SPAN)
-    completion = _completion(f, [near], hints.left_exponent + 1.0)
-    if cutoff is None:
-        panels.append(_Panel(kind="exp", base=knots[-1]))
-        if math.isfinite(hints.decay_exponent):
-            far = knots[-1] * math.exp(_LOG_TAIL_SPAN)
-            completion = _completion(f, [far], hints.decay_exponent - 1.0) + completion
-    return _drive(panels, f, tol, completion, magnitude)
-
-
-def _interval_panels(a: float, b: float, breakpoints: Sequence[float]) -> list[_Panel]:
-    knots = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    return [_Panel(lo, hi) for lo, hi in zip(knots, knots[1:])]
-
-
-def _support_panels(support: tuple[float, float], floor: float,
-                    breakpoints: Sequence[float]) -> list[_Panel] | None:
-    """Interval panels over support = (lo, hi), the interval the integrand
-    vanishes outside, when floor < lo < hi < inf (floor is -inf on the
-    real line, 0 on the half-line); else None."""
-    lo, hi = support
-    return _interval_panels(lo, hi, breakpoints) if floor < lo < hi < math.inf else None
-
 
 # No 1D entry point calls another: each one runs exactly one drive.
 
@@ -386,40 +394,39 @@ def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, 
     node values along the last axis; the result then has the batch shape.
     Raises DivergenceError when the hints say the integral cannot
     converge, AccuracyError when the refinement budget runs out.  An f
-    that vanishes outside a ``support`` [lo, hi] with 0 < lo and hi
-    finite is integrated over that interval only (breakpoints inside it
-    kept), and the endpoint exponents are not consulted.  ``magnitude``
-    maps a result, and its change between refinement levels, to the
-    nonnegative entries whose largest is the batch sup norm that decides
-    convergence; integrate_halfplane passes one that measures its
-    (re, im) rows as one complex modulus.
+    that vanishes outside a ``support`` [lo, hi] is integrated over it
+    only: its finite ends are knots (with the breakpoints inside it), and
+    only an open end (lo = 0, hi = inf) gets a mapped panel, a completion
+    and the check of its exponent.  ``magnitude`` maps a result, and its
+    change between refinement levels, to the nonnegative entries whose
+    largest is the batch sup norm that decides convergence;
+    integrate_halfplane passes one that measures its (re, im) rows as one
+    complex modulus.
     """
-    panels = _support_panels(support, 0.0, hints.breakpoints)
-    if panels is not None:
-        return _drive(panels, f, tol, 0.0, magnitude)
-    return _semiaxis(f, hints, tol, None, magnitude)
+    panels, ends = _support_plan(support, 0.0, hints.breakpoints,
+                                 hints.left_exponent, hints.decay_exponent)
+    return _drive(panels, f, tol, _completion(f, ends), magnitude)
 
 
 def integrate_truncated(f, hints: SingularityHints, cutoff: float, tol: float = DEFAULT_TOL_1D):
-    """Integral of f over (0, cutoff]; only the origin needs to converge.
+    """Integral of f over (0, cutoff]: the half-line rule for the support
+    (0, cutoff), so only the origin needs to converge.
 
     This is the entry point for divergence-exponent experiments where the
     full half-line integral is deliberately infinite.
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise ParameterError(f"cutoff must be positive finite, got {cutoff}")
-    return _semiaxis(f, hints, tol, cutoff)
-
-
-def _real_line_knots(breakpoints: Sequence[float]) -> list[float]:
-    return sorted({float(b) for b in breakpoints}) or [0.0]
+    panels, ends = _support_plan((0.0, cutoff), 0.0, hints.breakpoints,
+                                 hints.left_exponent, hints.decay_exponent)
+    return _drive(panels, f, tol, _completion(f, ends))
 
 
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = ()):
     """Integral of f over the finite interval [a, b] (endpoint singularities ok)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a}, {b}]")
-    return _drive(_interval_panels(a, b, breakpoints), f, tol)
+    return _drive(_support_plan((a, b), -math.inf, breakpoints)[0], f, tol)
 
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (),
@@ -428,40 +435,19 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     """Integral of f over the whole real line.
 
     ``decay_exponent`` is the power behaviour |u|^(-tau) for |u| -> inf
-    and must exceed 1.  Batched integrands are supported exactly as in
-    integrate_semiaxis, and so is ``magnitude``.  An f that vanishes
-    outside a finite ``support`` [lo, hi] is integrated over that interval
-    only (breakpoints inside it kept), and the decay exponent is not
-    consulted.
+    and must exceed 1 at an open end.  Batched integrands are supported
+    exactly as in integrate_semiaxis, and so are ``support`` and
+    ``magnitude``: the finite ends of the support are knots, and only an
+    infinite end gets a tail panel, a completion and the decay check.
     """
-    panels = _support_panels(support, -math.inf, breakpoints)
-    if panels is not None:
-        return _drive(panels, f, tol, 0.0, magnitude)
-    if not decay_exponent > 1.0:
-        raise DivergenceError(
-            f"real-line integral diverges: decay exponent {decay_exponent} <= 1",
-            endpoint="u-infinity",
-        )
-    knots = _real_line_knots(breakpoints)
-    panels = [_Panel(a, b) for a, b in zip(knots, knots[1:])]
-    panels.append(_Panel(kind="expm1", base=knots[-1]))
-    panels.append(_Panel(kind="expm1", base=knots[0], sign=-1.0))
-    completion = 0.0
-    if math.isfinite(decay_exponent):
-        far = [knots[-1] + math.expm1(_LOG_TAIL_SPAN), knots[0] - math.expm1(_LOG_TAIL_SPAN)]
-        completion = _completion(f, far, decay_exponent - 1.0)
-    return _drive(panels, f, tol, completion, magnitude)
+    panels, ends = _support_plan(support, -math.inf, breakpoints, decay_exponent=decay_exponent)
+    return _drive(panels, f, tol, _completion(f, ends), magnitude)
 
 
 def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
     """Number of panels integrate_semiaxis (semiaxis) or integrate_real_line
-    drives for this support and these breakpoints."""
-    panels = _support_panels(support, 0.0 if semiaxis else -math.inf, breakpoints)
-    if panels is not None:
-        return len(panels)
-    if semiaxis:  # origin panel, finite panels, tail panel
-        return len(_semiaxis_knots(sorted(breakpoints), None))
-    return len(_real_line_knots(breakpoints)) + 1  # finite panels and two tails
+    drives for this support and these breakpoints (at least 1)."""
+    return len(_support_plan(support, 0.0 if semiaxis else -math.inf, breakpoints)[0])
 
 
 def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
@@ -472,7 +458,7 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     u_decay_exponent, v_left_exponent, v_decay_exponent and the supports
     u_support, v_support.  The inner integral runs over u in R (batched
     across the v nodes requested by the outer quadrature); the outer
-    integral runs over v in (0, inf).  Both integrate only over a finite
+    integral runs over v in (0, inf).  Both integrate only over the
     support, and both are the 1D integrators with the one refinement
     budget of every drive, so a divergent hint raises their DivergenceError.
     The first coordinate need not be u itself: bergman passes kernel

@@ -1,5 +1,6 @@
 """Upper half-plane operators: norms, application, verdicts, reproduction."""
 
+import cmath
 import dataclasses
 import math
 
@@ -301,6 +302,15 @@ def test_bergman_constant_modulus():
     assert abs(bergman_constant(0.0)) == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert bergman_constant(0.0).real == pytest.approx(-1.0 / math.pi, rel=1e-12)
     assert abs(bergman_constant(1.5)) == pytest.approx(2.0 ** 1.5 * 2.5 / math.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [1015.7, 1023.0, 1024.0, 1e9, math.inf])
+def test_bergman_constant_beyond_the_float_range_raises(nu):
+    # |c_nu| = 2^nu (nu+1)/pi leaves the floats just above nu = 1015.6;
+    # there c_nu must raise, not return inf or an OverflowError
+    with pytest.raises(ParameterError, match="not a finite float"):
+        bergman_constant(nu)
+    assert cmath.isfinite(bergman_constant(1015.6))
 
 
 def test_projection_reproduces_probe():

@@ -344,6 +344,12 @@ def test_bergman_reproduce(capsys):
     assert len(doc["results"]["points"]) == 5
 
 
+def test_bergman_reproduce_rejects_an_overflowing_constant(capsys):
+    code, out, err = run_cli(capsys, "bergman", "reproduce", "--nu", "1024")
+    assert code == EXIT_PARAMS and out == ""
+    assert "not a finite float" in json.loads(err)["detail"]
+
+
 def test_bergman_reduction(capsys):
     doc = run_json(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0", "--gamma", "1",
                    "--L", "0.25")

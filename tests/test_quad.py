@@ -7,7 +7,7 @@ import pytest
 
 from oplab import quad
 from oplab.errors import AccuracyError, DivergenceError, DomainError, ParameterError
-from oplab.funcdsl import Func2D
+from oplab.funcdsl import Func2D, func2d
 from oplab.quad import (
     SingularityHints,
     integrate_halfplane,
@@ -147,12 +147,68 @@ def test_finite_support_is_the_interval_rule(monkeypatch):
     hints = SingularityHints((0.3, 5.0), left_exponent=-3.0, decay_exponent=0.5)
     assert integrate_semiaxis(f, hints, 1e-12, support=(0.25, 2.0)) == want
     assert len(drives) == 3
-    # a support that is not finite (on the half-line: one reaching 0) runs the full rule
+    # a support with one open end: the finite end is a knot, and only the
+    # open end gets a mapped panel (on the half-line (0, c) is the truncated rule)
     hints = SingularityHints((0.3, 2.0), left_exponent=0.0)
-    assert integrate_semiaxis(f, hints, 1e-12, support=(0.0, 2.0)) == integrate_semiaxis(f, hints, 1e-12)
-    assert integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0), support=(-math.inf, 2.0)) == \
-        integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0))
+    assert integrate_semiaxis(f, hints, 1e-12, support=(0.0, 2.0)) == integrate_truncated(f, hints, 2.0, 1e-12)
+    tops = []
+
+    def g(u):
+        tops.append(float(np.max(u)))
+        return f(u)
+
+    got = integrate_real_line(g, 1e-12, breakpoints=(0.0, 0.3, 2.0), support=(-math.inf, 2.0))
+    assert max(tops) <= 2.0
+    assert got == pytest.approx(integrate_real_line(f, 1e-12, breakpoints=(0.0, 0.3, 2.0)), rel=1e-12)
     assert len(drives) == 7
+
+
+def test_panel_count_is_the_number_of_panels_driven(monkeypatch):
+    drives = []
+    monkeypatch.setattr(quad, "_drive", lambda panels, *args: drives.append(panels) or 0.0)
+    f = lambda y: np.exp(-y * y)
+    bps = (0.5, 3.0)
+    hints = SingularityHints(bps)
+    # the empty support of a zero function keeps the whole axis: _tplus_slice divides by its count
+    zero = func2d("0*x*y")
+    assert zero.u_support == zero.v_support == (math.inf, -math.inf)
+    shapes = [(0.0, math.inf), (0.25, 4.0), (0.0, 2.0), (2.0, math.inf), (1.0, math.inf), zero.v_support]
+    for support in shapes:
+        drives.clear()
+        integrate_semiaxis(f, hints, support=support)
+        assert quad.panel_count(support, bps, semiaxis=True) == len(drives[0]) >= 1, support
+    shapes = [(-math.inf, math.inf), (-1.0, 4.0), (-math.inf, 1.0), (-math.inf, -2.0), (2.0, math.inf),
+              zero.u_support]
+    for support in shapes:
+        for knots in ((), (-1.0, 0.5, 3.0)):
+            drives.clear()
+            integrate_real_line(f, breakpoints=knots, support=support)
+            assert quad.panel_count(support, knots, semiaxis=False) == len(drives[0]) >= 1, (support, knots)
+
+
+_ENTRY_POINTS = {
+    "integrate_semiaxis": lambda f: integrate_semiaxis(f, SingularityHints((0.5,), decay_exponent=3.0)),
+    "integrate_truncated": lambda f: integrate_truncated(f, SingularityHints((0.5,)), 2.0),
+    "integrate_interval": lambda f: integrate_interval(f, 0.0, 2.0, breakpoints=(0.5,)),
+    "integrate_real_line": lambda f: integrate_real_line(f, breakpoints=(0.5,), decay_exponent=3.0,
+                                                         support=(-math.inf, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_no_1d_entry_point_calls_another(monkeypatch, name):
+    # perfbench counts quad.drives on these names: one call must be one drive
+    drives = []
+    drive = quad._drive
+    monkeypatch.setattr(quad, "_drive", lambda *args: drives.append(1) or drive(*args))
+    def other_entry_point(*args, **kwargs):
+        pytest.fail(f"{name} called another entry point")
+
+    for other in _ENTRY_POINTS:
+        if other != name:
+            monkeypatch.setattr(quad, other, other_entry_point)
+    _ENTRY_POINTS[name](lambda y: np.exp(-y * y))
+    assert len(drives) == 1
 
 
 def _per_panel_nodes(panel, level):
