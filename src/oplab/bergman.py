@@ -50,7 +50,10 @@ log-grid scan.  The quadratures over a source f (T+, T, P_nu, mixed
 norms, both sides of the reduction check) integrate f only over its
 supports (Func2D.u_support / v_support, the support= of the quad
 integrators): the kernels are finite and nonzero, so a box, slab or
-one-sided source spends no nodes where it vanishes.
+one-sided source spends no nodes where it vanishes.  T+, T, P_nu and
+each level of the reduction's x drive (_tplus_slice, its abscissae a
+leading batch axis) are one quad.integrate_halfplane of a _compose_kernel
+integrand, whose |f| mass scales the tolerance: sign changes converge.
 
 T+, T and P_nu of a source that lives on the whole u line with no u
 knots (_centred: a slab, the reproducing probe, the constant 1 of the
@@ -253,20 +256,21 @@ def _centred_integrand(f: Func2D, x, y: float, kernel_power: float, weight: floa
     return fn
 
 
-def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: float,
+def _compose_kernel(f: Func2D, x, y: float, kernel_power: float, weight: float,
                     complex_kernel: bool) -> Func2D:
-    """f(w) * v^weight * (z - conj(w))^(-kernel_power) with combined hints,
-    over (u, v), or over (s, v) when f is _centred; the kernel factors are
-    finite and nonzero, so f's supports carry over."""
-    x, y = z.x, z.y
+    """f(w) * v^weight * (z - conj(w))^(-kernel_power) at z = x + iy with
+    combined hints, over (u, v), or over (s, v) when f is _centred; the
+    kernel factors are finite and nonzero, so f's supports carry over.  A
+    float x is a u knot; a batch of abscissae, axes before (v, u), is not."""
     u_decay, v_hints = _kernel_hints(f, kernel_power, weight)
     if _centred(f):
         fn = _centred_integrand(f, x, y, kernel_power, weight, complex_kernel)
         u_breakpoints = (0.0,)
     else:
         def fn(u, v):
-            return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, np.asarray(v) ** weight)
-        u_breakpoints = tuple(sorted({*f.u_breakpoints, x}))
+            factor = np.asarray(v) ** weight if weight else None
+            return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, factor)
+        u_breakpoints = tuple(sorted({*f.u_breakpoints, x})) if np.ndim(x) == 0 else f.u_breakpoints
     return Func2D(
         fn=fn,
         u_breakpoints=u_breakpoints,
@@ -282,7 +286,7 @@ def _compose_kernel(f: Func2D, z: HalfPlanePoint, kernel_power: float, weight: f
 def apply_Tplus(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> float:
     """T+ f(z) by iterated quadrature (inner over u, outer over v)."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z, 1.0 + params.gamma, params.beta, complex_kernel=False)
+    integrand = _compose_kernel(f, z.x, z.y, 1.0 + params.gamma, params.beta, complex_kernel=False)
     return z.y ** params.alpha * float(quad.integrate_halfplane(integrand, tol))
 
 
@@ -290,7 +294,7 @@ def apply_T(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_
     """T f(z); the kernel power uses the principal branch, which is
     well-defined since Im(z - conj(w)) = y + v > 0."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z, 1.0 + params.gamma, params.beta, complex_kernel=True)
+    integrand = _compose_kernel(f, z.x, z.y, 1.0 + params.gamma, params.beta, complex_kernel=True)
     return z.y ** params.alpha * complex(quad.integrate_halfplane(integrand, tol))
 
 
@@ -316,7 +320,7 @@ def bergman_constant(nu: float) -> complex:
 def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> complex:
     """P_nu f(z) = c_nu * integral f(w) (z - conj(w))^-(2+nu) v^nu dV(w)."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z, 2.0 + nu, nu, complex_kernel=True)
+    integrand = _compose_kernel(f, z.x, z.y, 2.0 + nu, nu, complex_kernel=True)
     return bergman_constant(nu) * complex(quad.integrate_halfplane(integrand, tol))
 
 
@@ -363,47 +367,12 @@ def reproduce_check(nu: float, m: int, points=None, tol: float = quad.DEFAULT_TO
 # --------------------------------------------------------------------------
 
 def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, tol: float) -> np.ndarray:
-    """T+ f(x+iy) for a batch of abscissae x at fixed height y.
-
-    The abscissae go through the (x, v, u) kernel tensor in blocks of 8
-    on f's unpruned (u, v) grid; where f's supports prune panels from
-    the grid the block grows in proportion, so the tensor keeps its size.
-    A _centred source is integrated over (x, v, s) instead, where every
-    abscissa shares the kernel profile of the s nodes.
-    """
-    al, be, ga = params.alpha, params.beta, params.gamma
-    out = np.empty(xs.shape, dtype=float)
-    inner_tol = max(tol / 20.0, 1e-13)
-    u_decay, v_hints = _kernel_hints(f, 1.0 + ga, be)
-    centred = _centred(f)
-    unpruned = (quad.panel_count((-math.inf, math.inf), f.u_breakpoints, semiaxis=False)
-                * quad.panel_count((0.0, math.inf), f.v_breakpoints, semiaxis=True))
-    pruned = (quad.panel_count(f.u_support, f.u_breakpoints, semiaxis=False)
-              * quad.panel_count(f.v_support, f.v_breakpoints, semiaxis=True))
-    block = 8 * unpruned // pruned
-    for start in range(0, xs.size, block):
-        chunk = xs[start:start + block]
-        xcol = chunk[:, None, None]
-
-        def outer(v):
-            vrow = v[None, :, None]
-            if centred:
-                fn = _centred_integrand(f, xcol, y, 1.0 + ga, be, False)
-                return quad.integrate_real_line(
-                    lambda s: fn(s[None, None, :], vrow), inner_tol, breakpoints=(0.0,),
-                    decay_exponent=u_decay)
-
-            def inner(u):
-                u = u[None, None, :]
-                return f(u, vrow) * _kernel(xcol - u, y + vrow, 1.0 + ga, False)
-
-            planes = quad.integrate_real_line(
-                inner, inner_tol, breakpoints=f.u_breakpoints,
-                decay_exponent=u_decay, support=f.u_support)
-            return planes * v[None, :] ** be
-
-        out[start:start + block] = quad.integrate_semiaxis(outer, v_hints, tol, support=f.v_support)
-    return y ** al * out
+    """T+ f(x+iy) for a batch of abscissae x at fixed height y: one
+    integrate_halfplane with the abscissae as a leading batch axis, judged
+    in the batch sup norm (a _centred source shares one kernel profile)."""
+    integrand = _compose_kernel(f, xs[:, None, None], y, 1.0 + params.gamma, params.beta,
+                                complex_kernel=False)
+    return y ** params.alpha * quad.integrate_halfplane(integrand, tol)
 
 
 def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,

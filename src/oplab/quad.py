@@ -37,7 +37,9 @@ batch: an array of shape (..., n) is summed over its last axis, so a
 single adaptive run can integrate a whole family (all components are
 refined in lockstep and convergence is judged in the batch sup norm).
 A value that only broadcasts against the nodes (a scalar, a (k, 1)
-column) is broadcast first.  Each level's value and |value| sums are
+column) is broadcast first, and a generator of blocks of rows along the
+last batch axis is summed block by block as it comes (integrate_halfplane
+yields its v rows so).  Each level's value and |value| sums are
 per-row contractions, np.einsum("...k,k->...", vals, w), which sum
 every row by the same loop whatever the batch: a row gives the same
 bits integrated alone or in a family.  A BLAS product (vals @ w,
@@ -45,6 +47,10 @@ np.dot) is faster but blocks the rows, so a row's sum would depend on
 how many rows share its batch.  Complex integrands are supported; the
 half-plane integrator splits them into real channels, so its drives
 run in real arithmetic.
+
+The |value| sums are the integrand's mass.  The half-plane drives let
+the |f| mass scale their tolerance and never judge it: |f| has a kink
+where f changes sign, off the knots, so its change need not settle.
 
 Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
@@ -78,6 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,7 +99,6 @@ __all__ = [
     "integrate_truncated",
     "integrate_interval",
     "integrate_real_line",
-    "panel_count",
     "integrate_halfplane",
     "log_grid_sup",
 ]
@@ -105,7 +111,7 @@ _LOG_TAIL_SPAN = 30.0  # tails integrated numerically out to T*e^30
 _PI_HALF = math.pi / 2.0
 _MIN_LEVEL = 3         # refinement levels always run before convergence counts
 _MAX_LEVEL = 10        # refinement budget of every drive
-_BLOCK_ELEMENTS = 1 << 15  # (v, u) values per integrand call of integrate_halfplane's inner drives
+_BLOCK_ELEMENTS = 1 << 15  # values per call of integrate_halfplane's f, batch included
 
 
 @dataclass(frozen=True)
@@ -269,45 +275,66 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tolerance must be in (0, 0.5), got {tol}")
 
 
-def _drive(panels, integrand, tol, completion=0.0, magnitude=np.abs):
-    """Run all panels in lockstep, refining until the total settles: until
-    the largest entry of magnitude(change) is within tol of the largest
-    entry of magnitude(total), the batch sup norm."""
+def _checked_sums(vals: np.ndarray, x: np.ndarray, w: np.ndarray, panels, level: int):
+    """_row_sums of one block of values at a level's nodes x.  A non-finite
+    value leaves its row's sum non-finite (the weights are positive): only
+    then are the values scanned."""
+    if vals.shape[-1:] != x.shape:  # einsum needs the node axis
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, x.shape))
+    sums = _row_sums(vals, w)
+    if np.isfinite(sums[0]).all() or np.isfinite(vals).all():
+        return sums
+    # a mapped panel lies beyond the outermost knots, where the hints
+    # certify the decay: all its nodes count as fringe
+    fringe = _level_nodes(level)[5]
+    edge = np.concatenate([fringe if p.kind is None else np.ones_like(fringe) for p in panels])
+    inside = np.nonzero(~np.isfinite(vals) & ~edge)
+    if inside[0].size:
+        raise DomainError(f"integrand is {vals[inside][0]} at {float(x[inside[-1][0]])!r}, "
+                          "away from the ends of its quadrature panel")
+    return _row_sums(_sanitize(vals), w)
+
+
+def _modulus(values, mass):
+    """The default magnitude: each entry's modulus, judged and scaling."""
+    modulus = np.abs(values)
+    return modulus, modulus
+
+
+def _drive(panels, integrand, tol, completion=0.0, magnitude=_modulus):
+    """Run all panels in lockstep, refining until the total settles.
+
+    magnitude(values, mass) -> (judged, scale) maps a total, or its change
+    between levels, and the level's mass (the rule on |integrand|, without
+    completion) to nonnegative entries.  The drive stops when the largest
+    judged entry of the change is within tol of the largest entry, judged
+    or scale, of the total, the batch sup norm: scale entries only enlarge
+    the tolerance."""
     _check_tol(tol)
     plan = _plan(panels)
-    partial = None
-    mass = None
-    prev = None
+    partial = mass = prev = None
     change = math.inf
     for level in range(_MAX_LEVEL + 1):
         x, w = _plan_nodes(plan, level)
         with np.errstate(all="ignore"):
-            vals = np.asarray(integrand(x))
-            if vals.shape[-1:] != x.shape:  # einsum needs the node axis
-                vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, x.shape))
-            contrib, absorb = _row_sums(vals, w)
-        # a non-finite value leaves its row's sum non-finite (the weights
-        # are positive): only then are the values scanned
-        if not np.isfinite(contrib).all() and not np.isfinite(vals).all():
-            # a mapped panel lies beyond the outermost knots, where the hints
-            # certify the decay: all its nodes count as fringe
-            fringe = _level_nodes(level)[5]
-            edge = np.concatenate([fringe if p.kind is None else np.ones_like(fringe) for p in panels])
-            inside = np.nonzero(~np.isfinite(vals) & ~edge)
-            if inside[0].size:
-                raise DomainError(f"integrand is {vals[inside][0]} at {float(x[inside[-1][0]])!r}, "
-                                  "away from the ends of its quadrature panel")
-            contrib, absorb = _row_sums(_sanitize(vals), w)
+            vals = integrand(x)
+            if isinstance(vals, GeneratorType):  # blocks of rows, each summed as it comes
+                sums = [_checked_sums(np.asarray(block), x, w, panels, level) for block in vals]
+                contrib, absorb = (np.concatenate(part, axis=-1) for part in zip(*sums))
+            else:
+                contrib, absorb = _checked_sums(np.asarray(vals), x, w, panels, level)
         partial = contrib if partial is None else partial + contrib
         mass = absorb if mass is None else mass + absorb
         total = (2.0 ** (-level)) * partial + completion
         if prev is not None:
-            change = float(magnitude(total - prev).max())
+            level_mass = (2.0 ** (-level)) * mass
+            change = float(magnitude(total - prev, level_mass)[0].max())
         if level >= _MIN_LEVEL:
+            judged, scale = magnitude(total, level_mass)
             # the mass floor recognizes cancellation-to-zero: nothing below
             # machine epsilon times the L1 mass is resolvable anyway
-            floor = 1e-15 * (2.0 ** (-level)) * float(mass.max()) + 1e-300
-            if change <= max(tol * float(magnitude(total).max()), floor):
+            floor = 1e-15 * float(level_mass.max()) + 1e-300
+            if change <= max(tol * max(float(judged.max()), float(scale.max())), floor):
                 return total
         prev = total
     raise AccuracyError(
@@ -326,7 +353,10 @@ def _completion(integrand, ends) -> float | np.ndarray:
     for k, (y, denominator) in enumerate(ends):
         y = np.array(y, dtype=float)
         with np.errstate(all="ignore"):
-            vals = _sanitize(np.asarray(integrand(y)))
+            vals = integrand(y)
+            if isinstance(vals, GeneratorType):  # blocks of rows, small at these few points
+                vals = np.concatenate(list(vals), axis=-2)
+            vals = _sanitize(np.asarray(vals))
         term = (vals * np.abs(y)).sum(axis=-1) / denominator
         total = term + total if k else term
     return total
@@ -387,7 +417,7 @@ def _support_plan(support: tuple[float, float], floor: float, breakpoints: Seque
 # No 1D entry point calls another: each one runs exactly one drive.
 
 def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, *,
-                       support: tuple[float, float] = (0.0, math.inf), magnitude=np.abs):
+                       support: tuple[float, float] = (0.0, math.inf), magnitude=_modulus):
     """Integral of f over (0, inf) to relative tolerance ``tol``.
 
     ``f`` is called on numpy arrays of nodes and may return a batch with
@@ -397,11 +427,10 @@ def integrate_semiaxis(f, hints: SingularityHints, tol: float = DEFAULT_TOL_1D, 
     that vanishes outside a ``support`` [lo, hi] is integrated over it
     only: its finite ends are knots (with the breakpoints inside it), and
     only an open end (lo = 0, hi = inf) gets a mapped panel, a completion
-    and the check of its exponent.  ``magnitude`` maps a result, and its
-    change between refinement levels, to the nonnegative entries whose
-    largest is the batch sup norm that decides convergence;
-    integrate_halfplane passes one that measures its (re, im) rows as one
-    complex modulus.
+    and the check of its exponent.  ``magnitude(values, mass)`` returns
+    (judged, scale) entries of a result, or of its change, and the |f|
+    mass (see _drive); the default judges every modulus, and
+    integrate_halfplane's hooks let the |f| mass only scale.
     """
     panels, ends = _support_plan(support, 0.0, hints.breakpoints,
                                  hints.left_exponent, hints.decay_exponent)
@@ -431,7 +460,7 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL_1D, *, br
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence[float] = (),
                         decay_exponent: float = math.inf,
-                        support: tuple[float, float] = (-math.inf, math.inf), magnitude=np.abs):
+                        support: tuple[float, float] = (-math.inf, math.inf), magnitude=_modulus):
     """Integral of f over the whole real line.
 
     ``decay_exponent`` is the power behaviour |u|^(-tau) for |u| -> inf
@@ -442,12 +471,6 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL_1D, *, breakpoints: Sequence
     """
     panels, ends = _support_plan(support, -math.inf, breakpoints, decay_exponent=decay_exponent)
     return _drive(panels, f, tol, _completion(f, ends), magnitude)
-
-
-def panel_count(support: tuple[float, float], breakpoints: Sequence[float], *, semiaxis: bool) -> int:
-    """Number of panels integrate_semiaxis (semiaxis) or integrate_real_line
-    drives for this support and these breakpoints (at least 1)."""
-    return len(_support_plan(support, 0.0 if semiaxis else -math.inf, breakpoints)[0])
 
 
 def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
@@ -463,61 +486,64 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     budget of every drive, so a divergent hint raises their DivergenceError.
     The first coordinate need not be u itself: bergman passes kernel
     integrands of whole-line sources over s = (u - x)/(y + v), with the
-    hints of s.  The inner integrand calls f on blocks of v rows of at
-    most _BLOCK_ELEMENTS values, which bounds its temporaries; each row
-    is still summed alone, so the blocks change no bit.
+    hints of s.  A real f may return a batch, axes before (v, u), and the
+    result then has the batch shape (bergman passes abscissae).  f is
+    called on blocks of v rows of at most _BLOCK_ELEMENTS values, batch
+    included, or on one row where a row holds more, the first call on one
+    row to read the batch shape; the inner drive sums each block as it
+    comes, and each row alone, so the blocks change no bit.
 
     Complex values are allowed (f real or complex at every call), and the
-    drives still work in real arithmetic: the inner integrand writes f
-    into real channels, (value, |f|) for a real f and (re, im, |f|) for a
-    complex one, and the result is a float or rebuilds complex(re, im).
-    The |f| mass channel lets the outer convergence test see the true
-    two-dimensional scale when the inner integrals cancel to noise.  The
-    drives measure the (re, im) rows as one complex modulus, so they stop
-    where a complex channel would.
+    drives still work in real arithmetic: a complex f is written into
+    real channels (re, im, |f|), and the result rebuilds complex(re, im).
+    Each drive judges the value, (re, im) as one complex modulus, and lets
+    the |f| mass scale its tolerance, so that inner integrals and batches
+    that cancel to noise converge.  The mass is integrated but never
+    judged: for a real f the inner drive's |f| row sums, for the outer
+    drive a (value, mass) channel pair.
     """
     inner_tol = max(tol / 20.0, 1e-13)
-    u_bps = tuple(f.u_breakpoints)
-    u_decay = f.u_decay_exponent
+    batch = split = None   # f's batch shape and whether it is complex, from its first call
+    mass = None            # a real f's |f| mass where its last inner drive returned
+
+    def inner_magnitude(values, level_mass):
+        nonlocal mass
+        if split:
+            return _channel_magnitude(values, level_mass)
+        mass = level_mass
+        return np.abs(values), level_mass
 
     def outer_integrand(v: np.ndarray):
-        vcol = v[:, None]
-
         def inner_integrand(u: np.ndarray):
-            rows = max(1, _BLOCK_ELEMENTS // u.size)
-            out = None
-            for start in range(0, v.size, rows):
-                block = slice(start, start + rows)
-                vals = np.asarray(f(u[None, :], vcol[block]))
-                parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
-                if out is None:
-                    out = np.empty((len(parts) + 1, v.size, u.size))
-                for channel, part in zip(out, parts):
-                    np.copyto(channel[block], part)
-                np.abs(vals, out=out[-1, block])
-            return out
+            nonlocal batch, split
+            start = 0
+            while start < v.size:
+                rows = 1 if batch is None else max(1, _BLOCK_ELEMENTS // (math.prod(batch) * u.size))
+                vals = np.asarray(f(u[None, :], v[start:start + rows, None]))
+                if batch is None:
+                    batch = np.broadcast_shapes(vals.shape, (1, u.size))[:-2]
+                    split = np.iscomplexobj(vals)
+                shape = (*batch, min(rows, v.size - start), u.size)
+                vals = vals if vals.shape == shape else np.broadcast_to(vals, shape)
+                yield np.stack([vals.real, vals.imag, np.abs(vals)]) if split else vals
+                start += rows
 
-        return integrate_real_line(
-            inner_integrand, inner_tol, breakpoints=u_bps, decay_exponent=u_decay,
-            support=f.u_support, magnitude=_channel_magnitude,
-        )
+        values = integrate_real_line(inner_integrand, inner_tol, breakpoints=tuple(f.u_breakpoints),
+                                     decay_exponent=f.u_decay_exponent, support=f.u_support,
+                                     magnitude=inner_magnitude)
+        return values if split else np.stack([values, mass])
 
-    hints = SingularityHints(
-        breakpoints=tuple(f.v_breakpoints),
-        left_exponent=f.v_left_exponent,
-        decay_exponent=f.v_decay_exponent,
-    )
+    hints = SingularityHints(tuple(f.v_breakpoints), f.v_left_exponent, f.v_decay_exponent)
     channels = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support,
                                   magnitude=_channel_magnitude)
     return channels[0] if len(channels) == 2 else complex(channels[0], channels[1])
 
 
-def _channel_magnitude(channels: np.ndarray) -> np.ndarray:
-    """|value| and |mass| of integrate_halfplane's channels, the value of
-    (re, im, |f|) channels as the modulus hypot(re, im)."""
-    if len(channels) == 2:
-        return np.abs(channels)
-    return np.stack([np.hypot(channels[0], channels[1]), np.abs(channels[2])])
+def _channel_magnitude(channels: np.ndarray, mass) -> tuple[np.ndarray, np.ndarray]:
+    """(judged, scale) of (value, |f|) or (re, im, |f|) channels: the value
+    (as hypot(re, im)), and the |f| mass, which only scales."""
+    value = np.abs(channels[0]) if len(channels) == 2 else np.hypot(channels[0], channels[1])
+    return value, channels[-1]
 
 
 def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int, knots: Sequence[float] = ()) -> float:

@@ -13,6 +13,7 @@ from oplab.bergman import (
     HalfPlanePoint,
     MixedNormSpec,
     _centred,
+    _compose_kernel,
     _kernel,
     _kernel_hints,
     _tplus_slice,
@@ -257,6 +258,69 @@ def test_tplus_in_s_coordinates_against_mpmath():
         want = _ALGEBRAIC_TPLUS[x]
         assert abs(apply_Tplus(params, ALGEBRAIC, complex(x, 0.5)) - want) <= 1e-6 * want
         assert abs(sliced - want) <= 1e-6 * want
+
+
+# -- sources that change sign, and the batched slice -------------------------------
+
+ODD = func2d("x*ind(-1,1)*ind(y,1,2)")
+# T+ and T under (0, 0, 1) by mpmath at 25 digits: mpmath.quad of f(w) times
+# |z - conj(w)|^-2 and (z - conj(w))^-2 over the source's box or slab
+_SIGNED = [
+    (ODD, 0.5 + 1j, 0.014926439102378578558,
+     complex(-0.037796127629516093824, 0.061949839484529442548)),
+    (ODD, 2 + 1j, 0.025852751712032465751,
+     complex(-0.037165562817175821946, -0.015074181615944908163)),
+    (func2d("exp(0-x^2)*(x-0.5)*ind(y,1,2)"), 1j, -0.13724340829546093985,
+     complex(0.12000023946005551373, 0.082347743695348552305)),
+]
+
+
+@pytest.mark.parametrize("f, z, tplus, t", _SIGNED, ids=["odd-0.5+i", "odd-2+i", "gaussian-i"])
+def test_sources_that_change_sign_against_mpmath(f, z, tplus, t):
+    # |f| has a kink where f changes sign, which is not a knot: its mass
+    # only scales the tolerance, and judging it raised AccuracyError
+    assert abs(apply_Tplus(P(0, 0, 1), f, z, 1e-6) - tplus) <= 1e-6 * abs(tplus)
+    assert abs(apply_T(P(0, 0, 1), f, z, 1e-6) - t) <= 1e-6 * abs(t)
+
+
+def test_reduction_of_an_odd_source():
+    # T+ f(x+i) is odd in x and cancels across an x batch; the reference is
+    # a tensor Gauss-Legendre rule
+    (row,) = reduction_bound_check(P(0, 0, 1), ODD, y_grid=(1.0,), tol=1e-5)
+    assert abs(row["lhs"] - 0.060092599992099836) <= 1e-5
+    assert row["slack"] >= 0.0
+
+
+@pytest.mark.parametrize("src", ["ind(-0.25,0.25)*ind(y,1,2)", "ind(-inf,1)*exp(x)*exp(0-y)*y^0.5",
+                                 "x*ind(-1,1)*ind(y,1,2)", "(1+x^2)^(0-1)*y^0.5*exp(0-y)"])
+def test_tplus_slice_is_apply_tplus_at_each_abscissa(src):
+    # the batch is judged in its sup norm, so each value is within tol of it
+    params, f, tol = P(0.5, 0.3, 2.0), func2d(src), 1e-6
+    xs = np.array([-6.0, -3.0, -1.5, -0.7, -0.2, 0.0, 0.3, 1.0, 2.5, 5.0])
+    batch = _tplus_slice(params, f, xs, 0.5, tol)
+    alone = np.array([apply_Tplus(params, f, complex(x, 0.5), tol) for x in xs])
+    assert np.max(np.abs(batch - alone)) <= tol * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("f, n", [(BOX, 7), (ALGEBRAIC, 7), (BOX, 3000)], ids=["box", "algebraic", "box-3000"])
+def test_halfplane_calls_on_a_batch_keep_the_block_budget(f, n):
+    # each call holds at most _BLOCK_ELEMENTS values, batch included, or one
+    # v row where a row holds more (3000 abscissae times the u nodes)
+    calls = []
+    integrand = _compose_kernel(f, np.linspace(-2.0, 2.0, n)[:, None, None], 0.5, 2.0, 0.3, False)
+
+    def fn(u, v):
+        vals = integrand.fn(u, v)
+        assert vals.shape == (n, np.shape(v)[0], np.shape(u)[-1])
+        calls.append((vals.size, np.shape(v)[0]))
+        return vals
+
+    quad.integrate_halfplane(dataclasses.replace(integrand, fn=fn), 1e-6)
+    assert all(size <= quad._BLOCK_ELEMENTS or rows == 1 for size, rows in calls)
+    if n == 7:
+        assert any(rows > 1 for _, rows in calls)
+    else:
+        assert any(size > quad._BLOCK_ELEMENTS for size, _ in calls)
 
 
 def test_far_field_of_an_algebraic_source_raises():
