@@ -35,13 +35,16 @@ and the conjugate exponent of 1 is inf.  All operations are pure given
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import quad
-from .errors import DomainError, ParameterError
+from .errors import DivergenceError, DomainError, ParameterError
 from .funcdsl import BinOp, Func1D, Ind, Pow, Var, func1d
 from .quad import SingularityHints
 from .specfun import beta as beta_fn  # noqa: F401 (bound for perfbench/tracing.py, which wraps it)
@@ -102,13 +105,112 @@ _SERIES_BLOCK = 64        # series terms evaluated per step
 _SERIES_CAP = 1024        # most terms before the series gives up
 _SERIES_TAIL = 2.0 ** -56  # tail bound relative to the partial sum
 _SERIES_COND = 32.0       # largest sum |terms| / |sum| accepted
+_SERIES_ENDS = np.array([8, 16, 32, 64])  # the row counts an element is sized to
+_SERIES_SPLIT = 1024      # terms a stop must save to pay for its numpy calls
+_ROWS = np.arange(_SERIES_BLOCK, dtype=float)[:, None]
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
+_SIDES = np.array([1.0, -1.0])
 
 
-def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
+def _coefficients(b, start=0, coef=1.0):
+    """(1-b)_n/n! for the rows n = start .. start+63, one column per entry
+    of b, from coef, their row start-1 (1 at start = 0)."""
+    step = 1.0 - b / np.maximum(start + _ROWS, 1.0)  # coefficient n over n-1
+    if start == 0:
+        step[0] = 1.0
+    return coef * np.cumprod(step, axis=0)
+
+
+class _Series(NamedTuple):
+    """_beta_segment's constants for K Beta parameter pairs (a, b), built
+    once per source and shared by its calls, never written: the first 64
+    coefficients (1-b)_n/n!, one column per pair, and scaled, the same
+    over -(a+n); the pairs whose a is a non-positive integer (a log term
+    at n = -a), None if there are none; and per pair and row count N of
+    _SERIES_ENDS, the bound grow = max(1, |1-b/N|) on the later term
+    ratios over z2 (inf where a+N <= 1, which the tail test excludes) and
+    reach, the largest z2 that N rows are sized for."""
+
+    a: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray
+    scaled: np.ndarray
+    pole: np.ndarray | None
+    grow: np.ndarray
+    reach: np.ndarray
+
+
+def _series(a, b) -> _Series:
+    """The _Series of the pairs (a[i], b[i]).  For a sum that is accepted,
+    N rows pass the tail test when z2 g (C z2^(N-1) + 2^-56) <= 2^-56,
+    g = grow and C = _SERIES_COND |(1-b)_(N-1)/(N-1)!|, which
+    z2 <= min((2^-57/(g C))^(1/N), 1/(2g)) ensures.  reach is the running
+    maximum of that bound over N, so that the first N whose reach is at
+    least z2 is the first N that is enough."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    coef = _coefficients(b)
+    ends = _SERIES_ENDS
+    with np.errstate(all="ignore"):
+        grow = np.where(a[:, None] + ends > 1.0, np.maximum(1.0, np.abs(1.0 - b[:, None] / ends)), np.inf)
+        size = _SERIES_COND * np.abs(coef[ends - 1].T)
+        reach = np.minimum((_SERIES_TAIL / (2.0 * grow * size)) ** (1.0 / ends), 0.5 / grow)
+        scaled = coef / (-_ROWS - a)
+    pole = (a <= 0.0) & (a == np.round(a))
+    return _Series(a, b, coef, scaled, pole if pole.any() else None, grow,
+                   np.maximum.accumulate(reach, axis=1))
+
+
+def _terms(table, scaled, col, a, powers, log_ratio, n, pole):
+    """The series rows n (a column of consecutive row numbers, one per
+    row of the coefficients table and of scaled, the table over -(a+n))
+    of the elements (col, a, log_ratio), less the factor z2^a:
+    coef_n z2^n (1-(z1/z2)^k)/k, k = a+n, or coef_n z2^n log(z2/z1) at
+    k = 0 in a pole column."""
+    terms = np.take(scaled, col, axis=1)
+    terms *= powers
+    neg_k = -n - a
+    neg_k *= log_ratio
+    terms *= np.expm1(neg_k, out=neg_k)
+    if pole is not None:
+        cols = np.flatnonzero(pole[col])
+        row = -a[cols] - n[0, 0]   # the row of the term k = 0
+        hit = (0.0 <= row) & (row < n.size)
+        cols, row = cols[hit], row[hit].astype(int)
+        terms[row, cols] = table[row, col[cols]] * powers[row, cols] * log_ratio[cols]
+    return terms
+
+
+def _blocks(series, col, z2, log_z2, log_ratio, pole):
+    """(total, absum, done) of the series summed in blocks of 64 rows from
+    row 0, until the tail bound holds for every element or _SERIES_CAP."""
+    a, b = series.a[col], series.b[col]
+    total, absum = np.zeros(col.size), np.zeros(col.size)
+    done = np.zeros(col.size, dtype=bool)
+    table, powers = series.coef, np.exp(_ROWS * log_z2)  # z2^n within the block
+    for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
+        if start:
+            table = _coefficients(series.b, start, table[-1])
+        n = start + _ROWS
+        scaled = table / (-n - series.a)
+        # F-ordered, so that each element's column sums pairwise as in _beta_segment
+        terms = np.asfortranarray(_terms(table, scaled, col, a, powers, log_ratio, n, pole))
+        total += terms.sum(axis=0)
+        absum += np.abs(terms).sum(axis=0)
+        # every later term ratio is at most rho
+        rho = z2 * np.maximum(1.0, np.abs(1.0 - b / (start + _SERIES_BLOCK)))
+        done |= (rho < 1.0) & (a + start + _SERIES_BLOCK > 1.0) & (
+            np.abs(terms[-1]) * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total))
+        if done.all():
+            break
+        powers *= powers[-1] * z2
+    return total, absum, done
+
+
+def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
     """x^e * int_{z1}^{z2} z^(a-1) (1-z)^(b-1) dz for 0 <= z1 <= z2 <= 1/2,
-    x > 0, with dz = z2 - z1 formed by the caller without subtracting z
-    values.
+    x > 0 and (a, b) the pair col of series (built by _series), with
+    dz = z2 - z1 formed by the caller without subtracting z values; all
+    arguments but series are 1-D arrays of one size.
 
     Expanding (1-z)^(b-1) gives the series (DLMF 8.17.7 integrated term
     by term)
@@ -119,65 +221,106 @@ def _beta_segment(z1, z2, dz, a, b, x=1.0, e=0.0):
     a > 0 when z1 = 0.  Each difference is z2^k * -expm1(-k*log1p(dz/z1)),
     k = a+n, free of cancellation on narrow segments; where a is a
     non-positive integer, the term n = -a has k = 0 and is the limit
-    z2^0 * log(z2/z1).  Terms are added in blocks until the tail bound
+    z2^0 * log(z2/z1).  An element is summed until the tail bound
     |term_n| * rho/(1-rho), rho = z2*max(1, |1-b/(n+1)|) (the largest
-    later term ratio), falls below 2^-56 of the partial sum.  The
-    result is NaN where that takes more than _SERIES_CAP terms, where the
-    terms cancel by more than a factor _SERIES_COND (large b near
+    later term ratio), falls below 2^-56 of the partial sum.
+
+    Rows are sized before they are summed.  Term n is at most
+    |(1-b)_n/n!| z2^n times the first, and an accepted sum is at least the
+    first over _SERIES_COND, so an element gets the first N of 8, 16, 32
+    and 64 at which that bound passes the tail test (_series); the
+    elements of an N run on to the next N in use unless stopping saves
+    _SERIES_SPLIT terms, the cost of a chunk's numpy calls.  Ordered by
+    N, the elements get each chunk of rows over the run that still needs
+    it, and the tail bound judges each at its N; an element it rejects,
+    or with no N, is summed again from row 0 in blocks of 64 rows.  Each
+    element's terms are summed pairwise over its own rows, as in a 64-row
+    block.
+
+    The result is NaN where that takes more than _SERIES_CAP terms, where
+    the terms cancel by more than a factor _SERIES_COND (large b near
     z = 1/2), so that the value would lose more than ~1e-14 relative, and
     where x^e, z2^a, their product or the value leaves the range of
     normal floats: an underflow there would cost precision silently.  A
     value whose logarithm lies below that range is 0.
     """
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z1, z2, dz, a, b, x, e)))
-    shape = args[0].shape
-    z1, z2, dz, a, b, x, e = (v.ravel() for v in args)
-    # the coefficients (1-b)_n/n! depend on b alone: one column per distinct b
-    b_values, b_index = np.unique(b, return_inverse=True)
-    coef = np.ones(b_values.size)   # (1-b)_n/n! at the last n of the previous block
-    n = np.arange(_SERIES_BLOCK, dtype=float)[:, None]
-    total = np.zeros(z1.size)       # total, absum and the terms leave out the factor z2^a
-    absum = np.zeros(z1.size)
-    done = np.zeros(z1.size, dtype=bool)
-    poles = np.flatnonzero((a <= 0.0) & (a == np.round(a)))  # elements with a term k = 0
-    pole_n = -a[poles]
+    pole = series.pole
     with np.errstate(all="ignore"):
+        log_z2 = np.log(z2)
         log_ratio = np.log1p(dz / z1)   # log(z2/z1), inf at z1 = 0
-        powers = np.exp(n * np.log(z2))  # z2^n within the block
-        for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
-            step = 1.0 - b_values / np.maximum(start + n, 1.0)  # coefficient n over n-1
-            if start == 0:
-                step[0] = 1.0
-            table = coef * np.cumprod(step, axis=0)
-            # term_n = coef_n z2^n (1 - (z1/z2)^(a+n)) / (a+n), in place
-            neg_k = -(start + n) - a
-            terms = table[:, b_index]
-            terms /= neg_k
-            terms *= powers
-            neg_k *= log_ratio
-            terms *= np.expm1(neg_k, out=neg_k)
-            if poles.size:
-                hit = (start <= pole_n) & (pole_n < start + _SERIES_BLOCK)
-                rows, cols = (pole_n[hit] - start).astype(int), poles[hit]
-                terms[rows, cols] = table[rows, b_index[cols]] * powers[rows, cols] * log_ratio[cols]
-            total += terms.sum(axis=0)
-            absum += np.abs(terms).sum(axis=0)
-            # every later term ratio is at most rho
-            rho = z2 * np.maximum(1.0, np.abs(1.0 - b / (start + _SERIES_BLOCK)))
-            done |= (rho < 1.0) & (a + start + _SERIES_BLOCK > 1.0) & (
-                np.abs(terms[-1]) * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total))
-            if done.all():
+        need = (z2[:, None] > series.reach[col]).sum(axis=1)  # index of N; len(ends): none
+        ends = _SERIES_ENDS.tolist()
+        count = np.bincount(need, minlength=len(ends) + 1).tolist()
+        target, up = list(range(len(ends) + 1)), None
+        for j in reversed(range(len(ends))):
+            if count[j] and up is not None and count[j] * (ends[up] - ends[j]) < _SERIES_SPLIT:
+                target[j], count[up], count[j] = up, count[up] + count[j], 0
+            elif count[j]:
+                up = j
+        need = np.take(target, need)
+        order = need.argsort(kind="stable")
+        need, s_col = need[order], col[order]
+        first = list(itertools.accumulate(count))   # elements with need <= j
+        sized = first[-2]
+        head = order[:sized]
+        s_col, s_log_z2, s_log_ratio = s_col[:sized], log_z2[head], log_ratio[head]
+        s_a = series.a[s_col]
+        # the sized elements' terms, F-ordered: a column sums pairwise, as in a 64-row block
+        terms = np.empty((sized, _SERIES_ENDS[need[sized - 1]] if sized else 0)).T
+        total, absum, last = np.zeros(col.size), np.zeros(col.size), np.zeros(sized)
+        start, lo = 0, 0
+        for stop, hi in zip(ends, first):
+            if hi == lo:   # no element ends at this N
+                continue
+            n = _ROWS[start:stop]
+            terms[start:stop, lo:] = _terms(series.coef[start:stop], series.scaled[start:stop], s_col[lo:],
+                                            s_a[lo:], np.exp(n * s_log_z2[lo:]), s_log_ratio[lo:], n, pole)
+            ending = terms[:stop, lo:hi]
+            size = np.abs(ending)
+            total[lo:hi], absum[lo:hi], last[lo:hi] = (
+                np.add.reduce(ending, axis=0), np.add.reduce(size, axis=0), size[-1])
+            start, lo = stop, hi
+            if lo == sized:
                 break
-            coef = table[-1]
-            powers *= powers[-1] * z2
+        rho = z2[head] * series.grow[s_col, need[:sized]]
+        done = np.zeros(col.size, dtype=bool)
+        done[:sized] = (rho < 1.0) & (
+            last * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total[:sized]))
+        redo = np.flatnonzero(~done)
+        if redo.size:
+            i = order[redo]
+            total[redo], absum[redo], done[redo] = _blocks(
+                series, col[i], z2[i], log_z2[i], log_ratio[i], pole)
+        accepted = np.empty(col.size)
+        accepted[order] = np.where(done & (absum <= _SERIES_COND * np.abs(total)), total, np.nan)
+        a = series.a[col]
         x_e, z2_a = x ** e, z2 ** a
         scale = x_e * z2_a
-        value = total * scale
-        normal = np.all([(_TINY <= v) & (v <= _HUGE) for v in (x_e, z2_a, scale, np.abs(value))], axis=0)
-        underflow = e * np.log(x) + a * np.log(z2) + np.log(np.abs(total)) < np.log(_TINY)
-        value = np.where(normal, value, np.where(underflow, 0.0, np.nan))
-        ok = done & (absum <= _SERIES_COND * np.abs(total))
-    return np.where(ok, value, np.nan).reshape(shape)
+        value = accepted * scale
+        checks = np.array([x_e, z2_a, scale, np.abs(value)])
+        if not (checks.min() >= _TINY and checks.max() <= _HUGE):
+            odd = np.flatnonzero(~((checks.min(axis=0) >= _TINY) & (checks.max(axis=0) <= _HUGE)))
+            underflow = (e[odd] * np.log(x[odd]) + a[odd] * log_z2[odd]
+                         + np.log(np.abs(accepted[odd])) < np.log(_TINY))
+            value[odd] = np.where(underflow, 0.0, np.nan)
+    return value
+
+
+@functools.lru_cache(maxsize=16)
+def _piece_constants(params: OperatorParams, pieces: tuple):
+    """_apply_pieces' constants of one source, built once per (params,
+    pieces) and kept for the last 16 sources: the piece bounds lo and hi
+    and their edges (lo, -hi), the exponents e, whether a piece diverges,
+    and the _Series whose pair 2j is piece j's segment below y = x,
+    (a, b), and pair 2j+1 the one above it, (b, a)."""
+    _, s, lo, hi = (np.array(col, dtype=float) for col in zip(*pieces))
+    m = s + params.beta
+    a, b = m + 1.0, params.gamma - m - 1.0
+    e = params.alpha + m + 1.0 - params.gamma
+    diverges = bool(np.any(((lo == 0.0) & (a <= 0.0)) | (np.isinf(hi) & (b <= 0.0))))
+    edges = np.column_stack([lo, -hi])   # a segment exists where edges < (x, -x)
+    series = _series(np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel())
+    return lo, hi, edges, e, diverges, series
 
 
 def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
@@ -193,30 +336,29 @@ def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
     non-positive integer gives the series' log term; it has z1 > 0 on every
     piece that converges.
     """
-    c, s, lo, hi = (np.array(col, dtype=float) for col in zip(*pieces))
-    m = s + params.beta
-    a, b = m + 1.0, params.gamma - m - 1.0
-    e = params.alpha + m + 1.0 - params.gamma
-    diverges = ((lo == 0.0) & (a <= 0.0)) | (np.isinf(hi) & (b <= 0.0))
-    if diverges.any():
+    lo, hi, edges, e, diverges, series = _piece_constants(params, pieces)
+    if diverges:
         return np.full(xs.shape, np.nan)
-    x = xs[:, None]
-    below, above = np.nonzero(lo < x), np.nonzero(hi > x)
-    xb, lb, ub = xs[below[0]], lo[below[1]], np.minimum(hi[below[1]], xs[below[0]])
-    xa, wa, ha = xs[above[0]], np.maximum(lo[above[1]], xs[above[0]]), hi[above[1]]
+    # the segment [y1, y2] of each probe and piece below y = x (side 0) and above it (side 1)
+    exists = edges < xs[:, None, None] * _SIDES
+    probe, piece, side = exists.nonzero()
+    above = side == 1
+    xe, lo_e, hi_e = xs[probe], lo[piece], hi[piece]
+    y1 = np.where(above, np.maximum(lo_e, xe), lo_e)
+    y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
+    t1, t2 = xe + y1, xe + y2
+    x_t1 = xe / t1
     with np.errstate(invalid="ignore"):
-        dz_above = np.where(np.isinf(ha), xa / (xa + wa), xa * (ha - wa) / ((xa + wa) * (xa + ha)))
         segments = _beta_segment(
-            np.concatenate([lb / (xb + lb), xa / (xa + ha)]),
-            np.concatenate([ub / (xb + ub), xa / (xa + wa)]),
-            np.concatenate([xb * (ub - lb) / ((xb + lb) * (xb + ub)), dz_above]),
-            np.concatenate([a[below[1]], b[above[1]]]),
-            np.concatenate([b[below[1]], a[above[1]]]),
-            np.concatenate([xb, xa]), np.concatenate([e[below[1]], e[above[1]]]))
-    seg = np.zeros((xs.size, c.size))
-    seg[below] = segments[:xb.size]
-    seg[above] += segments[xb.size:]
-    return (c * seg).sum(axis=1)
+            series, 2 * piece + side,
+            np.where(above, xe / t2, y1 / t1),
+            np.where(above, x_t1, y2 / t2),
+            np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / (t1 * t2)),
+            xe, e[piece])
+    seg = np.zeros(exists.shape)
+    seg[exists] = segments
+    c = np.array([term[0] for term in pieces])
+    return (c * seg.sum(axis=2)).sum(axis=1)
 
 
 def apply_H(params: OperatorParams, f: Func1D, x: float, tol: float = quad.DEFAULT_TOL_1D) -> float:
@@ -229,10 +371,14 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
 
     A source with ``pieces`` (a sum of c*y^s*ind(lo,hi)) is applied in
     closed form through the incomplete Beta series of _beta_segment,
-    accurate to ~1e-14 relative whatever ``tol``.  Every other source,
-    and every probe where the series gives up, runs the adaptive
-    quadrature (one shared refinement per batch of probes), which also
-    raises DivergenceError for a divergent piece.
+    accurate to ~1e-14 relative whatever ``tol``: each segment is summed
+    over the 8, 16, 32 or 64 terms its z and Beta parameters call for,
+    and the source's constants (exponents, divergence test, log-term
+    flags, the coefficient table) are built once per (params, pieces)
+    and reused by the calls of one norm, pairing or growth fit.  Every
+    other source, and every probe where the series gives up, runs the
+    adaptive quadrature (one shared refinement per batch of probes),
+    which also raises DivergenceError for a divergent piece.
     """
     quad._check_tol(tol)
     xs = np.asarray(xs, dtype=float)
@@ -293,17 +439,24 @@ def apply_H_adjoint(params: OperatorParams, a: float, b: float, f: Func1D, y: fl
 def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFAULT_TOL_1D) -> float:
     """|| f ||_{p,a} = (int_0^inf |f|^p x^a dx)^(1/p), or the essential sup.
 
-    The p = inf norm is inf when f's hint exponents say f is unbounded at
-    0 or at infinity; otherwise it is a documented heuristic lower bound: a
-    481-point log-grid scan over [1e-6, 1e6], widened to f's breakpoints,
-    refined by 90 golden-section steps around the best point
-    (quad.log_grid_sup).
+    For finite p, a source whose ``pieces`` c*x^s*ind(lo,hi) do not
+    overlap has the closed form (sum |c|^p (hi^e - lo^e)/e)^(1/p),
+    e = sp+a+1 (_piece_norm), with no drive and whatever ``tol``; other
+    sources run the quadrature.  The p = inf norm is inf when f's hint
+    exponents say f is unbounded at 0 or at infinity; otherwise it is a
+    documented heuristic lower bound: a 481-point log-grid scan over
+    [1e-6, 1e6], widened to f's breakpoints, refined by 90 golden-section
+    steps around the best point (quad.log_grid_sup).
     """
     if math.isinf(space.p):
         if f.left_exponent < 0.0 or f.decay_exponent < 0.0:
             return math.inf
         return quad.log_grid_sup(f, 1e-6, 1e6, 481, 90, knots=f.breakpoints)
     p, a = space.p, space.a
+    if f.pieces:
+        norm = _piece_norm(f.pieces, p, a)
+        if norm is not None:
+            return norm
     hints = SingularityHints(
         f.breakpoints,
         p * f.left_exponent + a,
@@ -315,6 +468,42 @@ def weighted_lp_norm(f: Func1D, space: WeightedSpaceSpec, tol: float = quad.DEFA
 
     val = float(quad.integrate_semiaxis(integrand, hints, tol))
     return val ** (1.0 / p)
+
+
+def _piece_norm(pieces, p: float, a: float) -> float | None:
+    """(sum |c|^p int_lo^hi y^(sp+a) dy)^(1/p) over the pieces
+    c*y^s*ind(lo,hi) with c != 0, or None when two of them overlap.
+
+    A piece gives |c|^p B^e (1 - (b/B)^|e|)/|e|, e = sp+a+1, with B the
+    end that dominates y^e (hi for e > 0, lo for e < 0) and b the other;
+    (b/B)^|e| = exp(-|e| log(hi/lo)) goes through expm1, free of
+    cancellation on narrow pieces and at small e, and e = 0 gives
+    log(hi/lo).  A piece that reaches 0 with e <= 0 or infinity with
+    e >= 0 raises the quadrature's DivergenceError; a norm beyond the
+    float range is inf.
+    """
+    live = sorted((lo, hi, c, s) for c, s, lo, hi in pieces if c != 0.0)
+    if any(prev[1] > nxt[0] for prev, nxt in zip(live, live[1:])):
+        return None
+    total = 0.0
+    try:
+        for lo, hi, c, s in live:
+            lead = s * p + a   # the exponent of |f|^p y^a on the piece
+            e = lead + 1.0
+            if lo == 0.0 and e <= 0.0:
+                raise DivergenceError(f"integral diverges at the origin: left exponent {lead} <= -1",
+                                      endpoint="origin")
+            if hi == math.inf and e >= 0.0:
+                raise DivergenceError(f"integral diverges at infinity: decay exponent {-lead} <= 1",
+                                      endpoint="infinity")
+            span = math.inf if lo == 0.0 else math.log1p((hi - lo) / lo)   # log(hi/lo)
+            if e == 0.0:
+                total += abs(c) ** p * span
+            else:
+                total += abs(c) ** p * (hi if e > 0.0 else lo) ** e * -math.expm1(-abs(e) * span) / abs(e)
+        return total ** (1.0 / p)
+    except OverflowError:
+        return math.inf
 
 
 def _image(params: OperatorParams, f: Func1D, tol: float) -> Func1D:

@@ -91,22 +91,59 @@ def test_duality_pairing():
 
 # -- closed form for piece sums ---------------------------------------------
 
-def test_beta_segment_matches_mpmath_betainc():
-    mpmath = pytest.importorskip("mpmath")
+def _segments(a, b, z1, z2, dz):
+    """_beta_segment of the elements (a[i], b[i], z1[i], z2[i], dz[i]) in one call."""
+    a, b, z1, z2, dz = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, z1, z2, dz))
+    return hilbert._beta_segment(hilbert._series(a, b), np.arange(a.size), z1, z2, dz,
+                                 np.ones(a.size), np.zeros(a.size))
+
+
+def _seeded_segments(mpmath):
+    """The seeded (a, b, z1, z2, dz) elements and their mpmath betainc values."""
     rng = np.random.default_rng(11)
-    got, want = [], []
+    elements, want = [], []
     for _ in range(300):
         a, b, z2 = rng.uniform(-2.5, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(1e-6, 0.5)
         r = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)])
         if r == 0.0:
             a = abs(a) + 0.1   # z1 = 0 needs a > 0
         z1, dz = z2 * r, z2 * (1.0 - r)
-        got.append(hilbert._beta_segment(z1, min(z1 + dz, 0.5), dz, a, b))
+        elements.append((a, b, z1, min(z1 + dz, 0.5), dz))
         with mpmath.workdps(40):
             want.append(float(mpmath.betainc(a, b, z1, mpmath.mpf(z1) + mpmath.mpf(dz))))
-    got, want = np.array(got), np.array(want)
+    return elements, want
+
+
+def test_beta_segment_matches_mpmath_betainc():
+    mpmath = pytest.importorskip("mpmath")
+    elements, want = _seeded_segments(mpmath)
+    got = np.array([_segments(*element)[0] for element in elements])
+    want = np.array(want)
     finite = np.isfinite(got)
     assert finite.mean() > 0.95   # the rest cancels too much and hands over
+    assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-14
+
+
+def test_beta_segment_in_one_batch():
+    # the seeded elements and some that use every row count, the log
+    # term, more than one 64-row block, and the hand-over, in one call
+    mpmath = pytest.importorskip("mpmath")
+    elements, want = _seeded_segments(mpmath)
+    for z2 in np.geomspace(1e-8, 0.5, 12):
+        elements += [(1.3, -0.7, 0.0, z2, z2), (-0.6, 2.4, 0.3 * z2, z2, 0.7 * z2)]
+    elements += [(0.0, 1.5, 0.1, 0.4, 0.3), (-1.0, 0.5, 0.05, 0.5, 0.45),   # poles
+                 (0.7, -30.0, 0.0, 0.5, 0.5),                              # > 64 rows
+                 (1.0, 40.0, 0.0, 0.5, 0.5)]                               # cancels: NaN
+    with mpmath.workdps(40):
+        for a, b, z1, z2, dz in elements[len(want):]:
+            want.append(float(mpmath.quad(lambda t: t ** (a - 1) * (1 - t) ** (b - 1),
+                                          [z1, mpmath.mpf(z1) + mpmath.mpf(dz)])))
+    got = _segments(*zip(*elements))
+    want = np.array(want)
+    one_by_one = np.array([_segments(*element)[0] for element in elements])
+    assert np.array_equal(np.isnan(got), np.isnan(one_by_one))
+    assert np.isnan(got[-1]) and np.isfinite(got[-4:-1]).all()
+    finite = np.isfinite(got)
     assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-14
 
 
@@ -253,6 +290,50 @@ def test_weighted_norm_examples():
         0.01 ** -0.5, rel=1e-9)  # truncated power with tail exponent -1-xi: norm = xi^(-1/p)
     assert weighted_lp_norm(func1d("ind(1,2)"), WeightedSpaceSpec(2, 0)) == pytest.approx(1.0, rel=1e-10)
     assert weighted_lp_norm(func1d("ind(0,1)"), WeightedSpaceSpec(1, 1)) == pytest.approx(0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("src, p, a", [
+    ("-2*x^0.5*ind(1,3)", 1.5, 0.3),               # c < 0, s != 0
+    ("x^(0-0.4)*ind(0,2)", 2.0, 0.0),              # lo = 0
+    ("x^(0-1)*ind(2,inf)", 3.0, 0.5),              # hi = inf
+    ("3*ind(0.5,1)-x^2*ind(1,4)", 1.2, -0.5),      # two pieces
+    ("ind(100,100.001)", 2.0, 1.0),                # narrow
+    ("x^(0-0.5)*ind(1,2)", 2.0, 0.0),              # e = sp+a+1 = 0: log(hi/lo)
+])
+def test_piece_norm_closed_form_matches_mpmath(monkeypatch, src, p, a):
+    mpmath = pytest.importorskip("mpmath")
+    f = func1d(src)
+    calls = _count_drives(monkeypatch)
+    got = weighted_lp_norm(f, WeightedSpaceSpec(p, a))
+    assert f.pieces and calls == []
+    with mpmath.workdps(40):   # int_lo^hi y^(sp+a) dy with y = e^t, smooth at both ends
+        total = sum(abs(mpmath.mpf(c)) ** p * mpmath.quad(lambda t: mpmath.exp(t * (s * p + a + 1)),
+                                                          [mpmath.log(lo), mpmath.log(hi)])
+                    for c, s, lo, hi in f.pieces)
+        want = float(total ** (1 / mpmath.mpf(p)))
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_piece_norm_is_exact():
+    assert weighted_lp_norm(func1d("ind(1,2)"), WeightedSpaceSpec(2, 0)) == 1.0
+    assert weighted_lp_norm(func1d("x^(0-0.9)*ind(0,1)"), WeightedSpaceSpec(1, 0)) == 1.0 / (1.0 - 0.9)
+
+
+def test_overlapping_pieces_keep_the_drive(monkeypatch):
+    calls = _count_drives(monkeypatch)
+    got = weighted_lp_norm(func1d("ind(0,2)+ind(1,3)"), WeightedSpaceSpec(2, 0))
+    assert calls == [1]
+    assert got == pytest.approx(math.sqrt(6.0), rel=1e-10)   # |f|^2 = 1, 4, 1 on [0,1], [1,2], [2,3]
+
+
+@pytest.mark.parametrize("src, p, endpoint", [("x^(0-1.5)*ind(0,1)", 1.0, "origin"),
+                                              ("ind(1,inf)", 2.0, "infinity")])
+def test_divergent_piece_norm_raises(monkeypatch, src, p, endpoint):
+    calls = _count_drives(monkeypatch)
+    with pytest.raises(DivergenceError) as exc:
+        weighted_lp_norm(func1d(src), WeightedSpaceSpec(p, 0))
+    assert exc.value.endpoint == endpoint
+    assert calls == []
 
 
 def test_weighted_norm_essential_sup():

@@ -45,10 +45,12 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_sees_the_lazy_cli(capsys):
-    # the golden estimate argv; cli imports funcdsl only inside the command,
-    # and its module-level func1d is the name the tracer rebinds
-    argv = ["estimate", "--expr", "ind(1,2)", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
-            "--alpha", "0", "--beta", "0", "--gamma", "1"]
+    # a golden estimate argv whose source is evaluated pointwise (the norms
+    # and H of a piece sum such as ind(1,2) are closed forms); cli imports
+    # funcdsl only inside the command, and its module-level func1d is the
+    # name the tracer rebinds
+    argv = ["estimate", "--expr", "x*exp(-x)", "--p", "inf", "--q", "inf",
+            "--alpha", "0.5", "--beta", "0", "--gamma", "1.5"]
     before = _bindings()
     lazy = cli.func1d
     tracer = _tracer()
