@@ -61,12 +61,9 @@ column integral) integrate over s = (u - x)/(y + v) instead of u.  Then
 z - conj(w) = (y+v)(i - s), so the kernel is the fixed profile
 (i - s)^-k (or |i - s|^-k) times (y+v)^-k: the inner rule sits at the
 kernel's own scale, with one knot at s = 0, and the profile is
-evaluated once per row of s nodes, shared by every v.  In u the column
-integral was 1.1e-4 off: the inner tails stop short of the kernel's
-width at large v (1.8e-5 of it, with the v hint of _kernel_hints
-fixed), and that hint ignored what the u integral leaves.  A source
-with a finite u support or u knots keeps the u rule, since its knots
-would move with v in s.  Far from an algebraically decaying source its
+evaluated once per row of s nodes, shared by every v.  A source with a
+finite u support or u knots keeps the u rule, since its knots would
+move with v in s.  Far from an algebraically decaying source its
 peak at s = -x/(y+v) is narrower than the s nodes there: the drives
 raise AccuracyError over a range of |x| (30 to 1e5 for the README's
 example), and beyond it they miss the peak without noticing.
@@ -396,13 +393,8 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
     c_gamma = beta_fn(0.5, params.gamma / 2.0)
     slice_norm = _slice_norm(f, p, max(tol / 20.0, 1e-13))
     # x -> T+ f(x+iy) is real-analytic for y > 0, so f's u-edges are not
-    # edges of the lhs integrand and a source with a finite u support does
-    # not split the x axis there; any other source keeps the x grid (and
-    # so the values) of the full-domain path.
-    lo, hi = f.u_support
-    x_knots = () if -math.inf < lo < hi < math.inf else f.u_breakpoints
-    # T+ f(x+iy) decays like |x|^-(1+gamma), or like f itself when f's u
-    # decay is slower
+    # edges of the lhs integrand: the x axis has no knots.  T+ f(x+iy)
+    # decays like |x|^-(1+gamma), or like f itself when f's u decay is slower
     lhs_decay = p * min(1.0 + params.gamma, f.u_decay_exponent)
     rows = []
     for y in y_grid:
@@ -410,8 +402,7 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
             return np.abs(_tplus_slice(params, f, xs, y, tol / 10.0)) ** p
 
         lhs = float(quad.integrate_real_line(
-            lhs_integrand, tol, breakpoints=x_knots,
-            decay_exponent=lhs_decay)) ** (1.0 / p)
+            lhs_integrand, tol, decay_exponent=lhs_decay)) ** (1.0 / p)
         rhs = c_gamma * apply_H(params, slice_norm, y, tol)
         rows.append({"y": float(y), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
     return rows

@@ -411,12 +411,8 @@ def pretty(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# endpoint asymptotics: f ~ C * t^c near an endpoint of the var's axis
+# endpoint asymptotics: f ~ C * |t|^c as t runs to an end of the var's axis
 # --------------------------------------------------------------------------
-
-_ZERO = "zero"    # identically zero near the endpoint (indicator cut it off)
-_POWER = "power"  # ~ C * t^c with C != 0
-
 
 def _probe_sign(e: Expr, var: str, at: float) -> float:
     """Sign of e at var = at (others 1); 0 where e is zero or undefined."""
@@ -427,63 +423,55 @@ def _probe_sign(e: Expr, var: str, at: float) -> float:
     return 0.0 if v == 0 or math.isnan(v) else math.copysign(1.0, v)
 
 
-def _asym(e: Expr, var: str, end: str) -> tuple[str, float]:
-    """Power behaviour of e along `var` at `end` ('zero' or 'inf')."""
-    at_zero = end == "zero"
+def _lead(e: Expr, var: str, end: float) -> float | None:
+    """The exponent c of e ~ C*|t|^c, C != 0, as var = t runs to `end`
+    (0 from above, inf or -inf) with the other variable fixed; None where
+    e is identically zero near the end (at 0 also where it decays faster
+    than any power).  c = inf or -inf is growth or decay faster than any
+    power.  At -inf the rules are those at inf, but exp's argument is
+    probed at -1e9 and ind(lo, hi) reaches the end only when lo = -inf.
+    """
     if isinstance(e, Const):
-        return (_ZERO, 0.0) if e.value == 0.0 else (_POWER, 0.0)
+        return None if e.value == 0.0 else 0.0
     if isinstance(e, Var):
-        return (_POWER, 1.0) if e.name == var else (_POWER, 0.0)
+        return 1.0 if e.name == var else 0.0
     if isinstance(e, Neg):
-        return _asym(e.arg, var, end)
+        return _lead(e.arg, var, end)
     if isinstance(e, BinOp):
-        ka, ca = _asym(e.left, var, end)
-        kb, cb = _asym(e.right, var, end)
+        ca, cb = _lead(e.left, var, end), _lead(e.right, var, end)
         if e.op in "+-":
-            if ka == _ZERO:
-                return kb, cb
-            if kb == _ZERO:
-                return ka, ca
-            return (_POWER, min(ca, cb) if at_zero else max(ca, cb))
-        if e.op == "*":
-            if ka == _ZERO or kb == _ZERO:
-                return (_ZERO, 0.0)
-            c = ca + cb
-            return (_POWER, 0.0 if math.isnan(c) else c)
-        # division
-        if ka == _ZERO:
-            return (_ZERO, 0.0)
-        c = ca - cb
-        return (_POWER, 0.0 if math.isnan(c) else c)
+            if ca is None or cb is None:
+                return cb if ca is None else ca
+            return min(ca, cb) if end == 0 else max(ca, cb)
+        if ca is None or (cb is None and e.op == "*"):
+            return None
+        c = ca + cb if e.op == "*" else ca - (0.0 if cb is None else cb)
+        return 0.0 if math.isnan(c) else c
     if isinstance(e, Pow):
-        k, c = _asym(e.base, var, end)
-        if k == _ZERO:
-            if e.exponent > 0:
-                return (_ZERO, 0.0)
-            return (_POWER, -math.inf if at_zero else math.inf)
-        return (_POWER, c * e.exponent if c != 0.0 else 0.0)
+        c = _lead(e.base, var, end)
+        if c is None:
+            return None if e.exponent > 0 else (-math.inf if end == 0 else math.inf)
+        return c * e.exponent if c != 0.0 else 0.0
     if isinstance(e, Call):
-        k, c = _asym(e.arg, var, end)
+        c = _lead(e.arg, var, end)
         if e.fn == "abs":
-            return k, c
+            return c
         if e.fn == "log":
             # log factors are treated as exponent 0 (integrable; slopes off
             # by o(1) at the probe points, so keep them out of tail-critical
             # corpus entries).
-            return (_POWER, 0.0)
+            return 0.0
         # exp(arg): decide whether arg stays bounded or runs to +/- inf
-        if k == _ZERO or c == 0.0 or (at_zero and c > 0) or (not at_zero and c < 0):
-            return (_POWER, 0.0)
-        sign = _probe_sign(e.arg, var, 1e-9 if at_zero else 1e9)
-        if sign < 0:
-            return (_ZERO, 0.0) if at_zero else (_POWER, -math.inf)
-        return (_POWER, -math.inf) if at_zero else (_POWER, math.inf)
+        if c is None or c == 0.0 or (c > 0 if end == 0 else c < 0):
+            return 0.0
+        if _probe_sign(e.arg, var, math.copysign(1e9, end) if end else 1e-9) < 0:
+            return None if end == 0 else -math.inf
+        return -math.inf if end == 0 else math.inf
     if isinstance(e, Ind):
         if e.var != var:
-            return (_POWER, 0.0)
-        if at_zero:
-            return (_ZERO, 0.0) if e.lo > 0 else (_POWER, 0.0)
-        return (_POWER, 0.0) if math.isinf(e.hi) else (_ZERO, 0.0)
+            return 0.0
+        reaches = e.lo <= 0 if end == 0 else end in (e.lo, e.hi)
+        return 0.0 if reaches else None
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -515,34 +503,18 @@ def _collect_breakpoints(e: Expr, var: str) -> set[float]:
     return out
 
 
-def _mirror(e: Expr, var: str) -> Expr:
-    """e with var replaced by -var: x -> -x, ind(x,lo,hi) -> ind(x,-hi,-lo)."""
-    if isinstance(e, Var) and e.name == var:
-        return Neg(e)
-    if isinstance(e, Ind) and e.var == var:
-        return Ind(var, -e.hi, -e.lo)
-    kids = {k: _mirror(v, var) for k, v in vars(e).items()
-            if isinstance(v, (Const, Var, BinOp, Neg, Pow, Call, Ind))}
-    return replace(e, **kids) if kids else e
-
-
-def _decay(e: Expr, var: str) -> float:
-    kind, c = _asym(e, var, "inf")
-    return math.inf if kind == _ZERO else -c
-
-
 def _axis_hints(e: Expr, var: str, positive_axis: bool):
-    """(breakpoints, left exponent, decay exponent) along var; on the real
-    line the decay exponent is the smaller of those at +inf and -inf."""
+    """(breakpoints, left exponent, decay exponent) along var, read from
+    _lead: the left exponent is c at 0, the decay exponent -c at inf (on
+    the real line the smaller of those at inf and -inf), and an end where
+    e is identically zero has exponent inf."""
     bps = _collect_breakpoints(e, var)
     if positive_axis:
         bps = {b for b in bps if b > 0}
-    kind0, c0 = _asym(e, var, "zero")
-    left = math.inf if kind0 == _ZERO else c0
-    decay = _decay(e, var)
-    if not positive_axis:
-        decay = min(decay, _decay(_mirror(e, var), var))
-    return tuple(sorted(bps)), left, decay
+    left = _lead(e, var, 0.0)
+    ends = (math.inf,) if positive_axis else (math.inf, -math.inf)
+    decay = min(math.inf if c is None else -c for c in (_lead(e, var, end) for end in ends))
+    return tuple(sorted(bps)), math.inf if left is None else left, decay
 
 
 _WHOLE = (-math.inf, math.inf)
@@ -672,10 +644,13 @@ class Func2D:
     """A function on the upper half-plane R x (0, inf) with hints.
 
     fn(u, v) must broadcast over numpy arrays; complex values are allowed
-    (e.g. reproducing-kernel probes).  u_support / v_support are intervals
+    (e.g. reproducing-kernel probes).  u_decay_exponent is the smaller
+    tau of f ~ C*|u|^(-tau) at u -> inf and u -> -inf; v_left_exponent
+    and v_decay_exponent describe f ~ C*v^sigma at 0+ and f ~ C*v^(-tau)
+    at infinity, as in Func1D.  u_support / v_support are intervals
     outside which fn is identically zero (quadrature integrates only over
-    them, with their finite ends as knots); func2d derives them from the
-    expression.
+    them, with their finite ends as knots); func2d derives all of these
+    from the expression.
     """
 
     fn: Callable

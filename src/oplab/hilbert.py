@@ -348,13 +348,18 @@ def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
     y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
     t1, t2 = xe + y1, xe + y2
     x_t1 = xe / t1
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        t12 = t1 * t2
+        dz = np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / t12)
+        over = np.isinf(t12)
+        if over.any():   # probes past ~1e154: the overflow-free form
+            far = over & np.isfinite(y2)
+            dz[far] = x_t1[far] * ((y2[far] - y1[far]) / t2[far])
         segments = _beta_segment(
             series, 2 * piece + side,
             np.where(above, xe / t2, y1 / t1),
             np.where(above, x_t1, y2 / t2),
-            np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / (t1 * t2)),
-            xe, e[piece])
+            dz, xe, e[piece])
     seg = np.zeros(exists.shape)
     seg[exists] = segments
     c = np.array([term[0] for term in pieces])
@@ -378,12 +383,15 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     and reused by the calls of one norm, pairing or growth fit.  Every
     other source, and every probe where the series gives up, runs the
     adaptive quadrature (one shared refinement per batch of probes),
-    which also raises DivergenceError for a divergent piece.
+    which also raises DivergenceError for a divergent piece.  Probes
+    must be positive and finite (DomainError); no probes give an empty
+    array.
     """
     quad._check_tol(tol)
     xs = np.asarray(xs, dtype=float)
-    if not np.all(xs > 0):
-        raise DomainError("probe points must be positive")
+    admitted = (xs > 0) & (xs < np.inf)
+    if not admitted.all():
+        raise DomainError(f"probe points must be positive and finite, got {xs[~admitted].tolist()}")
     # Fringe nodes of an enclosing quadrature can push probes below any
     # physical scale.  Clamping replaces H f(x) by H f(1e-150) there; the
     # mass of any admissible outer integrand below the floor is under
@@ -391,7 +399,7 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     # negligible against every tolerance in use,
     # and the kernel knee at y ~ x stays resolvable by the panels below.
     xs_eval = np.clip(xs, 1e-150, None)
-    out = _apply_pieces(params, f.pieces, xs_eval) if f.pieces else np.full(xs.shape, np.nan)
+    out = _apply_pieces(params, f.pieces, xs_eval) if f.pieces and xs.size else np.full(xs.shape, np.nan)
     rest = ~np.isfinite(out)
     if rest.any():
         out[rest] = _apply_quad(params, f, xs_eval[rest], tol)
@@ -609,6 +617,8 @@ def dilation_residual(params: OperatorParams, f: Func1D, R: float, probe_points,
     10*tol for admissible inputs.
     """
     probes = np.asarray(probe_points, dtype=float)
+    if not probes.size:
+        raise ParameterError("the dilation residual needs at least one probe point")
     f_R = f.dilate(R)
     scale = R ** (params.gamma - params.beta - params.alpha - 1.0)
     lhs = apply_H_many(params, f_R, probes, tol)

@@ -201,6 +201,28 @@ def test_estimate_bad_points(capsys):
         "--alpha", "0", "--beta", "0", "--gamma", "1", "--points", "abc")
 
 
+_ESTIMATE = ("estimate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+             "--alpha", "0", "--beta", "0", "--gamma", "1")
+
+
+@pytest.mark.parametrize("expr", ["ind(1,2)", "x*exp(0-x)"])
+def test_estimate_with_no_points(capsys, expr):
+    doc = run_json(capsys, *_ESTIMATE, "--expr", expr, "--points", "")
+    assert doc["results"]["applied"] == []
+
+
+def test_estimate_at_a_huge_point(capsys):
+    doc = run_json(capsys, *_ESTIMATE, "--expr", "ind(1,2)", "--points", "1e200")
+    assert doc["results"]["applied"][0]["Hf"]["value"] == pytest.approx(1e-200, rel=1e-14)
+
+
+@pytest.mark.parametrize("point", ["inf", "nan", "0"])
+def test_estimate_rejects_a_point_that_is_not_positive_and_finite(capsys, point):
+    code, out, err = run_cli(capsys, *_ESTIMATE, "--expr", "ind(1,2)", "--points", f"1,{point}")
+    assert code == EXIT_PARAMS and out == ""
+    assert "probe points must be positive and finite" in json.loads(err)["detail"]
+
+
 def test_estimate_constant_function_attains_linf_sharp_norm(capsys):
     # H1(x) = x^(1/2) int_0^inf (x+y)^(-3/2) dy = 2 = B(1, 1/2) at every x
     doc = run_json(capsys, "estimate", "--expr", "1", "--p", "inf", "--q", "inf",

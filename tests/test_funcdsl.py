@@ -241,7 +241,7 @@ def test_support_is_sound(src):
     assert np.all(vals[outside] == 0.0)
 
 
-@pytest.mark.parametrize("src, u_support, v_support", [
+SUPPORT_CASES = [
     ("ind(-0.25,0.25)*ind(y,1,2)", (-0.25, 0.25), (1.0, 2.0)),
     ("ind(y,1,2)", (-INF, INF), (1.0, 2.0)),
     ("ind(-1,0.5)*y^0.5*ind(y,0.5,3)", (-1.0, 0.5), (0.5, 3.0)),
@@ -251,7 +251,10 @@ def test_support_is_sound(src):
     ("ind(0,1)*exp(x)+ind(y,1,2)", (-INF, INF), (0.0, INF)),
     ("x^(-1)*ind(0,1)*ind(y,1,2)", (0.0, 1.0), (1.0, 2.0)),
     ("exp(-abs(x))*y*exp(-y)", (-INF, INF), (0.0, INF)),
-])
+]
+
+
+@pytest.mark.parametrize("src, u_support, v_support", SUPPORT_CASES)
 def test_support_extraction(src, u_support, v_support):
     f = func2d(src)
     assert f.u_support == u_support and f.v_support == v_support
@@ -264,7 +267,7 @@ def test_support_of_zero_and_dilation():
     assert g.u_support == (-0.0625, 0.0625) and g.v_support == (0.25, 0.5)
 
 
-@pytest.mark.parametrize("src, decay", [
+U_DECAY_CASES = [
     ("ind(-inf,0)*ind(y,1,2)", 0.0),
     ("ind(0,inf)*ind(y,1,2)", 0.0),
     ("(1+abs(x))^(0-0.5)*ind(-inf,0)*ind(y,1,2)", 0.5),
@@ -273,7 +276,10 @@ def test_support_of_zero_and_dilation():
     ("exp(0-x)*ind(y,1,2)", -INF),
     ("exp(-abs(x))*y*exp(-y)", INF),
     ("ind(-0.25,0.25)*ind(y,1,2)", INF),
-])
+]
+
+
+@pytest.mark.parametrize("src, decay", U_DECAY_CASES)
 def test_u_decay_is_two_sided(src, decay):
     assert func2d(src).u_decay_exponent == decay
 

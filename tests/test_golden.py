@@ -3,8 +3,10 @@
 ``tests/golden/reports.json`` holds the stdout of every README CLI command
 (plus the sup-norm and p = 1 certificate paths; every subcommand of the
 parser must be among them) with ``elapsed_s`` masked,
-the ``repr`` of a few library values, and the verdict report of every
-criterion regime.  A refactor that keeps
+the ``repr`` of a few library values, the verdict report of every
+criterion regime, and the ``repr`` of the hints (breakpoints, endpoint
+exponents, supports, pieces) of the 1D and 2D functions of a fixed list
+of sources.  A refactor that keeps
 behaviour must reproduce it exactly.  After a deliberate output change,
 regenerate the file with
 
@@ -37,6 +39,7 @@ import pytest
 from oplab import bergman, cli, hilbert, quad, schur
 from oplab.funcdsl import func1d, func2d
 from oplab.hilbert import OperatorParams, WeightedSpaceSpec, hilbert_verdict
+from test_funcdsl import HINT_CORPUS, SUPPORT_CASES, U_DECAY_CASES
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
 
@@ -176,8 +179,39 @@ def library_values() -> dict:
     }
 
 
+HINT_SOURCES = [
+    # the README's examples
+    "ind(-0.25,0.25)*ind(y,1,2)", "ind(1,2)", "ind(1e7,2e7)", "x^(0-0.5)*ind(0,1)", "x^0.5",
+    "abs(log(x))*ind(0,1)", "(x-2)^0.5*ind(1,2)", "exp(x)*ind(0,800)", "x^25*exp(0-x)",
+    "exp(x)*ind(0,1)", "(x-1)^0.5", "ind(0,2)+ind(1,3)", "ind(-inf,1)*exp(x)",
+    "x*ind(-1,1)*ind(y,1,2)", "ind(y,1,2)", "(1+x^2)^(0-1)*y*exp(0-y)",
+    "(1+x^2)^(0-1)*y^0.5*exp(0-y)",
+    *HINT_CORPUS,
+    *(case[0] for case in U_DECAY_CASES),
+    *(case[0] for case in SUPPORT_CASES),
+    # test_exp_hint_of_a_power_undefined_at_the_far_end
+    "exp((1-x)^1.5)*ind(0,2)", "exp((1-x)^1.5)", "exp((x+x)^1.5)*ind(y,1,2)",
+    # the workload shapes: piece sums, boxes and slabs
+    "ind(0.8123,2.0456)", "x^-0.2345*ind(0.5678,2.3456)", "2.0*ind(0.4,0.9)+ind(1.6,2.6)",
+    "ind(-0.6789,0.6789)*ind(y,0.7,1.45)", "ind(y,0.7,1.45)",
+]
+_HINT_FIELDS = {
+    "1d": (func1d, ("breakpoints", "left_exponent", "decay_exponent", "pieces")),
+    "2d": (func2d, ("u_breakpoints", "u_support", "u_decay_exponent",
+                    "v_breakpoints", "v_support", "v_left_exponent", "v_decay_exponent")),
+}
+
+
+def hint_values() -> dict:
+    """The repr of each hint of the 1D and the 2D function of every source."""
+    return {src: {dim: {name: repr(getattr(build(src), name)) for name in names}
+                  for dim, (build, names) in _HINT_FIELDS.items()}
+            for src in dict.fromkeys(HINT_SOURCES)}
+
+
 def capture() -> dict:
-    return {"cli": run_commands(), "values": library_values(), "verdicts": verdict_reports()}
+    return {"cli": run_commands(), "values": library_values(), "verdicts": verdict_reports(),
+            "hints": hint_values()}
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +286,10 @@ def test_verdict_reports_identical(golden):
     assert verdict_reports() == golden["verdicts"]
 
 
+def test_hints_identical(golden):
+    assert hint_values() == golden["hints"]
+
+
 def _parse(text: str):
     """A report or repr as data where it parses (elapsed_s masked as X), else the text."""
     for load in (json.loads, ast.literal_eval):
@@ -280,6 +318,8 @@ def diff_lines(old: dict, new: dict) -> list[str]:
               for key, val in old["values"].items()]
     pairs += [(f"verdict {i}", _parse(o), _parse(n))
               for i, (o, n) in enumerate(zip(old["verdicts"], new["verdicts"]))]
+    pairs += [(f"hints {src}", val, new["hints"].get(src, "<missing>"))
+              for src, val in old["hints"].items()]
     lines = []
     for where, o, n in pairs:
         a, b = dict(_leaves(o)), dict(_leaves(n))
@@ -290,11 +330,14 @@ def diff_lines(old: dict, new: dict) -> list[str]:
 
 def test_diff_lists_each_moved_leaf():
     old = {"cli": [{"argv": ["cmd"], "exit": 0, "stdout": '{\n "elapsed_s": X,\n "v": 1.0\n}\n'}],
-           "values": {"key": "[1.0, 2.0]"}, "verdicts": ['{"bounded": true}']}
+           "values": {"key": "[1.0, 2.0]"}, "verdicts": ['{"bounded": true}'],
+           "hints": {"x": {"1d": {"decay_exponent": "inf", "left_exponent": "1.0"}}}}
     new = {"cli": [{"argv": ["cmd"], "exit": 0, "stdout": '{\n "elapsed_s": X,\n "v": 1.5\n}\n'}],
-           "values": {"key": "[1.0, 2.5]"}, "verdicts": ['{"bounded": true}']}
+           "values": {"key": "[1.0, 2.5]"}, "verdicts": ['{"bounded": true}'],
+           "hints": {"x": {"1d": {"decay_exponent": "-1.0", "left_exponent": "1.0"}}}}
     assert diff_lines(old, old) == []
-    assert diff_lines(old, new) == ["cmd: stdout.v: 1.0 -> 1.5", "key: 1: 2.0 -> 2.5"]
+    assert diff_lines(old, new) == ["cmd: stdout.v: 1.0 -> 1.5", "key: 1: 2.0 -> 2.5",
+                                    "hints x: 1d.decay_exponent: 'inf' -> '-1.0'"]
 
 
 if __name__ == "__main__":

@@ -260,6 +260,35 @@ def _count_drives(monkeypatch):
     return drives
 
 
+@pytest.mark.parametrize("src", ["ind(1,2)", "x*exp(0-x)"])
+def test_apply_H_many_of_no_probes_is_empty(src):
+    # the closed-form and the quadrature path alike
+    out = apply_H_many(P(0, 0, 1), func1d(src), [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+    with pytest.raises(ParameterError, match="at least one probe point"):
+        dilation_residual(P(0, 0, 1), func1d(src), 2.0, [])
+
+
+def test_apply_H_many_at_huge_probes():
+    # H ind(1,2)(x) = log1p(1/(x+1)) under (0,0,1); x*(y2-y1)/((x+y1)(x+y2))
+    # overflows in its denominator past x ~ 1.3e154
+    xs = np.array([1e150, 1e154, 1e155, 1e200, 1e300])
+    got = apply_H_many(P(0, 0, 1), func1d("ind(1,2)"), xs)
+    want = np.log1p(1.0 / (xs + 1.0))
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    # a piece up to infinity: pi*sqrt(2)*x^-0.75 less int_0^1, O(1/x)
+    xs = np.array([1e200, 1e300])
+    got = apply_H_many(P(0, 0, 1), func1d("x^(0-0.75)*ind(1,inf)"), xs)
+    assert np.all(np.abs(got / (math.pi * math.sqrt(2.0) * xs ** -0.75) - 1.0) <= 1e-14)
+
+
+@pytest.mark.parametrize("bad", [INF, math.nan, -1.0, 0.0])
+def test_apply_H_many_rejects_probes_that_are_not_positive_and_finite(bad):
+    for src in ("ind(1,2)", "x*exp(0-x)"):
+        with pytest.raises(DomainError, match=r"probe points must be positive and finite, got \[.*\]"):
+            apply_H_many(P(0, 0, 1), func1d(src), [1.0, bad])
+
+
 def test_apply_H_many_checks_tol_without_a_drive():
     for tol in (-5.0, 0.5, math.nan):
         with pytest.raises(ParameterError, match="tolerance"):
