@@ -101,35 +101,26 @@ def _image_integrand_hints(params: OperatorParams, f: Func1D) -> SingularityHint
     return SingularityHints(f.breakpoints, left, decay)
 
 
-_SERIES_BLOCK = 64        # series terms evaluated per step
 _SERIES_CAP = 1024        # most terms before the series gives up
 _SERIES_TAIL = 2.0 ** -56  # tail bound relative to the partial sum
 _SERIES_COND = 32.0       # largest sum |terms| / |sum| accepted
-_SERIES_ENDS = np.array([8, 16, 32, 64])  # the row counts an element is sized to
+_SERIES_ENDS = 8 * 2 ** np.arange(8)  # the row counts an element is sized to: 8 .. _SERIES_CAP
 _SERIES_SPLIT = 1024      # terms a stop must save to pay for its numpy calls
-_ROWS = np.arange(_SERIES_BLOCK, dtype=float)[:, None]
+_ROWS = np.arange(_SERIES_CAP, dtype=float)[:, None]
+_THETA = np.array([0.5, 0.75])[:, None, None]  # the bounds on z2*grow that reach takes the best of
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
 _SIDES = np.array([1.0, -1.0])
 
 
-def _coefficients(b, start=0, coef=1.0):
-    """(1-b)_n/n! for the rows n = start .. start+63, one column per entry
-    of b, from coef, their row start-1 (1 at start = 0)."""
-    step = 1.0 - b / np.maximum(start + _ROWS, 1.0)  # coefficient n over n-1
-    if start == 0:
-        step[0] = 1.0
-    return coef * np.cumprod(step, axis=0)
-
-
 class _Series(NamedTuple):
-    """_beta_segment's constants for K Beta parameter pairs (a, b), built
-    once per source and shared by its calls, never written: the first 64
-    coefficients (1-b)_n/n!, one column per pair, and scaled, the same
-    over -(a+n); the pairs whose a is a non-positive integer (a log term
-    at n = -a), None if there are none; and per pair and row count N of
-    _SERIES_ENDS, the bound grow = max(1, |1-b/N|) on the later term
-    ratios over z2 (inf where a+N <= 1, which the tail test excludes) and
-    reach, the largest z2 that N rows are sized for."""
+    """_beta_segment's constants for K Beta parameter pairs (a, b), never
+    written: the coefficients (1-b)_n/n! of the rows n < _SERIES_CAP, one
+    column per pair, and scaled, the same over -(a+n); the pairs whose a
+    is a non-positive integer (a log term at n = -a), None if there are
+    none; and per pair and row count N of _SERIES_ENDS, the bound
+    grow = max(1, |1-b/N|) on the later term ratios over z2 (inf where
+    a+N <= 1, which the tail test excludes) and reach, the largest z2 that
+    N rows are sized for."""
 
     a: np.ndarray
     b: np.ndarray
@@ -144,16 +135,21 @@ def _series(a, b) -> _Series:
     """The _Series of the pairs (a[i], b[i]).  For a sum that is accepted,
     N rows pass the tail test when z2 g (C z2^(N-1) + 2^-56) <= 2^-56,
     g = grow and C = _SERIES_COND |(1-b)_(N-1)/(N-1)!|, which
-    z2 <= min((2^-57/(g C))^(1/N), 1/(2g)) ensures.  reach is the running
-    maximum of that bound over N, so that the first N whose reach is at
-    least z2 is the first N that is enough."""
+    z2 <= min((2^-56 (1-theta)/(g C))^(1/N), theta/g) ensures for every
+    theta < 1.  reach is the larger of that bound at theta = 1/2 and 3/4
+    (3/4 covers z2 = 1/2 when b < 0 makes g > 1), and its running maximum
+    over N, so that the first N whose reach is at least z2 is the first N
+    that is enough."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    coef = _coefficients(b)
+    step = 1.0 - b / np.maximum(_ROWS, 1.0)  # coefficient n over n-1
+    step[0] = 1.0
+    coef = np.cumprod(step, axis=0)
     ends = _SERIES_ENDS
     with np.errstate(all="ignore"):
         grow = np.where(a[:, None] + ends > 1.0, np.maximum(1.0, np.abs(1.0 - b[:, None] / ends)), np.inf)
         size = _SERIES_COND * np.abs(coef[ends - 1].T)
-        reach = np.minimum((_SERIES_TAIL / (2.0 * grow * size)) ** (1.0 / ends), 0.5 / grow)
+        reach = np.minimum((_SERIES_TAIL * (1.0 - _THETA) / (grow * size)) ** (1.0 / ends),
+                           _THETA / grow).max(axis=0)
         scaled = coef / (-_ROWS - a)
     pole = (a <= 0.0) & (a == np.round(a))
     return _Series(a, b, coef, scaled, pole if pole.any() else None, grow,
@@ -180,32 +176,6 @@ def _terms(table, scaled, col, a, powers, log_ratio, n, pole):
     return terms
 
 
-def _blocks(series, col, z2, log_z2, log_ratio, pole):
-    """(total, absum, done) of the series summed in blocks of 64 rows from
-    row 0, until the tail bound holds for every element or _SERIES_CAP."""
-    a, b = series.a[col], series.b[col]
-    total, absum = np.zeros(col.size), np.zeros(col.size)
-    done = np.zeros(col.size, dtype=bool)
-    table, powers = series.coef, np.exp(_ROWS * log_z2)  # z2^n within the block
-    for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
-        if start:
-            table = _coefficients(series.b, start, table[-1])
-        n = start + _ROWS
-        scaled = table / (-n - series.a)
-        # F-ordered, so that each element's column sums pairwise as in _beta_segment
-        terms = np.asfortranarray(_terms(table, scaled, col, a, powers, log_ratio, n, pole))
-        total += terms.sum(axis=0)
-        absum += np.abs(terms).sum(axis=0)
-        # every later term ratio is at most rho
-        rho = z2 * np.maximum(1.0, np.abs(1.0 - b / (start + _SERIES_BLOCK)))
-        done |= (rho < 1.0) & (a + start + _SERIES_BLOCK > 1.0) & (
-            np.abs(terms[-1]) * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total))
-        if done.all():
-            break
-        powers *= powers[-1] * z2
-    return total, absum, done
-
-
 def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
     """x^e * int_{z1}^{z2} z^(a-1) (1-z)^(b-1) dz for 0 <= z1 <= z2 <= 1/2,
     x > 0 and (a, b) the pair col of series (built by _series), with
@@ -227,31 +197,30 @@ def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
 
     Rows are sized before they are summed.  Term n is at most
     |(1-b)_n/n!| z2^n times the first, and an accepted sum is at least the
-    first over _SERIES_COND, so an element gets the first N of 8, 16, 32
-    and 64 at which that bound passes the tail test (_series); the
-    elements of an N run on to the next N in use unless stopping saves
-    _SERIES_SPLIT terms, the cost of a chunk's numpy calls.  Ordered by
-    N, the elements get each chunk of rows over the run that still needs
-    it, and the tail bound judges each at its N; an element it rejects,
-    or with no N, is summed again from row 0 in blocks of 64 rows.  Each
-    element's terms are summed pairwise over its own rows, as in a 64-row
-    block.
+    first over _SERIES_COND, so an element gets the first N of 8, 16, 32,
+    ..., _SERIES_CAP at which that bound passes the tail test (_series),
+    and the cap where none does; the elements of an N run on to the next
+    N in use unless stopping saves _SERIES_SPLIT terms, the cost of a
+    chunk's numpy calls.  Ordered by N, the elements get each chunk of
+    rows over the run that still needs it, the tail bound judges each at
+    its N, and each element's terms are summed pairwise over its own rows.
 
-    The result is NaN where that takes more than _SERIES_CAP terms, where
-    the terms cancel by more than a factor _SERIES_COND (large b near
-    z = 1/2), so that the value would lose more than ~1e-14 relative, and
-    where x^e, z2^a, their product or the value leaves the range of
-    normal floats: an underflow there would cost precision silently.  A
-    value whose logarithm lies below that range is 0.
+    The result is NaN where the tail bound rejects the sum (more than
+    _SERIES_CAP terms would be needed), where the terms cancel by more
+    than a factor _SERIES_COND (large b near z = 1/2), so that the value
+    would lose more than ~1e-14 relative, and where x^e, z2^a, their
+    product or the value leaves the range of normal floats: an underflow
+    there would cost precision silently.  A value whose logarithm lies
+    below that range is 0.
     """
     pole = series.pole
     with np.errstate(all="ignore"):
         log_z2 = np.log(z2)
         log_ratio = np.log1p(dz / z1)   # log(z2/z1), inf at z1 = 0
-        need = (z2[:, None] > series.reach[col]).sum(axis=1)  # index of N; len(ends): none
         ends = _SERIES_ENDS.tolist()
-        count = np.bincount(need, minlength=len(ends) + 1).tolist()
-        target, up = list(range(len(ends) + 1)), None
+        need = np.minimum((z2[:, None] > series.reach[col]).sum(axis=1), len(ends) - 1)  # index of N
+        count = np.bincount(need, minlength=len(ends)).tolist()
+        target, up = list(range(len(ends))), None
         for j in reversed(range(len(ends))):
             if count[j] and up is not None and count[j] * (ends[up] - ends[j]) < _SERIES_SPLIT:
                 target[j], count[up], count[j] = up, count[up] + count[j], 0
@@ -260,16 +229,12 @@ def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
         need = np.take(target, need)
         order = need.argsort(kind="stable")
         need, s_col = need[order], col[order]
-        first = list(itertools.accumulate(count))   # elements with need <= j
-        sized = first[-2]
-        head = order[:sized]
-        s_col, s_log_z2, s_log_ratio = s_col[:sized], log_z2[head], log_ratio[head]
-        s_a = series.a[s_col]
-        # the sized elements' terms, F-ordered: a column sums pairwise, as in a 64-row block
-        terms = np.empty((sized, _SERIES_ENDS[need[sized - 1]] if sized else 0)).T
-        total, absum, last = np.zeros(col.size), np.zeros(col.size), np.zeros(sized)
+        s_a, s_log_z2, s_log_ratio = series.a[s_col], log_z2[order], log_ratio[order]
+        # the terms, F-ordered: each element's column sums pairwise over its own rows
+        terms = np.empty((col.size, _SERIES_ENDS[need.max(initial=0)])).T
+        total, absum, last = np.zeros(col.size), np.zeros(col.size), np.zeros(col.size)
         start, lo = 0, 0
-        for stop, hi in zip(ends, first):
+        for stop, hi in zip(ends, itertools.accumulate(count)):
             if hi == lo:   # no element ends at this N
                 continue
             n = _ROWS[start:stop]
@@ -280,17 +245,8 @@ def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
             total[lo:hi], absum[lo:hi], last[lo:hi] = (
                 np.add.reduce(ending, axis=0), np.add.reduce(size, axis=0), size[-1])
             start, lo = stop, hi
-            if lo == sized:
-                break
-        rho = z2[head] * series.grow[s_col, need[:sized]]
-        done = np.zeros(col.size, dtype=bool)
-        done[:sized] = (rho < 1.0) & (
-            last * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total[:sized]))
-        redo = np.flatnonzero(~done)
-        if redo.size:
-            i = order[redo]
-            total[redo], absum[redo], done[redo] = _blocks(
-                series, col[i], z2[i], log_z2[i], log_ratio[i], pole)
+        rho = z2[order] * series.grow[s_col, need]
+        done = (rho < 1.0) & (last * rho <= (1.0 - rho) * _SERIES_TAIL * np.abs(total))
         accepted = np.empty(col.size)
         accepted[order] = np.where(done & (absum <= _SERIES_COND * np.abs(total)), total, np.nan)
         a = series.a[col]
@@ -307,19 +263,30 @@ def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
 
 
 @functools.lru_cache(maxsize=16)
+def _pair_series(params: OperatorParams, s: tuple) -> _Series:
+    """The _Series of pieces with the exponents s, built once per (params,
+    s) and shared by every source with those exponents, such as the
+    dilations of one source: pair 2j is piece j's segment below y = x,
+    (a, b) = (m+1, gamma-m-1), m = s[j]+beta, and pair 2j+1 the one above
+    it, (b, a)."""
+    m = np.array(s, dtype=float) + params.beta
+    a, b = m + 1.0, params.gamma - m - 1.0
+    return _series(np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel())
+
+
+@functools.lru_cache(maxsize=16)
 def _piece_constants(params: OperatorParams, pieces: tuple):
     """_apply_pieces' constants of one source, built once per (params,
     pieces) and kept for the last 16 sources: the piece bounds lo and hi
     and their edges (lo, -hi), the exponents e, whether a piece diverges,
-    and the _Series whose pair 2j is piece j's segment below y = x,
-    (a, b), and pair 2j+1 the one above it, (b, a)."""
-    _, s, lo, hi = (np.array(col, dtype=float) for col in zip(*pieces))
-    m = s + params.beta
-    a, b = m + 1.0, params.gamma - m - 1.0
-    e = params.alpha + m + 1.0 - params.gamma
+    and the _pair_series of its exponents."""
+    _, s, lo, hi = zip(*pieces)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    series = _pair_series(params, s)
+    a, b = series.a[::2], series.b[::2]
+    e = params.alpha + (np.array(s, dtype=float) + params.beta) + 1.0 - params.gamma
     diverges = bool(np.any(((lo == 0.0) & (a <= 0.0)) | (np.isinf(hi) & (b <= 0.0))))
     edges = np.column_stack([lo, -hi])   # a segment exists where edges < (x, -x)
-    series = _series(np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel())
     return lo, hi, edges, e, diverges, series
 
 
@@ -377,15 +344,16 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     A source with ``pieces`` (a sum of c*y^s*ind(lo,hi)) is applied in
     closed form through the incomplete Beta series of _beta_segment,
     accurate to ~1e-14 relative whatever ``tol``: each segment is summed
-    over the 8, 16, 32 or 64 terms its z and Beta parameters call for,
-    and the source's constants (exponents, divergence test, log-term
-    flags, the coefficient table) are built once per (params, pieces)
-    and reused by the calls of one norm, pairing or growth fit.  Every
-    other source, and every probe where the series gives up, runs the
-    adaptive quadrature (one shared refinement per batch of probes),
-    which also raises DivergenceError for a divergent piece.  Probes
-    must be positive and finite (DomainError); no probes give an empty
-    array.
+    over the 8, 16, 32, ... or up to 1024 terms its z and Beta parameters
+    call for.  The source's constants (exponents, divergence test) are
+    built once per (params, pieces) and the series tables (log-term
+    flags, coefficients) once per (params, piece exponents), so the calls
+    of one norm, pairing or growth fit and the dilations of a source
+    share them.  Every other source, and every probe where the series
+    gives up, runs the adaptive quadrature (one shared refinement per
+    batch of probes), which also raises DivergenceError for a divergent
+    piece.  Probes must be positive and finite (DomainError); no probes
+    give an empty array.
     """
     quad._check_tol(tol)
     xs = np.asarray(xs, dtype=float)

@@ -1,6 +1,7 @@
 """Half-line operator family: application, norms, verdicts, sharpness."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -126,13 +127,16 @@ def test_beta_segment_matches_mpmath_betainc():
 
 def test_beta_segment_in_one_batch():
     # the seeded elements and some that use every row count, the log
-    # term, more than one 64-row block, and the hand-over, in one call
+    # term, segments ending at z2 = 1/2 with -1 < b < 0 (the ratio bound
+    # g = |1-b/N| exceeds 1 at every N), 256 rows, and the hand-over, in one call
     mpmath = pytest.importorskip("mpmath")
     elements, want = _seeded_segments(mpmath)
     for z2 in np.geomspace(1e-8, 0.5, 12):
         elements += [(1.3, -0.7, 0.0, z2, z2), (-0.6, 2.4, 0.3 * z2, z2, 0.7 * z2)]
+    for a, b, z1 in itertools.product((0.5, 1.3, 2.0), (-0.02, -0.3, -0.57), (0.0, 0.1)):
+        elements.append((a, b, z1, 0.5, 0.5 - z1))
     elements += [(0.0, 1.5, 0.1, 0.4, 0.3), (-1.0, 0.5, 0.05, 0.5, 0.45),   # poles
-                 (0.7, -30.0, 0.0, 0.5, 0.5),                              # > 64 rows
+                 (0.7, -30.0, 0.0, 0.5, 0.5),                              # 256 rows
                  (1.0, 40.0, 0.0, 0.5, 0.5)]                               # cancels: NaN
     with mpmath.workdps(40):
         for a, b, z1, z2, dz in elements[len(want):]:
@@ -145,6 +149,13 @@ def test_beta_segment_in_one_batch():
     assert np.isnan(got[-1]) and np.isfinite(got[-4:-1]).all()
     finite = np.isfinite(got)
     assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-14
+
+
+def test_series_sizes_every_segment_up_to_one_half():
+    # -1 < b < 0 makes the ratio bound g = |1-b/N| exceed 1 at every N, so
+    # the bound theta/g with theta = 1/2 alone never reaches z2 = 1/2
+    a, b = (v.ravel() for v in np.meshgrid([0.1, 0.5, 1.3, 2.0, 4.0], [-0.99, -0.57, -0.3, -0.02]))
+    assert (hilbert._series(a, b).reach[:, -1] >= 0.5).all()
 
 
 def _H_reference(mpmath, pieces, params, x):
