@@ -245,11 +245,18 @@ def _centred_integrand(f: Func2D, x, y: float, kernel_power: float, weight: floa
     f(w) v^weight (z - conj(w))^-p with u = x + d s, du = d ds, where
     z - conj(w) = d (i - s), so the kernel is the fixed profile
     K(s) = (i - s)^-p (or |i - s|^-p), evaluated on the s nodes alone.
-    x may be an array broadcasting against s and v (a batch of points)."""
+    x may be an array broadcasting against s and v (a batch of points).
+    A full block that f returns as its own array takes both factors in
+    place; a result that only broadcasts keeps the out-of-place product."""
     def fn(s, v):
         d = y + v
         scale = v ** weight * d ** (1.0 - kernel_power)
-        return f(x + d * s, v) * scale * _kernel(-s, 1.0, kernel_power, complex_kernel)
+        profile = _kernel(-s, 1.0, kernel_power, complex_kernel)
+        u = x + d * s
+        vals = np.asarray(f(u, v))
+        own = vals.flags.owndata and vals.shape == u.shape and vals.dtype == np.result_type(vals, profile)
+        out = vals if own else None
+        return np.multiply(np.multiply(vals, scale, out=out), profile, out=out)
     return fn
 
 
@@ -323,11 +330,26 @@ def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -
 
 def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
     """The holomorphic probe f(w) = (i/(w+it))^m, decaying like |w|^-m."""
-    if m < 2:
-        raise ParameterError("need m >= 2 for an integrable probe")
+    if m != int(m) or m < 2:
+        raise ParameterError(f"need an integer m >= 2 for an integrable probe, got {m}")
+    bits = bin(int(m))[3:]   # m's binary digits after the leading 1
 
     def fn(u, v):
-        return (1j / (u + 1j * (np.asarray(v) + t))) ** m
+        # i/(u+ib) = (b+iu)/(u^2+b^2), b = v+t, and its m-th power by repeated
+        # squaring: numpy's complex / and ** run a scalar loop per element
+        b = np.asarray(v) + t
+        r2 = np.square(u, out=np.empty(np.broadcast_shapes(np.shape(u), b.shape)))
+        r2 += b * b
+        z = np.empty(r2.shape, dtype=complex)
+        np.divide(b, r2, out=z.real)
+        np.divide(u, r2, out=z.imag)
+        del r2   # one full buffer fewer while the power is formed
+        power = z
+        for bit in bits:
+            power = power * power
+            if bit == "1":
+                power *= z
+        return power
 
     return Func2D(fn=fn, u_decay_exponent=float(m), v_left_exponent=0.0,
                   v_decay_exponent=float(m), label=f"(i/(w+{t}i))^{m}")

@@ -114,13 +114,13 @@ _SIDES = np.array([1.0, -1.0])
 
 class _Series(NamedTuple):
     """_beta_segment's constants for K Beta parameter pairs (a, b), never
-    written: the coefficients (1-b)_n/n! of the rows n < _SERIES_CAP, one
-    column per pair, and scaled, the same over -(a+n); the pairs whose a
-    is a non-positive integer (a log term at n = -a), None if there are
-    none; and per pair and row count N of _SERIES_ENDS, the bound
-    grow = max(1, |1-b/N|) on the later term ratios over z2 (inf where
-    a+N <= 1, which the tail test excludes) and reach, the largest z2 that
-    N rows are sized for."""
+    written: the coefficients (1-b)_n/n! of the rows n that an element
+    can be sized to (see _series), one column per pair, and scaled, the
+    same over -(a+n); the pairs whose a is a non-positive integer (a log
+    term at n = -a), None if there are none; and per pair and row count
+    N of _SERIES_ENDS, the bound grow = max(1, |1-b/N|) on the later term
+    ratios over z2 (inf where a+N <= 1, which the tail test excludes) and
+    reach, the largest z2 that N rows are sized for."""
 
     a: np.ndarray
     b: np.ndarray
@@ -139,7 +139,8 @@ def _series(a, b) -> _Series:
     theta < 1.  reach is the larger of that bound at theta = 1/2 and 3/4
     (3/4 covers z2 = 1/2 when b < 0 makes g > 1), and its running maximum
     over N, so that the first N whose reach is at least z2 is the first N
-    that is enough."""
+    that is enough.  As z2 <= 1/2, the tables stop at the first N whose
+    reach is 1/2 or more for every pair, or at _SERIES_CAP."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     step = 1.0 - b / np.maximum(_ROWS, 1.0)  # coefficient n over n-1
     step[0] = 1.0
@@ -150,10 +151,12 @@ def _series(a, b) -> _Series:
         size = _SERIES_COND * np.abs(coef[ends - 1].T)
         reach = np.minimum((_SERIES_TAIL * (1.0 - _THETA) / (grow * size)) ** (1.0 / ends),
                            _THETA / grow).max(axis=0)
-        scaled = coef / (-_ROWS - a)
+        reach = np.maximum.accumulate(reach, axis=1)
+        rows = ends[min((reach < 0.5).any(axis=0).sum(), len(ends) - 1)]
+        coef = coef[:rows].copy()
+        scaled = coef / (-_ROWS[:rows] - a)
     pole = (a <= 0.0) & (a == np.round(a))
-    return _Series(a, b, coef, scaled, pole if pole.any() else None, grow,
-                   np.maximum.accumulate(reach, axis=1))
+    return _Series(a, b, coef, scaled, pole if pole.any() else None, grow, reach)
 
 
 def _terms(table, scaled, col, a, powers, log_ratio, n, pole):

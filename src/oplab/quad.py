@@ -44,9 +44,8 @@ per-row contractions, np.einsum("...k,k->...", vals, w), which sum
 every row by the same loop whatever the batch: a row gives the same
 bits integrated alone or in a family.  A BLAS product (vals @ w,
 np.dot) is faster but blocks the rows, so a row's sum would depend on
-how many rows share its batch.  Complex integrands are supported; the
-half-plane integrator splits them into real channels, so its drives
-run in real arithmetic.
+how many rows share its batch.  Complex integrands are summed as they
+come and judged by their modulus; their |value| sums are real.
 
 The |value| sums are the integrand's mass.  The half-plane drives let
 the |f| mass scale their tolerance and never judge it: |f| has a kink
@@ -290,8 +289,9 @@ def _checked_sums(vals: np.ndarray, x: np.ndarray, w: np.ndarray, panels, level:
     edge = np.concatenate([fringe if p.kind is None else np.ones_like(fringe) for p in panels])
     inside = np.nonzero(~np.isfinite(vals) & ~edge)
     if inside[0].size:
-        raise DomainError(f"integrand is {vals[inside][0]} at {float(x[inside[-1][0]])!r}, "
-                          "away from the ends of its quadrature panel")
+        bad = vals[inside][0]   # named by a non-finite part, real or complex
+        raise DomainError(f"integrand is {bad.real if not np.isfinite(bad.real) else bad.imag} at "
+                          f"{float(x[inside[-1][0]])!r}, away from the ends of its quadrature panel")
     return _row_sums(_sanitize(vals), w)
 
 
@@ -486,64 +486,55 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     budget of every drive, so a divergent hint raises their DivergenceError.
     The first coordinate need not be u itself: bergman passes kernel
     integrands of whole-line sources over s = (u - x)/(y + v), with the
-    hints of s.  A real f may return a batch, axes before (v, u), and the
-    result then has the batch shape (bergman passes abscissae).  f is
-    called on blocks of v rows of at most _BLOCK_ELEMENTS values, batch
-    included, or on one row where a row holds more, the first call on one
-    row to read the batch shape; the inner drive sums each block as it
-    comes, and each row alone, so the blocks change no bit.
+    hints of s.  f may return a batch, axes before (v, u), and the result
+    then has the batch shape (bergman passes abscissae).  f is called on
+    blocks of v rows of at most _BLOCK_ELEMENTS values, batch included, or
+    on one row where a row holds more, the first call on one row to read
+    the batch shape; the inner drive sums each block as it comes, and each
+    row alone, so the blocks change no bit.
 
-    Complex values are allowed (f real or complex at every call), and the
-    drives still work in real arithmetic: a complex f is written into
-    real channels (re, im, |f|), and the result rebuilds complex(re, im).
-    Each drive judges the value, (re, im) as one complex modulus, and lets
-    the |f| mass scale its tolerance, so that inner integrals and batches
-    that cancel to noise converge.  The mass is integrated but never
-    judged: for a real f the inner drive's |f| row sums, for the outer
-    drive a (value, mass) channel pair.
+    f may be real or complex, and the result is of its type.  Each drive
+    judges the value's modulus and lets the |f| mass scale its tolerance,
+    so that inner integrals and batches that cancel to noise converge.
+    The mass is integrated but never judged: the inner drive's |value|
+    row sums, carried to the outer drive as a (value, mass) channel pair.
     """
     inner_tol = max(tol / 20.0, 1e-13)
-    batch = split = None   # f's batch shape and whether it is complex, from its first call
-    mass = None            # a real f's |f| mass where its last inner drive returned
+    batch = None   # f's batch shape, from its first call
+    mass = None    # the |f| mass where the last inner drive returned
 
     def inner_magnitude(values, level_mass):
         nonlocal mass
-        if split:
-            return _channel_magnitude(values, level_mass)
         mass = level_mass
         return np.abs(values), level_mass
 
     def outer_integrand(v: np.ndarray):
         def inner_integrand(u: np.ndarray):
-            nonlocal batch, split
+            nonlocal batch
             start = 0
             while start < v.size:
                 rows = 1 if batch is None else max(1, _BLOCK_ELEMENTS // (math.prod(batch) * u.size))
                 vals = np.asarray(f(u[None, :], v[start:start + rows, None]))
                 if batch is None:
                     batch = np.broadcast_shapes(vals.shape, (1, u.size))[:-2]
-                    split = np.iscomplexobj(vals)
                 shape = (*batch, min(rows, v.size - start), u.size)
-                vals = vals if vals.shape == shape else np.broadcast_to(vals, shape)
-                yield np.stack([vals.real, vals.imag, np.abs(vals)]) if split else vals
+                yield vals if vals.shape == shape else np.broadcast_to(vals, shape)
                 start += rows
 
         values = integrate_real_line(inner_integrand, inner_tol, breakpoints=tuple(f.u_breakpoints),
                                      decay_exponent=f.u_decay_exponent, support=f.u_support,
                                      magnitude=inner_magnitude)
-        return values if split else np.stack([values, mass])
+        return np.stack([values, mass])
 
     hints = SingularityHints(tuple(f.v_breakpoints), f.v_left_exponent, f.v_decay_exponent)
-    channels = integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support,
-                                  magnitude=_channel_magnitude)
-    return channels[0] if len(channels) == 2 else complex(channels[0], channels[1])
+    return integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support,
+                              magnitude=_channel_magnitude)[0]
 
 
 def _channel_magnitude(channels: np.ndarray, mass) -> tuple[np.ndarray, np.ndarray]:
-    """(judged, scale) of (value, |f|) or (re, im, |f|) channels: the value
-    (as hypot(re, im)), and the |f| mass, which only scales."""
-    value = np.abs(channels[0]) if len(channels) == 2 else np.hypot(channels[0], channels[1])
-    return value, channels[-1]
+    """(judged, scale) of (value, |f| mass) channels: the value's modulus,
+    and the mass, which only scales."""
+    return np.abs(channels[0]), channels[1].real
 
 
 def log_grid_sup(fn, lo: float, hi: float, n_grid: int, iters: int, knots: Sequence[float] = ()) -> float:

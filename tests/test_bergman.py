@@ -400,6 +400,28 @@ def test_projection_reproduces_at_fractional_weights(nu):
     assert max(r["abs_error"] for r in rows) <= 1e-6
 
 
+_PROBE_U = np.concatenate([[0.0], np.geomspace(1e-3, 1e26, 15)])   # the s and v tails reach 1e26
+_PROBE_U = np.concatenate([-_PROBE_U[::-1], _PROBE_U])[None, :]
+_PROBE_V = np.array([[0.0], [1e-13], [0.7], [5.0], [1e13]])
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_reproducing_probe_is_the_principal_power(m, t):
+    mpmath = pytest.importorskip("mpmath")
+    f = reproducing_probe(m, t)
+    got = f(_PROBE_U, _PROBE_V)   # a row of u against a column of v
+    assert got.shape == (_PROBE_V.size, _PROBE_U.size)
+    with mpmath.workprec(120):
+        for (i, j), value in np.ndenumerate(got):
+            want = (1j / mpmath.mpc(_PROBE_U[0, j], mpmath.mpf(_PROBE_V[i, 0]) + t)) ** m
+            assert abs(value - complex(want)) <= 2 * m * 2.0 ** -52 * abs(want)
+    # a (batch, rows, n) block against the same column gives the same values
+    rows = np.broadcast_to(_PROBE_U, got.shape)
+    block = f(np.stack([rows, rows[:, ::-1]]), _PROBE_V)
+    assert np.array_equal(block[0], got) and np.array_equal(block[1], got[:, ::-1])
+
+
 def test_projection_modulus_bound():
     f = BOX  # real nonnegative
     z = HalfPlanePoint(0.0, 1.0)
@@ -410,8 +432,9 @@ def test_projection_modulus_bound():
 
 # T of BOX at (0.5, 0.3, 2.12) and P_0.47 of the m = 3 probe on the default
 # grid, at tol 1e-6: T as computed when the half-plane drives still carried
-# a complex |f| channel (the real channels move it by a few ulp at most),
-# P in the kernel-centred s coordinates of the whole-line probe
+# a complex |f| channel (summing the complex blocks as they come moves it by
+# a few ulp at most), P in the kernel-centred s coordinates of the
+# whole-line probe
 _T_BOX = [
     complex(0.03296290323874465, -0.0038612120413639146),
     complex(0.009206305412874012, 0.04826114307808147),
@@ -455,7 +478,7 @@ def test_s_coordinates_move_the_probe_values_toward_the_exact_ones():
         assert abs(p_new - exact) <= abs(p_u - exact) + 2.0 ** -52 * abs(exact)
 
 
-def test_real_channels_keep_the_result_types_and_values():
+def test_complex_drives_keep_the_result_types_and_values():
     grid = default_probe_grid()
     params = P(0.5, 0.3, 2.12)
     for z, t_old, p_old in zip(grid, _T_BOX, _P_PROBE):

@@ -247,7 +247,7 @@ def test_non_finite_values_off_the_fringe_raise():
         integrate_interval(g, 0.0, 1.0)
     with pytest.raises(DomainError, match="away from the ends"):
         integrate_semiaxis(lambda y: np.stack([np.exp(-y), g(y)]), SingularityHints((0.25, 1.0)))
-    # and in a complex half-plane integrand, whose drives carry real channels
+    # and in a complex half-plane integrand, named by its non-finite part
     nan_box = Func2D(fn=lambda u, v: np.where((np.abs(u - 0.3) < 0.1) & (v > 1.0) & (v < 2.0),
                                               np.nan, 1j) * np.exp(-u * u - v),
                      u_breakpoints=(-1.0, 1.0), v_breakpoints=(1.0, 2.0))
