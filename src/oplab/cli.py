@@ -361,7 +361,10 @@ def _cmd_dilate(args):
     if args.r_num < 2:
         raise ParameterError(f"--r-num must be at least 2, got {args.r_num}")
     half = args.r_decades / 2.0
-    grid = np.logspace(-half, half, args.r_num)
+    with np.errstate(all="ignore"):
+        grid = np.logspace(-half, half, args.r_num)
+    if not ((grid > 0.0) & (grid < np.inf)).all():
+        raise ParameterError(f"--r-decades {args.r_decades} puts R outside the positive finite floats")
     slope = hilbert.growth_exponent(args.p, args.q, args.a, args.b, _params(args),
                                     f=f, R_grid=grid, tol=tol, cutoff=args.cutoff)
     kappa = (args.gamma - args.alpha - args.beta - 1.0

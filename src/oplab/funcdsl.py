@@ -629,8 +629,8 @@ class Func1D:
         """The dilation f_R(y) = f(R*y); same endpoint exponents, and each
         piece c*y^s*ind(lo,hi) becomes c*R^s*y^s*ind(lo/R,hi/R)."""
         R = float(R)
-        if not R > 0:
-            raise DomainError(f"dilation factor must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise DomainError(f"dilation factor must be positive and finite, got {R}")
         inner = self.fn
         pieces = self.pieces and tuple((c * R ** s, s, lo / R, hi / R)
                                        for c, s, lo, hi in self.pieces)
@@ -669,8 +669,8 @@ class Func2D:
     def dilate(self, R: float) -> "Func2D":
         """f_R(z) = f(R*z), i.e. both coordinates scaled."""
         R = float(R)
-        if not R > 0:
-            raise DomainError(f"dilation factor must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise DomainError(f"dilation factor must be positive and finite, got {R}")
         inner = self.fn
         return replace(self, fn=lambda u, v: inner(R * u, R * v),
                        u_breakpoints=tuple(b / R for b in self.u_breakpoints),

@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _BATCH = 64  # x-chunk size for batched applications (bounds peak memory)
+_ROW_PROBES = 512  # probes per _beta_segment call of a multi-source _apply_pieces (bounds peak memory)
 
 
 @dataclass(frozen=True)
@@ -278,25 +279,31 @@ def _pair_series(params: OperatorParams, s: tuple) -> _Series:
 
 
 @functools.lru_cache(maxsize=16)
-def _piece_constants(params: OperatorParams, pieces: tuple):
-    """_apply_pieces' constants of one source, built once per (params,
-    pieces) and kept for the last 16 sources: the piece bounds lo and hi
-    and their edges (lo, -hi), the exponents e, whether a piece diverges,
-    and the _pair_series of its exponents."""
-    _, s, lo, hi = zip(*pieces)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    series = _pair_series(params, s)
-    a, b = series.a[::2], series.b[::2]
-    e = params.alpha + (np.array(s, dtype=float) + params.beta) + 1.0 - params.gamma
-    diverges = bool(np.any(((lo == 0.0) & (a <= 0.0)) | (np.isinf(hi) & (b <= 0.0))))
-    edges = np.column_stack([lo, -hi])   # a segment exists where edges < (x, -x)
-    return lo, hi, edges, e, diverges, series
+def _piece_constants(params: OperatorParams, sources: tuple):
+    """_apply_pieces' constants of k sources (piece tuples), kept for the
+    last 16 families: per source and piece, padded with pieces no probe
+    meets, lo, hi, the edges (lo, -hi), e, c and the column below y = x in
+    the one _pair_series of the distinct exponent tuples (the dilations of
+    a source share theirs); and which sources diverge."""
+    width = max(map(len, sources))
+    c, s, lo, hi = np.array([pieces + ((0.0, 0.0, np.inf, -np.inf),) * (width - len(pieces))
+                             for pieces in sources], dtype=float).transpose(2, 0, 1)
+    exps = [tuple(term[1] for term in pieces) for pieces in sources]
+    distinct = list(dict.fromkeys(exps))
+    starts = dict(zip(distinct, itertools.accumulate(map(len, distinct), initial=0)))
+    col = 2 * (np.array([starts[x] for x in exps])[:, None] + np.arange(width))
+    m = s + params.beta
+    e = params.alpha + m + 1.0 - params.gamma
+    diverges = ((lo == 0.0) & (m + 1.0 <= 0.0)) | ((hi == np.inf) & (params.gamma - m - 1.0 <= 0.0))
+    edges = np.stack([lo, -hi], axis=-1)   # a segment exists where edges < (x, -x)
+    return lo, hi, edges, e, c, col, diverges.any(axis=1), _pair_series(params, sum(distinct, ()))
 
 
-def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
-    """H f(xs) for f = sum c*y^s*ind(lo,hi) in closed form, NaN at probes
-    where a series gives up, and at every probe when a piece diverges
-    (then the quadrature raises its DivergenceError).
+def _apply_pieces(params: OperatorParams, sources, xs: np.ndarray) -> np.ndarray:
+    """H f_i(xs[i]) in closed form for k sources f_i = sum c*y^s*ind(lo,hi),
+    given as their piece tuples, at probes xs of shape (k, n): NaN at
+    probes where a series gives up, and in every row whose source has a
+    divergent piece (then the quadrature raises its DivergenceError).
 
     With y = x*t a piece gives c*x^e int t^m (1+t)^-gamma dt over
     [lo, hi]/x, m = s+beta, e = alpha+m+1-gamma.  Split at y = x: on
@@ -304,36 +311,43 @@ def _apply_pieces(params: OperatorParams, pieces, xs: np.ndarray) -> np.ndarray:
     (a, b) = (m+1, gamma-m-1); on [max(lo, x), hi], z = x/(x+y) makes it
     the segment (b, a).  Both keep z <= 1/2.  A Beta parameter that is a
     non-positive integer gives the series' log term; it has z1 > 0 on every
-    piece that converges.
+    piece that converges.  Each probe meets only its own source's pieces.
+    The segments of a call go to _beta_segment in chunks of whole rows of
+    about _ROW_PROBES probes, so that a family's series stay as small as
+    one source's; a single source is never split.
     """
-    lo, hi, edges, e, diverges, series = _piece_constants(params, pieces)
-    if diverges:
-        return np.full(xs.shape, np.nan)
-    # the segment [y1, y2] of each probe and piece below y = x (side 0) and above it (side 1)
-    exists = edges < xs[:, None, None] * _SIDES
-    probe, piece, side = exists.nonzero()
-    above = side == 1
-    xe, lo_e, hi_e = xs[probe], lo[piece], hi[piece]
-    y1 = np.where(above, np.maximum(lo_e, xe), lo_e)
-    y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
-    t1, t2 = xe + y1, xe + y2
-    x_t1 = xe / t1
-    with np.errstate(invalid="ignore", over="ignore"):
-        t12 = t1 * t2
-        dz = np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / t12)
-        over = np.isinf(t12)
-        if over.any():   # probes past ~1e154: the overflow-free form
-            far = over & np.isfinite(y2)
-            dz[far] = x_t1[far] * ((y2[far] - y1[far]) / t2[far])
-        segments = _beta_segment(
-            series, 2 * piece + side,
-            np.where(above, xe / t2, y1 / t1),
-            np.where(above, x_t1, y2 / t2),
-            dz, xe, e[piece])
-    seg = np.zeros(exists.shape)
-    seg[exists] = segments
-    c = np.array([term[0] for term in pieces])
-    return (c * seg.sum(axis=2)).sum(axis=1)
+    lo, hi, edges, e, c, col, diverges, series = _piece_constants(params, tuple(sources))
+    out = np.full(xs.shape, np.nan)
+    live = np.flatnonzero(~diverges)
+    step = max(1, _ROW_PROBES // max(xs.shape[1], 1))
+    for first in range(0, live.size, step):
+        rows = live[first:first + step]
+        # the segment [y1, y2] of each probe and piece below y = x (side 0) and above it (side 1)
+        exists = edges[rows, None] < xs[rows, :, None, None] * _SIDES
+        row, probe, piece, side = exists.nonzero()
+        row = rows[row]
+        above = side == 1
+        xe, lo_e, hi_e = xs[row, probe], lo[row, piece], hi[row, piece]
+        y1 = np.where(above, np.maximum(lo_e, xe), lo_e)
+        y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
+        t1, t2 = xe + y1, xe + y2
+        x_t1 = xe / t1
+        with np.errstate(invalid="ignore", over="ignore"):
+            t12 = t1 * t2
+            dz = np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / t12)
+            over = np.isinf(t12)
+            if over.any():   # probes past ~1e154: the overflow-free form
+                far = over & np.isfinite(y2)
+                dz[far] = x_t1[far] * ((y2[far] - y1[far]) / t2[far])
+            segments = _beta_segment(
+                series, col[row, piece] + side,
+                np.where(above, xe / t2, y1 / t1),
+                np.where(above, x_t1, y2 / t2),
+                dz, xe, e[row, piece])
+        seg = np.zeros(exists.shape)
+        seg[exists] = segments
+        out[rows] = (c[rows, None] * seg.sum(axis=3)).sum(axis=2)
+    return out
 
 
 def apply_H(params: OperatorParams, f: Func1D, x: float, tol: float = quad.DEFAULT_TOL_1D) -> float:
@@ -351,29 +365,38 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
     call for.  The source's constants (exponents, divergence test) are
     built once per (params, pieces) and the series tables (log-term
     flags, coefficients) once per (params, piece exponents), so the calls
-    of one norm, pairing or growth fit and the dilations of a source
-    share them.  Every other source, and every probe where the series
-    gives up, runs the adaptive quadrature (one shared refinement per
-    batch of probes), which also raises DivergenceError for a divergent
-    piece.  Probes must be positive and finite (DomainError); no probes
-    give an empty array.
+    of one norm or pairing share them.  Every other source, and every
+    probe where the series gives up, runs the adaptive quadrature (one
+    shared refinement per batch of probes), which also raises
+    DivergenceError for a divergent piece.  Probes must be positive and
+    finite (DomainError); no probes give an empty array.  This is the
+    one-source case of _apply_rows, through which growth_exponent applies
+    all the dilations of a source in one call per level.
     """
     quad._check_tol(tol)
     xs = np.asarray(xs, dtype=float)
     admitted = (xs > 0) & (xs < np.inf)
     if not admitted.all():
         raise DomainError(f"probe points must be positive and finite, got {xs[~admitted].tolist()}")
+    return _apply_rows(params, [f], xs.reshape(1, -1), tol).reshape(xs.shape)
+
+
+def _apply_rows(params: OperatorParams, fs, xs: np.ndarray, tol: float) -> np.ndarray:
+    """H f_i(xs[i]) for the sources fs at positive finite probes xs of
+    shape (len(fs), n): one _apply_pieces call when every source has
+    pieces, then _apply_quad at ``tol`` for each source at its probes that
+    are left NaN, which raises DivergenceError for a divergent piece."""
     # Fringe nodes of an enclosing quadrature can push probes below any
     # physical scale.  Clamping replaces H f(x) by H f(1e-150) there; the
     # mass of any admissible outer integrand below the floor is under
-    # ~1e-150^(q*l+b+1), l the left exponent of H f (see _image),
-    # negligible against every tolerance in use,
-    # and the kernel knee at y ~ x stays resolvable by the panels below.
-    xs_eval = np.clip(xs, 1e-150, None)
-    out = _apply_pieces(params, f.pieces, xs_eval) if f.pieces and xs.size else np.full(xs.shape, np.nan)
+    # ~1e-150^(q*l+b+1), l the left exponent of H f (see _image), negligible
+    # against every tolerance, and the knee at y ~ x stays resolvable.
+    xs = np.clip(xs, 1e-150, None)
+    pieces = [f.pieces for f in fs]
+    out = _apply_pieces(params, pieces, xs) if all(pieces) and xs.size else np.full(xs.shape, np.nan)
     rest = ~np.isfinite(out)
-    if rest.any():
-        out[rest] = _apply_quad(params, f, xs_eval[rest], tol)
+    for i in np.flatnonzero(rest.any(axis=1)):
+        out[i, rest[i]] = _apply_quad(params, fs[i], xs[i, rest[i]], tol)
     return out
 
 
@@ -603,44 +626,66 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
     """Dilation growth exponent of the Rayleigh quotient.
 
     For the bump f (default the indicator of [1,2]) and each R in the
-    geometric grid, computes Q(R) = ||H f_R||_{q,b,<=cutoff/R} / ||f_R||_{p,a},
-    where the target norm is truncated to the co-dilating window
-    (0, cutoff/R] -- the covariance identity then makes Q an exact power
-    law R^kappa whether or not the full norm converges, with
+    geometric grid (1-D, positive and finite), computes
+    Q(R) = ||H f_R||_{q,b,<=cutoff/R} / ||f_R||_{p,a}, where the target
+    norm is truncated to the co-dilating window (0, cutoff/R] -- the
+    covariance identity then makes Q an exact power law R^kappa whether or
+    not the full norm converges, with
 
         kappa = gamma - alpha - beta - 1 - (b+1)/q + (a+1)/p.
 
     Returns -kappa fitted by least squares on log Q vs log R: zero when
     the balance relation holds, and the divergence exponent
     -(gamma-alpha-beta-1-(b+1)/q+(a+1)/p) when it fails.  The window
-    integral is completed at 0 with H f_R's own left exponent; f's
-    breakpoints do not split it, since H f_R is smooth there.
+    norms of all R are one truncated drive (_codilated_norms); p and q
+    must lie in [1, inf).
     """
     if math.isinf(p) or math.isinf(q):
         raise ParameterError("the growth experiment needs finite p and q")
+    if not q >= 1.0:
+        raise ParameterError(f"q must satisfy 1 <= q < inf, got {q}")
     if f is None:
         f = func1d("ind(1,2)")
     if R_grid is None:
         R_grid = np.logspace(-1.5, 1.5, 7)
     R_grid = np.asarray(R_grid, dtype=float)
-    if len(set(R_grid.tolist())) < 2:
-        raise ParameterError(f"the growth fit needs at least 2 distinct R, got {R_grid.tolist()}")
+    if R_grid.ndim != 1 or len(set(R_grid.tolist())) < 2:
+        raise ParameterError(f"the growth fit needs a 1-D grid of at least 2 distinct R, got {R_grid.tolist()}")
     space = WeightedSpaceSpec(p, a)
-    logs = []
-    for R in R_grid:
-        f_R = f.dilate(R)
-        nf = weighted_lp_norm(f_R, space, tol)
-        if nf == 0.0:
-            raise ParameterError("the growth fit needs a source function of nonzero norm")
-        Hf_R = _image(params, f_R, tol)
-
-        def integrand(xs):
-            return np.abs(Hf_R(xs)) ** q * xs ** b
-
-        hints = SingularityHints((), q * Hf_R.left_exponent + b)
-        nH = float(quad.integrate_truncated(integrand, hints, cutoff / R, tol)) ** (1.0 / q)
-        if nH == 0.0:
-            raise ParameterError(f"the truncated image norm is zero at R = {R}")
-        logs.append(math.log(nH / nf))
-    slope = np.polyfit(np.log(R_grid), np.array(logs), 1)[0]
+    family = [f.dilate(R) for R in R_grid]
+    nf = np.array([weighted_lp_norm(f_R, space, tol) for f_R in family])
+    if not nf.all():
+        raise ParameterError("the growth fit needs a source function of nonzero norm")
+    nH = _codilated_norms(params, family, cutoff / R_grid, q, b, tol)
+    if not nH.all():
+        raise ParameterError(f"the truncated image norm is zero at R = {R_grid[nH == 0.0][0]}")
+    slope = np.polyfit(np.log(R_grid), np.log(nH / nf), 1)[0]
     return -float(slope)
+
+
+def _codilated_norms(params: OperatorParams, family, h: np.ndarray, q: float, b: float,
+                     tol: float) -> np.ndarray:
+    """||H f_R||_{q,b} on the windows (0, h[i]], f_R = family[i], as the
+    rows of one truncated drive over u = x/h in (0, 1], whose nodes of
+    each level are one _apply_rows call.
+
+    Row i is |H f_R(h u)|^q (h u)^b h over its value at u = 1 (unscaled
+    where that is 0 or not finite).  By the covariance identity the rows
+    of dilations, h = cutoff/R, are one function of u up to that scale,
+    which can span decades: divided out, each row is judged at its own
+    size wherever the rows differ by more than rounding (probes that the
+    series hands to the quadrature), and the sums stay in range.  The
+    window is completed at 0 with H f_R's left exponent; f's breakpoints
+    do not split it, since H f_R is smooth there.
+    """
+    h = h[:, None]
+    hints = SingularityHints((), q * _image(params, family[0], tol).left_exponent + b)
+
+    def rows(u):   # the unscaled rows at the nodes u
+        x = h * u
+        return np.abs(_apply_rows(params, family, x, tol / 10.0)) ** q * x ** b * h
+
+    scale = rows(np.ones(1))
+    scale[~((scale > 0.0) & (scale < np.inf))] = 1.0
+    mass = quad.integrate_truncated(lambda u: rows(u) / scale, hints, 1.0, tol) * scale[:, 0]
+    return mass ** (1.0 / q)

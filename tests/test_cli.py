@@ -344,6 +344,22 @@ def test_dilate_needs_two_R(capsys, r_num):
         "--alpha", "0", "--beta", "0", "--gamma", "2", "--r-num", r_num)
 
 
+@pytest.mark.parametrize("q", ["0", "0.5"])
+def test_dilate_needs_q_at_least_one(capsys, q):
+    assert_parameter_error(
+        capsys, "dilate", "--p", "2", "--q", q, "--a", "0", "--b", "0",
+        "--alpha", "0", "--beta", "0", "--gamma", "2")
+
+
+@pytest.mark.parametrize("decades", ["inf", "1000", "nan"])
+def test_dilate_needs_a_positive_finite_R_grid(capsys, recwarn, decades):
+    code, _, err = run_cli(capsys, "dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                           "--alpha", "0", "--beta", "0", "--gamma", "2", "--r-decades", decades)
+    assert code == EXIT_PARAMS, err
+    assert "--r-decades" in json.loads(err)["detail"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_sweep_csv(capsys):
     code, out, err = run_cli(capsys, "sweep", "--vary", "gamma", "--start", "0.5",
                              "--stop", "1.5", "--num", "5", "--p", "2", "--q", "2",

@@ -340,6 +340,13 @@ def test_dilation():
     assert h.v_breakpoints == (0.25, 0.5)
 
 
+@pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+def test_dilation_needs_a_positive_finite_factor(R):
+    for f in (func1d("ind(1,2)"), func2d("ind(-0.25,0.25)*ind(y,1,2)")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            f.dilate(R)
+
+
 @pytest.mark.parametrize("src, pieces", [
     ("2*x^0.5*ind(1,2)-ind(3,inf)", ((2.0, 0.5, 1.0, 2.0), (-1.0, 0.0, 3.0, math.inf))),
     ("x^(0-0.9)*ind(0,1)", ((1.0, -0.9, 0.0, 1.0),)),

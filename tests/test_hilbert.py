@@ -190,7 +190,7 @@ def test_closed_form_H_matches_hyp2f1(src, params):
     f = func1d(src)
     xs = np.geomspace(1e-8, 1e8, 33)
     want = np.array([_H_reference(mpmath, f.pieces, params, x) for x in xs])
-    series = hilbert._apply_pieces(params, f.pieces, xs)
+    series = hilbert._apply_pieces(params, [f.pieces], xs[None])[0]
     closed = np.isfinite(series)
     assert closed.mean() > 0.9
     assert np.max(np.abs(series[closed] - want[closed]) / np.abs(want[closed])) <= 1e-13
@@ -218,13 +218,13 @@ def test_integer_beta_parameters_take_the_log_term():
     # the segment above y = x is the pole term log(z2/z1)
     mpmath = pytest.importorskip("mpmath")
     xs = np.geomspace(1e-4, 1e4, 17)
-    got = hilbert._apply_pieces(P(0, 0, 1), func1d("ind(1,2)").pieces, xs)
+    got = hilbert._apply_pieces(P(0, 0, 1), [func1d("ind(1,2)").pieces], xs[None])[0]
     assert np.max(np.abs(got - np.log1p(1.0 / (xs + 1.0))) / got) <= 1e-14   # ln((x+2)/(x+1))
     # Beta parameter a = m+1 = -1 and -2 below y = x, and b = -1 above it
     for src, params in [("x^(0-2)*ind(1,3)", P(0.2, 0, 1.3)), ("x^(0-3)*ind(0.5,2)", P(0.1, 0, 0.7)),
                         ("x^2*ind(1,2)", P(0, 0, 2))]:
         (c, s, lo, hi), = func1d(src).pieces
-        got = hilbert._apply_pieces(params, func1d(src).pieces, xs)
+        got = hilbert._apply_pieces(params, [func1d(src).pieces], xs[None])[0]
         assert np.isfinite(got).all()
         with mpmath.workdps(40):
             want = np.array([float(c * mpmath.mpf(x) ** params.alpha * mpmath.quad(
@@ -250,7 +250,7 @@ def test_underflow_hands_over_to_the_quadrature(src, params, x):
         else:        # lo = 0 < x < hi
             seg = mpmath.betainc(a, b, 0, half) + mpmath.betainc(b, a, X / (X + hi), half)
         want = float(c * X ** (params.alpha + m + 1 - params.gamma) * seg)
-    assert np.isnan(hilbert._apply_pieces(params, f.pieces, np.array([x]))).all()
+    assert np.isnan(hilbert._apply_pieces(params, [f.pieces], np.array([[x]]))).all()
     assert apply_H(params, f, x) == pytest.approx(want, rel=1e-10)
 
 
@@ -682,40 +682,135 @@ def test_codilating_norm_of_a_singular_source(monkeypatch):
     # int_0^10 |H f| dx for f = x^-0.9 ind(0,1) under (0.2, 0, 1.2): H f ~ x^-0.9
     # at 0, not x^alpha.  Reference: mpmath, x = u^10,
     # int_0^(10^0.1) 10 betainc(0.1, 1.1, 0, 1/(1+u^10)) du
-    values = []
-    real = quad.integrate_truncated
+    drives, norms = [], []
+    real_drive, real_norms = quad.integrate_truncated, hilbert._codilated_norms
+
+    def drive(*args, **kwargs):
+        drives.append(real_drive(*args, **kwargs))
+        return drives[-1]
 
     def recorded(*args, **kwargs):
-        out = real(*args, **kwargs)
-        values.append(float(out))
-        return out
+        norms.append(real_norms(*args, **kwargs))
+        return norms[-1]
 
-    monkeypatch.setattr(quad, "integrate_truncated", recorded)
+    monkeypatch.setattr(quad, "integrate_truncated", drive)
+    monkeypatch.setattr(hilbert, "_codilated_norms", recorded)
     growth_exponent(1, 1, 0, 0, P(0.2, 0, 1.2), f=func1d("x^(0-0.9)*ind(0,1)"),
                     R_grid=[1.0, 2.0])
-    assert abs(values[0] - 120.2501842446051) <= 1e-10
+    assert len(drives) == 1 and drives[0].shape == (2,)   # both R in one drive
+    assert abs(norms[0][0] - 120.2501842446051) <= 1e-10   # the row R = 1
 
 
 def test_growth_exponent_probe_count(monkeypatch):
     # the README dilate command: H f is smooth at f's edges, so they do
-    # not split the co-dilating window
+    # not split the co-dilating window, and the unit window u = R*x/cutoff
+    # is one origin panel
     probes = []
-    real = hilbert.apply_H_many
+    real = hilbert._apply_rows
 
-    def counted(params, f, xs, *args, **kwargs):
-        out = real(params, f, xs, *args, **kwargs)
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
         probes.append(out.size)
         return out
 
-    monkeypatch.setattr(hilbert, "apply_H_many", counted)
+    monkeypatch.setattr(hilbert, "_apply_rows", counted)
     assert growth_exponent(2, 2, 0, 0, P(0, 0, 2)) == pytest.approx(-1.0, abs=0.02)
-    assert 0 < sum(probes) <= 3600
+    assert 0 < sum(probes) <= 2709
 
 
 @pytest.mark.parametrize("R_grid", [[], [2.0], [3.0, 3.0]])
 def test_growth_exponent_needs_two_distinct_R(R_grid):
     with pytest.raises(ParameterError):
         growth_exponent(2, 2, 0, 0, P(0, 0, 1), R_grid=R_grid)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, math.nan])
+def test_growth_exponent_needs_q_at_least_one(q):
+    with pytest.raises(ParameterError, match="q must satisfy"):
+        growth_exponent(2, q, 0, 0, P(0, 0, 1))
+
+
+@pytest.mark.parametrize("R_grid, error", [
+    ([1.0, INF], DomainError), ([1.0, math.nan], DomainError), ([1.0, 0.0], DomainError),
+    ([[1.0, 2.0], [3.0, 4.0]], ParameterError)])
+def test_growth_exponent_needs_a_1d_positive_finite_grid(R_grid, error):
+    with pytest.raises(error, match="positive and finite|1-D grid"):
+        growth_exponent(2, 2, 0, 0, P(0, 0, 1), R_grid=R_grid)
+
+
+def test_family_call_matches_the_single_sources():
+    # mixed piece counts and exponents in one call: within 2 ulp of each
+    # source applied alone (the segments of a call share their row counts)
+    rng = np.random.default_rng(23)
+    for params in (P(0.3, 0.2, 1.5), P(0, 0, 1), P(0.5, 0.4, 1.9)):
+        fs = [func1d("ind(1,2)"), func1d("2*x^0.5*ind(0.5,2)-x^(0-0.3)*ind(3,inf)"),
+              func1d("x^(0-0.9)*ind(0,1)"), func1d("ind(1,2)").dilate(3.0),
+              func1d("x^1.5*ind(0.2,0.3)+ind(0.3,0.9)+3*x^2*ind(4,5)")]
+        xs = 10.0 ** rng.uniform(-3.0, 3.0, (len(fs), 150))   # two chunks of rows
+        family = hilbert._apply_pieces(params, [f.pieces for f in fs], xs)
+        for f, x, got in zip(fs, xs, family):
+            alone = apply_H_many(params, f, x)
+            closed = np.isfinite(got)
+            assert closed.mean() > 0.9
+            assert np.all(np.abs(got[closed] - alone[closed]) <= 2 * np.spacing(np.abs(alone[closed])))
+
+
+def test_family_call_with_a_divergent_row():
+    params = P(0, 0, 1)
+    fs = [func1d("ind(1,2)"), func1d("x^(0-1.5)*ind(0,1)")]   # the second diverges at 0
+    xs = np.geomspace(0.1, 10.0, 14).reshape(2, 7)
+    family = hilbert._apply_pieces(params, [f.pieces for f in fs], xs)
+    assert np.array_equal(family[0], apply_H_many(params, fs[0], xs[0]))
+    assert np.isnan(family[1]).all()
+    with pytest.raises(DivergenceError):
+        hilbert._apply_rows(params, fs, xs, 1e-10)
+
+
+def test_growth_exponent_of_a_source_without_pieces(monkeypatch):
+    # exp(0-x)*ind(1,2) has no pieces: every row takes the quadrature;
+    # the exponent before the rows shared one drive was -1.0
+    calls = []
+    real = hilbert._apply_quad
+
+    def counted(params, f, xs, tol):
+        calls.append(xs.size)
+        return real(params, f, xs, tol)
+
+    monkeypatch.setattr(hilbert, "_apply_quad", counted)
+    got = growth_exponent(2, 2, 0, 0, P(0, 0, 2), f=func1d("exp(0-x)*ind(1,2)"))
+    assert calls and abs(got - -1.0) <= 1e-9
+
+
+def test_codilated_rows_are_each_judged_against_themselves():
+    # Q(R)^q spans ~1e-27 to ~1e12 here: every row must still meet tol
+    # against its own drive over (0, cutoff/R]
+    params, q, b, tol, cutoff = P(0.5, 0.2, 4), 6.0, 0.0, 1e-9, 10.0
+    f, R_grid = func1d("ind(1,2)"), np.logspace(-1.5, 1.5, 7)
+    family = [f.dilate(R) for R in R_grid]
+    got = hilbert._codilated_norms(params, family, cutoff / R_grid, q, b, tol) ** q
+    for f_R, R, row in zip(family, R_grid, got):
+        Hf_R = hilbert._image(params, f_R, tol)
+        hints = quad.SingularityHints((), q * Hf_R.left_exponent + b)
+        want = quad.integrate_truncated(lambda x: np.abs(Hf_R(x)) ** q * x ** b, hints, cutoff / R, tol)
+        assert abs(row - want) <= tol * want
+    assert got.max() / got.min() > 1e38
+
+
+def test_growth_memory_stays_flat_in_the_number_of_R():
+    # the family's closed-form calls are chunked by rows: 8 times the R
+    # costs far less than 8 times the memory (~8 times without the chunks)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    f = func1d("2*ind(0.4,0.9)+x^0.3*ind(1,2.5)")
+    growth_exponent(2, 2, 0, 0, P(0, 0, 2), f=f)
+    peaks = []
+    for n in (7, 56):
+        tracemalloc.start()
+        try:
+            growth_exponent(2, 2, 0, 0, P(0, 0, 2), f=f, R_grid=np.logspace(-1.5, 1.5, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 # -- norm domination -----------------------------------------------------------
