@@ -266,13 +266,11 @@ def _beta_segment(series: _Series, col, z1, z2, dz, x, e):
     return value
 
 
-@functools.lru_cache(maxsize=16)
 def _pair_series(params: OperatorParams, s: tuple) -> _Series:
-    """The _Series of pieces with the exponents s, built once per (params,
-    s) and shared by every source with those exponents, such as the
-    dilations of one source: pair 2j is piece j's segment below y = x,
-    (a, b) = (m+1, gamma-m-1), m = s[j]+beta, and pair 2j+1 the one above
-    it, (b, a)."""
+    """The _Series of pieces with the exponents s, kept in the cached
+    _piece_constants of their sources: pair 2j is piece j's segment below
+    y = x, (a, b) = (m+1, gamma-m-1), m = s[j]+beta, and pair 2j+1 the
+    one above it, (b, a)."""
     m = np.array(s, dtype=float) + params.beta
     a, b = m + 1.0, params.gamma - m - 1.0
     return _series(np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel())
@@ -311,7 +309,10 @@ def _apply_pieces(params: OperatorParams, sources, xs: np.ndarray) -> np.ndarray
     (a, b) = (m+1, gamma-m-1); on [max(lo, x), hi], z = x/(x+y) makes it
     the segment (b, a).  Both keep z <= 1/2.  A Beta parameter that is a
     non-positive integer gives the series' log term; it has z1 > 0 on every
-    piece that converges.  Each probe meets only its own source's pieces.
+    piece that converges.  The width dz = z2 - z1 of a segment [y1, y2]
+    is (x/t1) * ((y2-y1)/t2), t = x+y (x/t1 at y2 = inf): both ratios
+    lie in (0, 1], so it cannot overflow and underflows only where dz
+    itself does.  Each probe meets only its own source's pieces.
     The segments of a call go to _beta_segment in chunks of whole rows of
     about _ROW_PROBES probes, so that a family's series stay as small as
     one source's; a single source is never split.
@@ -332,13 +333,8 @@ def _apply_pieces(params: OperatorParams, sources, xs: np.ndarray) -> np.ndarray
         y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
         t1, t2 = xe + y1, xe + y2
         x_t1 = xe / t1
-        with np.errstate(invalid="ignore", over="ignore"):
-            t12 = t1 * t2
-            dz = np.where(np.isinf(y2), x_t1, xe * (y2 - y1) / t12)
-            over = np.isinf(t12)
-            if over.any():   # probes past ~1e154: the overflow-free form
-                far = over & np.isfinite(y2)
-                dz[far] = x_t1[far] * ((y2[far] - y1[far]) / t2[far])
+        with np.errstate(invalid="ignore"):
+            dz = np.where(np.isinf(y2), x_t1, x_t1 * ((y2 - y1) / t2))
             segments = _beta_segment(
                 series, col[row, piece] + side,
                 np.where(above, xe / t2, y1 / t1),
@@ -383,15 +379,12 @@ def apply_H_many(params: OperatorParams, f: Func1D, xs, tol: float = quad.DEFAUL
 
 def _apply_rows(params: OperatorParams, fs, xs: np.ndarray, tol: float) -> np.ndarray:
     """H f_i(xs[i]) for the sources fs at positive finite probes xs of
-    shape (len(fs), n): one _apply_pieces call when every source has
-    pieces, then _apply_quad at ``tol`` for each source at its probes that
-    are left NaN, which raises DivergenceError for a divergent piece."""
-    # Fringe nodes of an enclosing quadrature can push probes below any
-    # physical scale.  Clamping replaces H f(x) by H f(1e-150) there; the
-    # mass of any admissible outer integrand below the floor is under
-    # ~1e-150^(q*l+b+1), l the left exponent of H f (see _image), negligible
-    # against every tolerance, and the knee at y ~ x stays resolvable.
-    xs = np.clip(xs, 1e-150, None)
+    shape (len(fs), n), each at the probe asked for: one _apply_pieces
+    call when every source has pieces, then _apply_quad at ``tol`` for
+    each source at its probes that are left NaN, which raises
+    DivergenceError for a divergent piece.  A probe is never moved: an
+    enclosing drive places none below its first knot times ~e^-30 (quad's
+    origin panel)."""
     pieces = [f.pieces for f in fs]
     out = _apply_pieces(params, pieces, xs) if all(pieces) and xs.size else np.full(xs.shape, np.nan)
     rest = ~np.isfinite(out)
@@ -637,8 +630,10 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
     Returns -kappa fitted by least squares on log Q vs log R: zero when
     the balance relation holds, and the divergence exponent
     -(gamma-alpha-beta-1-(b+1)/q+(a+1)/p) when it fails.  The window
-    norms of all R are one truncated drive (_codilated_norms); p and q
-    must lie in [1, inf).
+    norms of all R are one truncated drive (_codilated_norms), which
+    gives their logarithms, so a norm whose q-th power leaves the float
+    range still counts; they hold while the windows' probes cutoff*u/R
+    are normal floats.  p and q must lie in [1, inf).
     """
     if math.isinf(p) or math.isinf(q):
         raise ParameterError("the growth experiment needs finite p and q")
@@ -656,36 +651,37 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
     nf = np.array([weighted_lp_norm(f_R, space, tol) for f_R in family])
     if not nf.all():
         raise ParameterError("the growth fit needs a source function of nonzero norm")
-    nH = _codilated_norms(params, family, cutoff / R_grid, q, b, tol)
-    if not nH.all():
-        raise ParameterError(f"the truncated image norm is zero at R = {R_grid[nH == 0.0][0]}")
-    slope = np.polyfit(np.log(R_grid), np.log(nH / nf), 1)[0]
+    log_nH = _codilated_norms(params, family, cutoff / R_grid, q, b, tol)
+    if np.isneginf(log_nH).any():
+        raise ParameterError(f"the truncated image norm is zero at R = {R_grid[np.isneginf(log_nH)][0]}")
+    slope = np.polyfit(np.log(R_grid), log_nH - np.log(nf), 1)[0]
     return -float(slope)
 
 
 def _codilated_norms(params: OperatorParams, family, h: np.ndarray, q: float, b: float,
                      tol: float) -> np.ndarray:
-    """||H f_R||_{q,b} on the windows (0, h[i]], f_R = family[i], as the
-    rows of one truncated drive over u = x/h in (0, 1], whose nodes of
-    each level are one _apply_rows call.
+    """log ||H f_R||_{q,b} on the windows (0, h[i]], f_R = family[i], as
+    the rows of one truncated drive over u = x/h in (0, 1], whose nodes
+    of each level are one _apply_rows call.
 
-    Row i is |H f_R(h u)|^q (h u)^b h over its value at u = 1 (unscaled
-    where that is 0 or not finite).  By the covariance identity the rows
-    of dilations, h = cutoff/R, are one function of u up to that scale,
-    which can span decades: divided out, each row is judged at its own
-    size wherever the rows differ by more than rounding (probes that the
-    series hands to the quadrature), and the sums stay in range.  The
-    window is completed at 0 with H f_R's left exponent; f's breakpoints
-    do not split it, since H f_R is smooth there.
+    Row i is |H f_R(h u) / H f_R(h)|^q u^b, the window norm's integrand
+    over its value at u = 1 (unscaled where H f_R(h) = 0), so that
+    ||H f_R||^q = |H f_R(h)|^q h^(b+1) times the row's integral, taken
+    in logarithms.  By the covariance identity the rows of dilations,
+    h = cutoff/R, are one function of u up to that scale, which can span
+    decades: divided out, each row is judged at its own size wherever the
+    rows differ by more than rounding (probes that the series hands to
+    the quadrature), and its integral stays in range whatever the range
+    of |H f_R(h)|^q.  The window is completed at 0 with H f_R's left
+    exponent; f's breakpoints do not split it, since H f_R is smooth
+    there.
     """
     h = h[:, None]
     hints = SingularityHints((), q * _image(params, family[0], tol).left_exponent + b)
-
-    def rows(u):   # the unscaled rows at the nodes u
-        x = h * u
-        return np.abs(_apply_rows(params, family, x, tol / 10.0)) ** q * x ** b * h
-
-    scale = rows(np.ones(1))
-    scale[~((scale > 0.0) & (scale < np.inf))] = 1.0
-    mass = quad.integrate_truncated(lambda u: rows(u) / scale, hints, 1.0, tol) * scale[:, 0]
-    return mass ** (1.0 / q)
+    scale = np.abs(_apply_rows(params, family, h, tol / 10.0))
+    scale[scale == 0.0] = 1.0
+    mass = quad.integrate_truncated(
+        lambda u: np.abs(_apply_rows(params, family, h * u, tol / 10.0) / scale) ** q * u ** b,
+        hints, 1.0, tol)
+    with np.errstate(divide="ignore"):
+        return (np.log(mass) + q * np.log(scale[:, 0]) + (b + 1.0) * np.log(h[:, 0])) / q

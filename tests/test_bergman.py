@@ -31,7 +31,7 @@ from oplab.bergman import (
     reproducing_probe,
     tplus_exact_norm,
 )
-from oplab.errors import AccuracyError, DivergenceError, ParameterError
+from oplab.errors import AccuracyError, DivergenceError, DomainError, ParameterError
 from oplab.funcdsl import Func2D, func1d, func2d
 from oplab.hilbert import OperatorParams, apply_H, hilbert_verdict, solve_gamma
 from oplab.quad import integrate_real_line
@@ -62,6 +62,8 @@ def test_kernel_row_integral_vs_quadrature():
 def test_kernel_row_integral_divergence():
     with pytest.raises(DivergenceError):
         kernel_row_integral(1.0, 1.0)
+    with pytest.raises(DomainError, match="y must be positive"):
+        kernel_row_integral(2.0, 0.0)
 
 
 # -- mixed norms ---------------------------------------------------------------

@@ -216,6 +216,14 @@ def test_estimate_at_a_huge_point(capsys):
     assert doc["results"]["applied"][0]["Hf"]["value"] == pytest.approx(1e-200, rel=1e-14)
 
 
+def test_estimate_at_a_tiny_point(capsys):
+    # H f(1e-150) of ind(1e-200,2e-200) under (0, 0, 2): (1e-200/(x+1e-200))/(x+2e-200)
+    doc = run_json(capsys, "estimate", "--expr", "ind(1e-200,2e-200)", "--p", "2", "--q", "2",
+                   "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0", "--gamma", "2",
+                   "--points", "1e-150")
+    assert doc["results"]["applied"][0]["Hf"]["value"] == pytest.approx(1e100, rel=1e-14)
+
+
 @pytest.mark.parametrize("point", ["inf", "nan", "0"])
 def test_estimate_rejects_a_point_that_is_not_positive_and_finite(capsys, point):
     code, out, err = run_cli(capsys, *_ESTIMATE, "--expr", "ind(1,2)", "--points", f"1,{point}")
@@ -337,6 +345,18 @@ def test_dilate_singular_source(capsys):
     assert residual["value"] <= 10 * residual["tol"]
 
 
+@pytest.mark.parametrize("decades", ["580", "600"])
+def test_dilate_far_out(capsys, decades):
+    # R from 1e-290 to 1e290 is exact; at 1e300 the windows' probes are
+    # subnormal and the command may fail, but never with a zero norm
+    code, out, err = run_cli(capsys, "dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                             "--alpha", "0", "--beta", "0", "--gamma", "2", "--r-decades", decades)
+    assert "norm is zero" not in err
+    if decades == "580" or code == EXIT_OK:
+        assert code == EXIT_OK, err
+        assert json.loads(out)["results"]["residual"]["value"] <= 1e-9
+
+
 @pytest.mark.parametrize("r_num", ["1", "0", "-1"])
 def test_dilate_needs_two_R(capsys, r_num):
     assert_parameter_error(
@@ -373,6 +393,19 @@ def test_sweep_csv(capsys):
     assert len(bounded) == 1 and float(bounded[0][0]) == 1.0
     assert float(bounded[0][2]) == pytest.approx(math.pi, rel=1e-9)
     assert float(bounded[0][3]) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-9)
+
+
+def test_sweep_csv_to_a_file_with_error_rows(capsys, tmp_path):
+    # p > q = 2 has no verdict: those rows say error and leave the numbers empty
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--vary", "p", "--start", "1.5", "--stop", "3",
+                             "--num", "4", "--q", "2", "--a", "0", "--b", "0", "--alpha", "0",
+                             "--beta", "0", "--gamma", "1", "--out", str(path))
+    assert code == EXIT_OK, err
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    assert rows[0] == ["p", "bounded", "sharp_norm", "schur_bound", "relation_residual"]
+    assert [row[:2] for row in rows[1:]] == [["1.5", "no"], ["2", "yes"], ["2.5", "error"], ["3", "error"]]
+    assert rows[3][2:] == ["", "", ""] and rows[4][2:] == ["", "", ""]
 
 
 def test_bergman_reproduce(capsys):
@@ -415,6 +448,12 @@ def test_solve_gamma(capsys):
 
 _EXTREMAL = ["extremal", "--p", "2", "--a", "0", "--alpha", "0", "--beta", "0", "--gamma", "1"]
 _SOLVE = ["solve-gamma", "--p", "2", "--q", "3", "--b", "0.5", "--alpha", "0.2", "--beta", "0.3"]
+_CERTIFY = ["certify", "--p", "2", "--q", "2", "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0",
+            "--gamma", "1"]
+_TPLUS = ["verdict", "bergman", "--operator", "tplus", "--p", "2", "--r", "2", "--a", "0", "--b", "0",
+          "--alpha", "0.25", "--beta", "0.25"]
+_PROJECTION = ["verdict", "bergman", "--operator", "projection", "--p", "2", "--q", "1", "--r", "1",
+               "--a", "0", "--b", "0"]
 
 
 @pytest.mark.parametrize("args, detail", [
@@ -422,6 +461,11 @@ _SOLVE = ["solve-gamma", "--p", "2", "--q", "3", "--b", "0.5", "--alpha", "0.2",
     (_EXTREMAL + ["--xi", "0.1", "--tol", "nan"], "tolerance"),
     (_EXTREMAL + ["--xi", "inf"], "xi must be positive and finite"),
     (_SOLVE, "weight exponent"),                                 # --a missing
+    (_CERTIFY + ["--d", "10"], "forced d must lie in (0, 0.5)"),
+    (_TPLUS + ["--q", "2"], "--gamma is required"),
+    (_TPLUS + ["--q", "3", "--gamma", "1.5"], "only the upper-triangle case"),
+    (_PROJECTION + ["--beta", "-2"], "beta > -1"),
+    (["bergman", "reproduce", "--nu", "0", "--power", "1"], "integer m >= 2"),
 ])
 def test_extremal_and_solve_gamma_reject_bad_input(capsys, args, detail):
     code, out, err = run_cli(capsys, *args)

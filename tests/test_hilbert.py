@@ -293,6 +293,23 @@ def test_apply_H_many_at_huge_probes():
     assert np.all(np.abs(got / (math.pi * math.sqrt(2.0) * xs ** -0.75) - 1.0) <= 1e-14)
 
 
+@pytest.mark.parametrize("src, params, xs, want, rel", [
+    # closed form: x^0.5 * 2((1+x)^-0.5 - (2+x)^-0.5)
+    ("ind(1,2)", P(0.5, 0, 1.5), [1e-160, 1e-200, 1e-300],
+     lambda x: x ** 0.5 * 2.0 * ((1.0 + x) ** -0.5 - (2.0 + x) ** -0.5), 1e-14),
+    # quadrature: x^0.5 int_0^inf y e^-y (x+y)^-1.5 dy -> sqrt(pi) x^0.5
+    ("x*exp(0-x)", P(0.5, 0, 1.5), [1e-160, 1e-200], lambda x: math.sqrt(math.pi) * x ** 0.5, 1e-10),
+    # a source below every probe: int_lo^2lo (x+y)^-2 dy, whose x*(y2-y1) underflows
+    ("ind(1e-200,2e-200)", P(0, 0, 2), [1e-150, 1e-199],
+     lambda x: (1e-200 / (x + 1e-200)) / (x + 2e-200), 1e-14),
+], ids=["closed-form", "quadrature", "tiny-source"])
+def test_apply_H_many_at_tiny_probes(src, params, xs, want, rel):
+    # H f is evaluated at the probe asked for, however small
+    got = apply_H_many(params, func1d(src), xs)
+    for x, value in zip(xs, got):
+        assert abs(value - want(x)) <= rel * want(x), x
+
+
 @pytest.mark.parametrize("bad", [INF, math.nan, -1.0, 0.0])
 def test_apply_H_many_rejects_probes_that_are_not_positive_and_finite(bad):
     for src in ("ind(1,2)", "x*exp(0-x)"):
@@ -357,6 +374,8 @@ def test_piece_norm_closed_form_matches_mpmath(monkeypatch, src, p, a):
 def test_piece_norm_is_exact():
     assert weighted_lp_norm(func1d("ind(1,2)"), WeightedSpaceSpec(2, 0)) == 1.0
     assert weighted_lp_norm(func1d("x^(0-0.9)*ind(0,1)"), WeightedSpaceSpec(1, 0)) == 1.0 / (1.0 - 0.9)
+    # a norm beyond the float range: hi^e = 1e300^601 overflows
+    assert weighted_lp_norm(func1d("x^300*ind(1,1e300)"), WeightedSpaceSpec(2, 0)) == INF
 
 
 def test_overlapping_pieces_keep_the_drive(monkeypatch):
@@ -618,6 +637,10 @@ def test_extremal_quotient_precondition():
         extremal_quotient(WeightedSpaceSpec(2, 0), P(0, 0, 2), 0.1)
     with pytest.raises(ParameterError):
         extremal_quotient(WeightedSpaceSpec(2, 0), P(0, 0, 1), -0.1)
+    with pytest.raises(ParameterError, match="1 < p < inf"):
+        extremal_quotient(WeightedSpaceSpec(1, 0), P(0, 0, 1), 0.1)
+    with pytest.raises(ParameterError, match="diagonal window"):   # a+1 = p(beta+1)
+        extremal_quotient(WeightedSpaceSpec(2, 1), P(0, 0, 1), 0.1)
 
 
 # -- dilation ------------------------------------------------------------------
@@ -670,6 +693,14 @@ def test_growth_exponent_unbalanced():
     assert growth_exponent(2, 2, 0, 0, P(0, 0, 0.5)) == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("R_grid", [[1e144, 1e145], [1e149, 1e150], [1e199, 1e200], [1e-300, 1e-299]])
+def test_growth_exponent_at_extreme_scales(R_grid):
+    # the windows (0, 10/R] reach probes far below 1e-150, and at R = 1e-300
+    # |H f_R(10/R)|^2 lies below the float range: -kappa = -1 still
+    got = growth_exponent(2, 2, 0, 0, P(0, 0, 2), f=func1d("ind(1,2)"), R_grid=R_grid)
+    assert abs(got - -1.0) <= 1e-12
+
+
 def test_growth_exponent_needs_nonzero_norms():
     with pytest.raises(ParameterError, match="nonzero norm"):
         growth_exponent(2, 2, 0, 0, P(0, 0, 1), f=func1d("0*ind(1,2)"))
@@ -698,7 +729,7 @@ def test_codilating_norm_of_a_singular_source(monkeypatch):
     growth_exponent(1, 1, 0, 0, P(0.2, 0, 1.2), f=func1d("x^(0-0.9)*ind(0,1)"),
                     R_grid=[1.0, 2.0])
     assert len(drives) == 1 and drives[0].shape == (2,)   # both R in one drive
-    assert abs(norms[0][0] - 120.2501842446051) <= 1e-10   # the row R = 1
+    assert abs(math.exp(norms[0][0]) - 120.2501842446051) <= 1e-10   # the row R = 1 (a log norm)
 
 
 def test_growth_exponent_probe_count(monkeypatch):
@@ -722,6 +753,12 @@ def test_growth_exponent_probe_count(monkeypatch):
 def test_growth_exponent_needs_two_distinct_R(R_grid):
     with pytest.raises(ParameterError):
         growth_exponent(2, 2, 0, 0, P(0, 0, 1), R_grid=R_grid)
+
+
+@pytest.mark.parametrize("p, q", [(INF, 2.0), (2.0, INF)])
+def test_growth_exponent_needs_finite_p_and_q(p, q):
+    with pytest.raises(ParameterError, match="finite p and q"):
+        growth_exponent(p, q, 0, 0, P(0, 0, 1))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.nan])
@@ -787,7 +824,7 @@ def test_codilated_rows_are_each_judged_against_themselves():
     params, q, b, tol, cutoff = P(0.5, 0.2, 4), 6.0, 0.0, 1e-9, 10.0
     f, R_grid = func1d("ind(1,2)"), np.logspace(-1.5, 1.5, 7)
     family = [f.dilate(R) for R in R_grid]
-    got = hilbert._codilated_norms(params, family, cutoff / R_grid, q, b, tol) ** q
+    got = np.exp(q * hilbert._codilated_norms(params, family, cutoff / R_grid, q, b, tol))
     for f_R, R, row in zip(family, R_grid, got):
         Hf_R = hilbert._image(params, f_R, tol)
         hints = quad.SingularityHints((), q * Hf_R.left_exponent + b)

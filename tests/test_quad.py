@@ -115,6 +115,9 @@ def test_truncated_entry_point():
     got = integrate_truncated(lambda y: np.ones_like(y) / (1 + y),
                               SingularityHints((), 0.0, 1.0), 10.0, 1e-10)
     assert float(got) == pytest.approx(math.log(11.0), rel=1e-10)
+    for cutoff in (0.0, math.inf):
+        with pytest.raises(ParameterError, match="cutoff must be positive finite"):
+            integrate_truncated(lambda y: np.ones_like(y), SingularityHints(), cutoff)
 
 
 def test_interval_endpoint_singularity():
