@@ -57,16 +57,20 @@ integrand, whose |f| mass scales the tolerance: sign changes converge.
 
 T+, T and P_nu of a source that lives on the whole u line with no u
 knots (_centred: a slab, the reproducing probe, the constant 1 of the
-column integral) integrate over s = (u - x)/(y + v) instead of u.  Then
-z - conj(w) = (y+v)(i - s), so the kernel is the fixed profile
-(i - s)^-k (or |i - s|^-k) times (y+v)^-k: the inner rule sits at the
-kernel's own scale, with one knot at s = 0, and the profile is
-evaluated once per row of s nodes, shared by every v.  A source with a
-finite u support or u knots keeps the u rule, since its knots would
-move with v in s.  Far from an algebraically decaying source its
-peak at s = -x/(y+v) is narrower than the s nodes there: the drives
-raise AccuracyError over a range of |x| (30 to 1e5 for the README's
-example), and beyond it they miss the peak without noticing.
+column integral) integrate over the kernel's angle e = arccot s instead
+of u, s = (u - x)/(y + v).  Then z - conj(w) = (y+v)(i - s) and
+|i - s| = 1/|sin e|, so the kernel is a fixed profile of e times
+(y+v)^(1-k), evaluated once per row of e nodes and shared by every v.
+The s line becomes the finite interval [-pi/2, pi/2]: both of its ends
+sit at the knot e = 0, where tanh-sinh clusters its nodes, and s = 0 at
+the smooth ends, so the drive needs no mapped tail and no power-law
+completion; a power substitution keeps near-critical decays bounded
+(_centred_integrand).  A source with a finite u support or u knots keeps
+the u rule, since its knots would move with v in e.  Far from an
+algebraically decaying source its peak at s = -x/(y+v) is narrower than
+the nodes there: the drives raise AccuracyError over a range of |x| (60
+to 1e5 for the README's example), and beyond it they miss the peak
+without noticing; a Gaussian source is missed from about |x| = 1e4.
 
 All operations are pure; probe grids and quadratures may be evaluated
 concurrently and merged in input order.
@@ -177,29 +181,16 @@ def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D)
 # operator application
 # --------------------------------------------------------------------------
 
-def _kernel(du, dv, s: float, complex_kernel: bool, factor=None):
-    """|du + i dv|^-s, or with complex_kernel the principal (du + i dv)^-s,
-    for du = x-u and dv = y+v > 0 broadcasting to the kernel's shape; a
-    real factor (the weight v^beta or v^nu of _compose_kernel) multiplies
-    the real modulus buffer in place, which for the complex kernel costs
-    less than scaling its complex result.
+def _phase(t, s: float):
+    """e^(-i s theta) for an array t holding theta, which it overwrites.
 
     numpy's complex power would call a scalar cpow per element, so the
-    power is the phase e^(i phi), phi = -s theta with
-    theta = atan2(dv, du) in (0, pi), times the modulus, in three buffers
-    written in place.  The phase goes through the half-angle tangent
-    t = tan(phi/2),
-    e^(i phi) = ((1 - t^2) + 2it) / (1 + t^2): one tan costs less than a
-    sin and a cos (numpy 2's AVX-512 float64 tan is vectorised, its sin
-    and cos are scalar loops); t stays finite, and each part is within a
-    few ulp of |e^(i phi)| = 1.
+    phase e^(i phi), phi = -s theta, goes through the half-angle tangent
+    t = tan(phi/2), e^(i phi) = ((1 - t^2) + 2it) / (1 + t^2), written in
+    place: one tan costs less than a sin and a cos (numpy 2's AVX-512
+    float64 tan is vectorised, its sin and cos are scalar loops); t stays
+    finite, and each part is within a few ulp of |e^(i phi)| = 1.
     """
-    if not complex_kernel:
-        modulus = (du ** 2 + dv ** 2) ** (-s / 2.0)
-        if factor is not None:
-            modulus *= factor
-        return modulus
-    t = np.asarray(np.arctan2(dv, du))
     t *= -s / 2.0
     np.tan(t, out=t)
     out = np.empty(t.shape, dtype=complex)
@@ -209,16 +200,39 @@ def _kernel(du, dv, s: float, complex_kernel: bool, factor=None):
     t += 1.0
     out.real /= t
     out.imag /= t
-    np.add(du ** 2, dv ** 2, out=t)
-    np.power(t, -s / 2.0, out=t)
-    if factor is not None:
-        t *= factor
-    out *= t
+    return out
+
+
+def _kernel(du, dv, s: float, complex_kernel: bool, v=None, weight: float = 0.0):
+    """v^weight |du + i dv|^-s, or with complex_kernel v^weight times the
+    principal (du + i dv)^-s, for du = x-u and dv = y+v > 0 broadcasting to
+    the kernel's shape: the modulus in a real buffer written in place,
+    times the _phase of theta = atan2(dv, du) in (0, pi).
+
+    The weight (v^beta or v^nu of _compose_kernel) joins the modulus's base
+    as v^(-2 weight/s): formed apart, v^weight overflows at tail nodes
+    (v ~ 1e13) where the modulus underflows, and inf * 0 is NaN.  At s = 0
+    the modulus is 1 and v^weight all of it.
+    """
+    if complex_kernel:
+        t = np.asarray(np.arctan2(dv, du))
+        out = _phase(t, s)
+        modulus = np.add(du ** 2, dv ** 2, out=t)
+    else:
+        modulus = np.add(du ** 2, dv ** 2)
+    if weight and s:
+        modulus *= v ** (-2.0 * weight / s)
+    np.power(modulus, -s / 2.0, out=modulus)
+    if weight and not s:
+        modulus *= v ** weight
+    if not complex_kernel:
+        return modulus
+    out *= modulus
     return out
 
 
 def _kernel_hints(f: Func2D, kernel_power: float, weight: float) -> tuple[float, SingularityHints]:
-    """The u (or s) decay exponent and the v hints of
+    """The u decay exponent and the v hints of
     f(w) v^weight |z - conj(w)|^(-kernel_power): the kernel adds
     kernel_power to both decays and the weight shifts the v exponents.
     Against a source whose u decay tau_u is below 1 the u integral keeps
@@ -234,25 +248,54 @@ def _kernel_hints(f: Func2D, kernel_power: float, weight: float) -> tuple[float,
 
 def _centred(f: Func2D) -> bool:
     """Whether the u integral of f against a kernel runs in the
-    kernel-centred coordinate s = (u - x)/(y + v): f lives on the whole u
-    line with no u knots, which in s would move with v."""
+    kernel-centred angle coordinate of _centred_integrand: f lives on the
+    whole u line with no u knots, which would move with v there."""
     return f.u_support == (-math.inf, math.inf) and not f.u_breakpoints
 
 
 def _centred_integrand(f: Func2D, x, y: float, kernel_power: float, weight: float,
-                       complex_kernel: bool):
-    """(s, v) -> f(x + d s, v) v^weight d^(1-p) K(s), d = y+v: the integrand
-    f(w) v^weight (z - conj(w))^-p with u = x + d s, du = d ds, where
-    z - conj(w) = d (i - s), so the kernel is the fixed profile
-    K(s) = (i - s)^-p (or |i - s|^-p), evaluated on the s nodes alone.
-    x may be an array broadcasting against s and v (a batch of points).
-    A full block that f returns as its own array takes both factors in
-    place; a result that only broadcasts keeps the out-of-place product."""
-    def fn(s, v):
+                       complex_kernel: bool, m: float):
+    """(r, v) -> the integrand f(w) v^weight (z - conj(w))^-k du, k =
+    kernel_power, over the angle e = sign(r) |r|^m = arccot s of the
+    kernel's own coordinate s = (u - x)/d, d = y+v, for r in
+    [-(pi/2)^(1/m), (pi/2)^(1/m)].
+
+    With u = x + d cot e, z - conj(w) = d (i - s), |i - s| = 1/|sin e| and
+    du = d csc^2 e de, so the integrand is f(u, v) v^weight d^(1-k) times
+    the profile |sin e|^(k-2) e^(-ik arg(i - s)), arg = pi - e for e > 0 and
+    -e for e < 0, and de = m |r|^(m-1) dr.  Both ends of the s line sit at
+    the knot r = 0, where tanh-sinh clusters its nodes, and s = 0 at the
+    smooth ends r = +-(pi/2)^(1/m).  A source decaying like |u|^-tau_u makes
+    the integrand ~ |e|^(tau - 2), tau = tau_u + k; m = max(1, 1/(tau - 1))
+    makes it bounded in r, as the profile written
+    m |r|^(m(k-1)-1) (sin e/e)^(k-2) shows: it stays finite where e
+    underflows.
+
+    The profile and cot e live on the r nodes alone, computed once for
+    each level's row, which every inner drive of the integrand meets
+    again; the factor (v/d)^weight d^(1+weight-k) lives on the v nodes
+    alone.  x may be an array broadcasting against r and v (a batch of
+    points).  A full block that f returns as its own array takes both
+    factors in place; a result that only broadcasts keeps the out-of-place
+    product."""
+    k = kernel_power
+    rows = {}   # (cot e, profile) by the bytes of the r row
+
+    def row(r):
+        key = r.tobytes()
+        if key not in rows:
+            e = np.copysign(np.abs(r) ** m, r)
+            profile = m * np.abs(r) ** (m * (k - 1.0) - 1.0) * np.sinc(e / math.pi) ** (k - 2.0)
+            if complex_kernel:
+                profile = profile * _phase(np.where(r > 0.0, math.pi - e, -e), k)
+            rows[key] = 1.0 / np.tan(e), profile
+        return rows[key]
+
+    def fn(r, v):
+        cot, profile = row(r)
         d = y + v
-        scale = v ** weight * d ** (1.0 - kernel_power)
-        profile = _kernel(-s, 1.0, kernel_power, complex_kernel)
-        u = x + d * s
+        scale = (v / d) ** weight * d ** (1.0 + weight - k)
+        u = x + d * cot
         vals = np.asarray(f(u, v))
         own = vals.flags.owndata and vals.shape == u.shape and vals.dtype == np.result_type(vals, profile)
         out = vals if own else None
@@ -263,17 +306,24 @@ def _centred_integrand(f: Func2D, x, y: float, kernel_power: float, weight: floa
 def _compose_kernel(f: Func2D, x, y: float, kernel_power: float, weight: float,
                     complex_kernel: bool) -> Func2D:
     """f(w) * v^weight * (z - conj(w))^(-kernel_power) at z = x + iy with
-    combined hints, over (u, v), or over (s, v) when f is _centred; the
+    combined hints, over (u, v), or over (r, v) when f is _centred; the
     kernel factors are finite and nonzero, so f's supports carry over.  A
-    float x is a u knot; a batch of abscissae, axes before (v, u), is not."""
+    float x is a u knot; a batch of abscissae, axes before (v, u), is not.
+    A _centred source needs a u decay tau > 1 of the integrand, as the
+    whole u line does."""
     u_decay, v_hints = _kernel_hints(f, kernel_power, weight)
+    u_support = f.u_support
     if _centred(f):
-        fn = _centred_integrand(f, x, y, kernel_power, weight, complex_kernel)
-        u_breakpoints = (0.0,)
+        if not u_decay > 1.0:
+            raise DivergenceError(f"real-line integral diverges: decay exponent {u_decay} <= 1",
+                                  endpoint="u-infinity")
+        m = max(1.0, 1.0 / (u_decay - 1.0))
+        fn = _centred_integrand(f, x, y, kernel_power, weight, complex_kernel, m)
+        reach = (math.pi / 2.0) ** (1.0 / m)
+        u_breakpoints, u_support = (0.0,), (-reach, reach)
     else:
         def fn(u, v):
-            factor = np.asarray(v) ** weight if weight else None
-            return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, factor)
+            return f(u, v) * _kernel(x - u, y + v, kernel_power, complex_kernel, v, weight)
         u_breakpoints = tuple(sorted({*f.u_breakpoints, x})) if np.ndim(x) == 0 else f.u_breakpoints
     return Func2D(
         fn=fn,
@@ -282,7 +332,7 @@ def _compose_kernel(f: Func2D, x, y: float, kernel_power: float, weight: float,
         u_decay_exponent=u_decay,
         v_left_exponent=v_hints.left_exponent,
         v_decay_exponent=v_hints.decay_exponent,
-        u_support=f.u_support,
+        u_support=u_support,
         v_support=f.v_support,
     )
 

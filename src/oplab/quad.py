@@ -485,8 +485,8 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     support, and both are the 1D integrators with the one refinement
     budget of every drive, so a divergent hint raises their DivergenceError.
     The first coordinate need not be u itself: bergman passes kernel
-    integrands of whole-line sources over s = (u - x)/(y + v), with the
-    hints of s.  f may return a batch, axes before (v, u), and the result
+    integrands of whole-line sources over a finite angle coordinate, with
+    its support and knot.  f may return a batch, axes before (v, u), and the result
     then has the batch shape (bergman passes abscissae).  f is called on
     blocks of v rows of at most _BLOCK_ELEMENTS values, batch included, or
     on one row where a row holds more, the first call on one row to read

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oplab import quad
+from oplab import bergman, quad
 from oplab.bergman import (
     BergmanVerdictRequest,
     HalfPlanePoint,
@@ -220,6 +220,14 @@ def test_kernel_is_the_principal_power(s):
             assert abs(k - complex(want)) <= 1e-14 * abs(want)
 
 
+def test_tplus_at_kernel_power_zero_is_the_weighted_mass():
+    # gamma = -1 makes the kernel |z - conj(w)|^0 = 1, so the weight v^beta
+    # cannot join the modulus's base: T+ f(z) = y^alpha int f(w) v^beta dA
+    got = apply_Tplus(P(0.5, 0.3, -1.0), BOX, complex(0.2, 0.5))
+    want = 0.5 ** 0.5 * 0.5 * (2.0 ** 1.3 - 1.0) / 1.3
+    assert abs(got - want) <= 1e-10 * want
+
+
 def test_tplus_of_an_algebraic_source_far_from_the_origin():
     # the inner u drive needs a tenth refinement level at x = 10
     mpmath = pytest.importorskip("mpmath")
@@ -260,6 +268,77 @@ def test_tplus_in_s_coordinates_against_mpmath():
         want = _ALGEBRAIC_TPLUS[x]
         assert abs(apply_Tplus(params, ALGEBRAIC, complex(x, 0.5)) - want) <= 1e-6 * want
         assert abs(sliced - want) <= 1e-6 * want
+
+
+def _slab_tplus(params, c, d, y):
+    """T+ of 1[c,d](v): B(1/2, gamma/2) y^alpha int_c^d v^beta (y+v)^-gamma dv,
+    the v integral by 40-point Gauss-Legendre."""
+    t, w = np.polynomial.legendre.leggauss(40)
+    v = 0.5 * (d - c) * t + 0.5 * (c + d)
+    integral = 0.5 * (d - c) * float(np.sum(w * v ** params.beta * (y + v) ** -params.gamma))
+    return beta(0.5, params.gamma / 2.0) * y ** params.alpha * integral
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.1, 0.02])
+def test_tplus_of_a_slab_near_the_critical_decay(gamma):
+    # the angle integrand behaves like |e|^(gamma-1) at the ends of the s line;
+    # e = sign(r) |r|^(1/gamma) makes it bounded in r
+    params = P(0.2, 0.1, gamma)
+    want = _slab_tplus(params, 1.0, 2.0, 0.7)
+    assert abs(apply_Tplus(params, func2d("ind(y,1,2)"), 0.3 + 0.7j) - want) <= 1e-13 * want
+
+
+def test_tplus_of_a_slab_diverges_at_and_below_the_critical_decay():
+    # the u integral of |z - conj(w)|^-(1+gamma) needs 1 + gamma > 1
+    for gamma in (0.0, -0.2):
+        with pytest.raises(DivergenceError, match="decay exponent"):
+            apply_Tplus(P(0.2, 0.1, gamma), func2d("ind(y,1,2)"), 0.3 + 0.7j)
+
+
+@pytest.mark.parametrize("nu", [-0.98, -0.5])
+def test_projection_of_a_slab_vanishes(nu):
+    # int (i - s)^-k ds = 0 for k = 2 + nu > 1, so P_nu of a slab is 0: to tol
+    # times the mass c_nu int |f| v^nu |z - conj(w)|^-k
+    slab, z, tol = func2d("ind(y,1,2)"), complex(0.3, 0.7), 1e-6
+    mass = abs(bergman_constant(nu)) * apply_Tplus(P(0, nu, 1 + nu), slab, z, tol)
+    assert abs(bergman_project(nu, slab, z, tol)) <= tol * mass
+
+
+def test_reproduction_integrand_values(monkeypatch):
+    # P_nu of the whole-line probe over the angle coordinate; the s line with
+    # expm1 tails took 5,644,880 values
+    values = []
+
+    def counted(m, t=1.0):
+        probe = reproducing_probe(m, t)
+
+        def fn(u, v):
+            values.append(np.broadcast(u, v).size)
+            return probe.fn(u, v)
+        return dataclasses.replace(probe, fn=fn)
+
+    monkeypatch.setattr(bergman, "reproducing_probe", counted)
+    rows = bergman.reproduce_check(0.405, 3)
+    assert max(row["abs_error"] for row in rows) <= 1e-6
+    assert sum(values) <= 3.0e6
+
+
+def test_tplus_of_an_algebraic_slab_off_centre():
+    # the s coordinates raised AccuracyError here; the reference is scipy's
+    # nested quad
+    got = apply_Tplus(P(0, 0, 1), func2d("(1+x^2)^(0-2)*ind(y,1,2)"), complex(20.0, 0.5))
+    assert abs(got - 0.003924515231572504) <= 1e-12 * 0.003924515231572504
+
+
+def test_weight_and_kernel_do_not_overflow_apart():
+    # v^weight alone overflows at tail nodes (v ~ 1e13) where the kernel
+    # underflows, and inf * 0 = NaN raised DomainError; references by scipy's
+    # nested quad
+    f, z = func2d("ind(-1,1)*exp(0-y)"), complex(0.3, 0.7)
+    tplus = 1.4153217270516411e-09
+    assert abs(apply_Tplus(P(0, 120, 121), f, z) - tplus) <= 1e-12 * tplus
+    projected = complex(-513823388.209345, 439075689.0976011)
+    assert abs(bergman_project(50, f, z) - projected) <= 1e-12 * abs(projected)
 
 
 # -- sources that change sign, and the batched slice -------------------------------

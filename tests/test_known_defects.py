@@ -63,10 +63,10 @@ def test_far_field_of_an_algebraic_box():
     assert _close(got, 8.78870989046698e-5, 1e-6)   # nested mpmath quadrature
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: a Gaussian source underflows at every s node far from it")
+@pytest.mark.xfail(strict=True, raises=AccuracyError,
+                   reason="ROADMAP item 1: the angle drive does not settle on a Gaussian far from it")
 def test_far_field_of_a_gaussian_source():
-    # today exactly 0.0
+    # today AccuracyError (the s coordinates returned exactly 0.0)
     got = apply_Tplus(P(0, 0, 1), func2d("exp(0-x^2)*ind(y,1,2)"), 100 + 0.5j, 1e-6)
     assert _close(got, 1.77199599086659e-4, 1e-6)   # nested mpmath quadrature
 
@@ -83,6 +83,23 @@ def test_reduction_inequality_of_an_algebraic_source():
 def test_H_far_from_the_source():
     # H f(x) = int y e^-y / (x+y) dy = 1/x - 2/x^2 + ..., 1e-100 in floats
     assert _close(apply_H(P(0, 0, 1), func1d("x*exp(0-x)"), 1e100), 1e-100, 1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AccuracyError,
+                   reason="ROADMAP item 1: _apply_quad fails at tiny probes far from the source")
+def test_H_at_a_tiny_probe():
+    # H f(x) = x^-0.1 B(1.1, 0.9) + O(x^0.8) for f = (1+y)^-3 under (0.8, 0.1, 2)
+    got = apply_H(P(0.8, 0.1, 2), func1d("(1+x)^(0-3)"), 1e-200)
+    assert _close(got, math.gamma(1.1) * math.gamma(0.9) * 1e20, 1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="ROADMAP item 1: the kernel overflows where f is 0 at a subnormal probe")
+def test_H_at_a_subnormal_probe():
+    # H f(x) = int_{1e-300}^{2e-300} (x+y)^-2 dy; today NaN = 0 * inf inside the drive
+    x = 1e-310
+    got = apply_H(P(0, 0, 2), func1d("ind(1,2)").dilate(1e300), x)
+    assert _close(got, 1.0 / (x + 1e-300) - 1.0 / (x + 2e-300), 1e-10)
 
 
 # -- ROADMAP item 2: hints and knots -------------------------------------------
@@ -145,7 +162,7 @@ def test_sharp_norm_is_pi():
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 4(b): the floor accepts an error far above tol at nu = 50")
 def test_reproduction_at_nu_50_is_within_tol_or_raises():
-    # today abs_error 9.36e-3 at tol 1e-6
+    # today abs_error 9.82e-3 at tol 1e-6
     try:
         (row,) = reproduce_check(50, 3, points=[0.5 + 0.5j], tol=1e-6)
     except AccuracyError:
