@@ -161,8 +161,7 @@ def _slice_norm(f: Func2D, p: float, tol: float) -> Func1D:
 
     ends = tuple(v for v in f.v_support if 0.0 < v < math.inf)
     return Func1D(fn=fn, breakpoints=f.v_breakpoints + ends,
-                  left_exponent=f.v_left_exponent, decay_exponent=f.v_decay_exponent,
-                  label="slice p-norm")
+                  left_exponent=f.v_left_exponent, decay_exponent=f.v_decay_exponent)
 
 
 def mixed_norm(f: Func2D, spec: MixedNormSpec, tol: float = quad.DEFAULT_TOL_2D) -> float:
@@ -374,8 +373,9 @@ def bergman_constant(nu: float) -> complex:
 def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> complex:
     """P_nu f(z) = c_nu * integral f(w) (z - conj(w))^-(2+nu) v^nu dV(w)."""
     z = HalfPlanePoint.of(z)
+    c_nu = bergman_constant(nu)
     integrand = _compose_kernel(f, z.x, z.y, 2.0 + nu, nu, complex_kernel=True)
-    return bergman_constant(nu) * complex(quad.integrate_halfplane(integrand, tol))
+    return c_nu * complex(quad.integrate_halfplane(integrand, tol))
 
 
 def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
@@ -402,7 +402,7 @@ def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
         return power
 
     return Func2D(fn=fn, u_decay_exponent=float(m), v_left_exponent=0.0,
-                  v_decay_exponent=float(m), label=f"(i/(w+{t}i))^{m}")
+                  v_decay_exponent=float(m))
 
 
 def reproduce_check(nu: float, m: int, points=None, tol: float = quad.DEFAULT_TOL_2D) -> list[dict]:

@@ -24,12 +24,18 @@ must fold to a constant.  ind(lo, hi) is 1 on the closed interval
 at a shared endpoint is the user's concern -- quadrature never samples
 exactly at breakpoints, so measure-zero overlaps are harmless.
 
+Restricted to these tokens this is Python's expression grammar with "^"
+for "**": parse() is a token scan, ast.parse and one converter, so
+whitespace may surround any token and nesting past Python's limit of 200
+parentheses is an ExprSyntaxError.
+
 Expression trees are immutable and evaluation is pure, so parsed
 functions can be shared freely across concurrent workers.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
@@ -95,7 +101,7 @@ Expr = Union[Const, Var, BinOp, Neg, Pow, Call, Ind]
 
 
 # --------------------------------------------------------------------------
-# tokenizer / parser
+# parser: a token scan, Python's own expression parser, one tree converter
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -103,148 +109,68 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
+_FUNCS = ("exp", "log", "abs", "ind")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            at = len(src) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {src[at]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(src)))
-    return tokens
+def _scan(src: str) -> tuple[str, list[int]]:
+    """src as space-separated Python source (float literals, ** for ^) and,
+    for each column of it and one past its end, the offset of its token."""
+    py, cols, prev, pos = [], [], None, 0
+    for m in _TOKEN_RE.finditer(src):
+        if m.start() != pos:
+            break
+        tok, at = m[m.lastgroup], m.start(m.lastgroup)
+        if m["name"] and tok not in ("x", "y", "inf") + _FUNCS:
+            raise ExprSyntaxError(f"unknown function or variable {tok!r}", at)
+        if prev == "," and tok == ")":
+            raise ExprSyntaxError("unexpected ')' after ','", at)
+        text = repr(float(tok)) if m["num"] else "**" if tok == "^" else tok
+        py.append(text)
+        cols += [at] * (len(text) + 1)
+        prev, pos = tok, m.end()
+    rest = src[pos:].lstrip()
+    if rest:
+        raise ExprSyntaxError(f"unexpected character {rest[0]!r}", len(src) - len(rest))
+    return " ".join(py), cols + [len(src)]
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {val!r}", pos)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {val!r}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            epos = self.peek()[2]
-            exponent = self.unary()
-            c = _fold_const(exponent, epos)
-            if c is None:
-                raise NonConstantExponentError("power exponent must be a constant", epos)
-            return Pow(base, c)
-        return base
-
-    def atom(self) -> Expr:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Const(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val in ("x", "y"):
-                return Var(val)
-            if val == "inf":
-                return Const(math.inf)
-            if val in ("exp", "log", "abs"):
-                self.expect_op("(")
-                arg = self.expr()
-                nkind, nval, npos = self.peek()
-                if nkind == "op" and nval == ",":
-                    raise ExprArityError(f"{val} takes exactly one argument", npos)
-                self.expect_op(")")
-                return Call(val, arg)
-            if val == "ind":
-                return self._ind(pos)
-            raise ExprSyntaxError(f"unknown function or variable {val!r}", pos)
-        raise ExprSyntaxError(f"unexpected {val!r}", pos)
-
-    def _ind(self, pos: int) -> Ind:
-        self.expect_op("(")
-        args = [self.expr()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == ",":
-                self.next()
-                args.append(self.expr())
-            else:
-                break
-        self.expect_op(")")
-        if len(args) == 2:
-            var = "x"
-            bounds = args
-        elif len(args) == 3:
-            if not isinstance(args[0], Var):
-                raise ExprArityError("3-argument ind needs a variable first: ind(y, lo, hi)", pos)
-            var = args[0].name
-            bounds = args[1:]
-        else:
+def _convert(node: ast.AST, cols: list[int]) -> Expr:
+    """The Expr of the Python tree of _scan's source; ExprSyntaxError for
+    what the language lacks (unary +, tuples, starred arguments, ...)."""
+    if isinstance(node, ast.Constant):
+        return Const(node.value)
+    if isinstance(node, ast.Name) and node.id not in _FUNCS:
+        return Const(math.inf) if node.id == "inf" else Var(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(_convert(node.operand, cols))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, epos = _convert(node.left, cols), cols[node.right.col_offset]
+        c = _fold_const(_convert(node.right, cols), epos)
+        if c is None:
+            raise NonConstantExponentError("power exponent must be a constant", epos)
+        return Pow(base, c)
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return BinOp(_OPS[type(node.op)], _convert(node.left, cols), _convert(node.right, cols))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+            and node.func.col_offset == node.col_offset and node.args and not node.keywords):
+        fn, pos = node.func.id, cols[node.col_offset]
+        args = [_convert(a, cols) for a in (node.args if fn == "ind" else node.args[:1])]
+        if fn != "ind" and len(node.args) > 1:
+            raise ExprArityError(f"{fn} takes exactly one argument", cols[node.args[1].col_offset])
+        if fn != "ind":
+            return Call(fn, args[0])
+        if len(args) not in (2, 3):
             raise ExprArityError(f"ind takes 2 or 3 arguments, got {len(args)}", pos)
-        lo = _fold_const(bounds[0], pos)
-        hi = _fold_const(bounds[1], pos)
+        if len(args) == 3 and not isinstance(args[0], Var):
+            raise ExprArityError("3-argument ind needs a variable first: ind(y, lo, hi)", pos)
+        lo, hi = (_fold_const(b, pos) for b in args[-2:])
         if lo is None or hi is None:
             raise ExprArityError("ind bounds must be constants", pos)
         if not lo < hi:
             raise ExprArityError(f"ind needs lo < hi, got [{lo}, {hi}]", pos)
-        return Ind(var, lo, hi)
+        return Ind(args[0].name if len(args) == 3 else "x", lo, hi)
+    raise ExprSyntaxError("invalid syntax", cols[node.col_offset])
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -298,7 +224,13 @@ def parse(src: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError (with offset) on bad input."""
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(src).parse()
+    py, cols = _scan(src)
+    try:
+        return _convert(ast.parse(py, mode="eval").body, cols)
+    except SyntaxError as exc:  # offset 0 or past the end: at the end of src
+        raise ExprSyntaxError(exc.msg, cols[min(exc.offset or 0, len(cols)) - 1]) from None
+    except (RecursionError, MemoryError):  # nesting past the parser's stacks
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +551,6 @@ class Func1D:
     breakpoints: tuple[float, ...] = ()
     left_exponent: float = 0.0
     decay_exponent: float = math.inf
-    label: str = ""
     pieces: tuple | None = None
 
     def __call__(self, y):
@@ -635,8 +566,7 @@ class Func1D:
         pieces = self.pieces and tuple((c * R ** s, s, lo / R, hi / R)
                                        for c, s, lo, hi in self.pieces)
         return replace(self, fn=lambda y: inner(R * y),
-                       breakpoints=tuple(b / R for b in self.breakpoints),
-                       label=f"{self.label or 'f'}(x*{_fmt_num(R)})", pieces=pieces)
+                       breakpoints=tuple(b / R for b in self.breakpoints), pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -659,7 +589,6 @@ class Func2D:
     u_decay_exponent: float = math.inf
     v_left_exponent: float = 0.0
     v_decay_exponent: float = math.inf
-    label: str = ""
     u_support: tuple[float, float] = _WHOLE
     v_support: tuple[float, float] = (0.0, math.inf)
 
@@ -676,8 +605,7 @@ class Func2D:
                        u_breakpoints=tuple(b / R for b in self.u_breakpoints),
                        v_breakpoints=tuple(b / R for b in self.v_breakpoints),
                        u_support=tuple(b / R for b in self.u_support),
-                       v_support=tuple(b / R for b in self.v_support),
-                       label=f"{self.label or 'f'}(z*{_fmt_num(R)})")
+                       v_support=tuple(b / R for b in self.v_support))
 
 
 def _full(value, *args):
@@ -711,7 +639,7 @@ def func1d(src: str | Expr) -> Func1D:
             return _vanish_outside(_full(_eval(e, {"x": arr}, strict=False), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
-                  decay_exponent=decay, label=pretty(e), pieces=_pieces(e))
+                  decay_exponent=decay, pieces=_pieces(e))
 
 
 def func2d(src: str | Expr) -> Func2D:
@@ -730,5 +658,4 @@ def func2d(src: str | Expr) -> Func2D:
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,
-                  v_decay_exponent=v_decay, label=pretty(e),
-                  u_support=u_support, v_support=(max(v_lo, 0.0), v_hi))
+                  v_decay_exponent=v_decay, u_support=u_support, v_support=(max(v_lo, 0.0), v_hi))

@@ -516,7 +516,7 @@ def _image(params: OperatorParams, f: Func1D, tol: float) -> Func1D:
     if f.decay_exponent <= be + 1.0:
         decay = ga - al - (be + 1.0 - f.decay_exponent)
     return Func1D(fn=lambda xs: apply_H_many(params, f, xs, tol / 10.0),
-                  left_exponent=left, decay_exponent=decay, label=f"H({f.label})")
+                  left_exponent=left, decay_exponent=decay)
 
 
 def image_norm(params: OperatorParams, f: Func1D, q: float, b: float,
@@ -639,6 +639,8 @@ def growth_exponent(p: float, q: float, a: float, b: float, params: OperatorPara
         raise ParameterError("the growth experiment needs finite p and q")
     if not q >= 1.0:
         raise ParameterError(f"q must satisfy 1 <= q < inf, got {q}")
+    if not 0.0 < cutoff < math.inf:
+        raise ParameterError(f"cutoff must be positive and finite, got {cutoff}")
     if f is None:
         f = func1d("ind(1,2)")
     if R_grid is None:

@@ -458,6 +458,14 @@ def test_bergman_constant_beyond_the_float_range_raises(nu):
     assert cmath.isfinite(bergman_constant(1015.6))
 
 
+@pytest.mark.parametrize("nu", [math.nan, -1.0, -2.0, -math.inf])
+def test_projection_rejects_a_weight_outside_nu_above_minus_one(nu):
+    # the weight is checked before the kernel is composed: a NaN weight is
+    # a parameter error, not a divergence verdict of the kernel's decay
+    with pytest.raises(ParameterError, match="nu > -1"):
+        bergman_project(nu, reproducing_probe(3), HalfPlanePoint(0.0, 1.0))
+
+
 def test_projection_reproduces_probe():
     rows = reproduce_check(0.0, 3, tol=1e-6)
     assert max(r["abs_error"] for r in rows) <= 1e-4

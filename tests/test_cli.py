@@ -186,6 +186,21 @@ def test_estimate(capsys):
     assert applied[1]["Hf"]["value"] == pytest.approx(math.log(1.5), rel=1e-9)
 
 
+@pytest.mark.parametrize("padded", ["ind(1,2) ", "ind(1,2)\n", "ind(1,2)\t"])
+def test_estimate_ignores_trailing_whitespace_in_the_expression(capsys, padded):
+    args = ("--p", "2", "--q", "2", "--a", "0", "--b", "0", "--alpha", "0", "--beta", "0", "--gamma", "1")
+    doc = run_json(capsys, "estimate", "--expr", padded, *args)
+    assert doc["results"] == run_json(capsys, "estimate", "--expr", "ind(1,2)", *args)["results"]
+
+
+def test_estimate_rejects_too_deeply_nested_expression(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--expr", "(" * 300 + "x" + ")" * 300,
+                             "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                             "--alpha", "0", "--beta", "0", "--gamma", "1")
+    assert code == EXIT_PARAMS and out == ""
+    assert json.loads(err)["error"] == "parameters"
+
+
 def test_estimate_divergence_exit_code(capsys):
     # the application integral itself diverges: exit code 3
     code, out, err = run_cli(capsys, "estimate", "--expr", "1+0*x", "--p", "2",
@@ -380,6 +395,15 @@ def test_dilate_needs_a_positive_finite_R_grid(capsys, recwarn, decades):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1", "inf", "nan"])
+def test_dilate_needs_a_positive_finite_cutoff(capsys, recwarn, cutoff):
+    code, _, err = run_cli(capsys, "dilate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+                           "--alpha", "0", "--beta", "0", "--gamma", "1", "--cutoff", cutoff)
+    assert code == EXIT_PARAMS, err
+    assert "cutoff" in json.loads(err)["detail"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_sweep_csv(capsys):
     code, out, err = run_cli(capsys, "sweep", "--vary", "gamma", "--start", "0.5",
                              "--stop", "1.5", "--num", "5", "--p", "2", "--q", "2",
@@ -419,6 +443,13 @@ def test_bergman_reproduce_rejects_an_overflowing_constant(capsys):
     code, out, err = run_cli(capsys, "bergman", "reproduce", "--nu", "1024")
     assert code == EXIT_PARAMS and out == ""
     assert "not a finite float" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("nu", ["nan", "-1", "inf"])
+def test_bergman_reproduce_rejects_a_bad_weight(capsys, nu):
+    code, out, err = run_cli(capsys, "bergman", "reproduce", "--nu", nu)
+    assert code == EXIT_PARAMS and out == ""
+    assert json.loads(err)["error"] == "parameters"
 
 
 def test_bergman_reduction(capsys):

@@ -65,6 +65,36 @@ def test_parse_errors():
         parse("ind(2,1)")
 
 
+@pytest.mark.parametrize("padded", ["ind(1,2) ", "x\n", "x\t", " x^2 \n\t"])
+def test_trailing_whitespace_is_ignored(padded):
+    assert parse(padded) == parse(padded.strip())
+
+
+def test_nesting_past_the_parser_limit_is_a_syntax_error():
+    assert parse("(" * 200 + "x" + ")" * 200) == parse("x")
+    with pytest.raises(ExprSyntaxError, match="nested"):
+        parse("(" * 250 + "x" + ")" * 250)
+    with pytest.raises(ExprSyntaxError, match="nested"):
+        parse("-" * 5000 + "x")
+
+
+@pytest.mark.parametrize("src", [
+    "+x", "x++1", "(x,1)", "x,", "()", "exp()", "ind()", "ind(1,2,)", "(exp)(x)", "exp+1",
+    "x(2)", "2(3)", "ind(1,2)(3)", "exp(*x)", "ind(1,^2)", "x**2", "x//2", "x^^2", "log",
+])
+def test_what_the_language_lacks_is_a_syntax_error(src):
+    with pytest.raises(ExprSyntaxError):
+        parse(src)
+
+
+def test_python_and_the_grammar_agree_on_precedence():
+    assert parse("-x^2") == parse("-(x^2)")
+    assert parse("x^-2^2") == parse("x^(-(2^2))")
+    assert parse("1-x-2") == parse("(1-x)-2")
+    assert parse("1/x/2*3") == parse("((1/x)/2)*3")
+    assert parse("1e999") == parse("inf") and parse("2.") == parse("2")
+
+
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
         eval_expr(parse("log(x-2)"), 1.0)
@@ -291,7 +321,7 @@ def test_constants_under_exp_log_abs_are_checked():
         assert "constant" in str(exc.value)
     assert "log(0-1)" in str(pytest.raises(ExprSyntaxError, func1d, "log(0-1)*ind(1,2)").value)
     assert func1d("exp(1)*x")(np.array([2.0]))[0] == pytest.approx(2.0 * math.e)
-    assert func1d("x^log(4)").label == f"x^{math.log(4.0)!r}"
+    assert pretty(parse("x^log(4)")) == f"x^{math.log(4.0)!r}"
 
 
 def test_exp_hint_of_a_power_undefined_at_the_far_end():

@@ -775,6 +775,13 @@ def test_growth_exponent_needs_a_1d_positive_finite_grid(R_grid, error):
         growth_exponent(2, 2, 0, 0, P(0, 0, 1), R_grid=R_grid)
 
 
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, INF, math.nan])
+def test_growth_exponent_needs_a_positive_finite_cutoff(recwarn, cutoff):
+    with pytest.raises(ParameterError, match="cutoff must be positive and finite"):
+        growth_exponent(2, 2, 0, 0, P(0, 0, 1), cutoff=cutoff)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_family_call_matches_the_single_sources():
     # mixed piece counts and exponents in one call: within 2 ulp of each
     # source applied alone (the segments of a call share their row counts)
