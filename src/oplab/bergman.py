@@ -451,7 +451,8 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
         ||(T+ f)_y||_{L^p(dx)} <= B(1/2, gamma/2) * H(v -> ||f_v||_p)(y)
 
     at each grid height.  Returns one row per y with both sides and the
-    slack (nonnegative up to tol when the inequality holds).
+    slack (nonnegative up to tol when the inequality holds); a side that
+    is not finite (gamma at the ends of the floats) is a DomainError.
     """
     if not params.gamma > 0.0:
         raise ParameterError("the reduction inequality needs gamma > 0")
@@ -476,6 +477,9 @@ def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
         lhs = float(quad.integrate_real_line(
             lhs_integrand, tol, decay_exponent=lhs_decay)) ** (1.0 / p)
         rhs = c_gamma * apply_H(params, slice_norm, y, tol)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise DomainError(f"the reduction inequality at y = {y}, gamma = {params.gamma} "
+                              f"has a side that is not finite: lhs {lhs}, rhs {rhs}")
         rows.append({"y": float(y), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
     return rows
 

@@ -45,7 +45,7 @@ import sys
 import time
 
 from . import theory
-from .errors import AccuracyError, DivergenceError, OplabError, ParameterError
+from .errors import AccuracyError, DivergenceError, DomainError, OplabError, ParameterError
 from .reports import RELATION_EPS, jsonable
 from .theory import OperatorParams, WeightedSpaceSpec
 
@@ -463,6 +463,9 @@ def _cmd_bergman_reduction(args):
             raise ParameterError(f"--L must be a positive finite half-width, got {L}")
         f = func2d(f"ind(-{L},{L})*ind(y,1,2)")
         row = bergman.reduction_bound_check(_params(args), f, y_grid=(args.y,), tol=tol, p=args.p)[0]
+        if row["rhs"] == 0.0:
+            raise DomainError(f"the reduction right side underflows to 0 at gamma = {args.gamma}, "
+                              "so the ratio is undefined")
         rows.append({"L": L, **{k: num(row[k], tol) for k in ("lhs", "rhs", "slack")},
                      "ratio": num(row["lhs"] / row["rhs"], tol)})
     return _inputs(args, *_PARAMS, "p", "y", "L"), {"boxes": rows}, {"tol": tol}

@@ -29,6 +29,12 @@ for "**": parse() is a token scan, ast.parse and one converter, so
 whitespace may surround any token and nesting past Python's limit of 200
 parentheses is an ExprSyntaxError.
 
+One evaluator, _eval, gives every value under numpy's rules: on arrays
+for quadrature (a fault is a NaN or inf there), at a point for eval_expr
+and at the empty point for constant folding, where a fault numpy flags
+(division by zero, overflow, not real) is a DomainError or an
+ExprSyntaxError.  An underflow is 0, and inf/0 is inf by IEEE rules.
+
 Expression trees are immutable and evaluation is pure, so parsed
 functions can be shared freely across concurrent workers.
 """
@@ -98,6 +104,7 @@ class Ind:
 
 
 Expr = Union[Const, Var, BinOp, Neg, Pow, Call, Ind]
+_NODES = (Const, Var, BinOp, Neg, Pow, Call, Ind)
 
 
 # --------------------------------------------------------------------------
@@ -174,42 +181,26 @@ def _convert(node: ast.AST, cols: list[int]) -> Expr:
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_CALLS = {"exp": math.exp, "log": math.log, "abs": abs}
+_CALLS = {"exp": np.exp, "log": np.log, "abs": np.abs}
+_FAULTS = {"divide by zero": "divides by zero", "overflow": "overflows",
+           "invalid value": "is not a real number"}
+
+
+def _free(e: Expr) -> bool:
+    """Whether e reads a variable (x, y or an indicator)."""
+    return isinstance(e, (Var, Ind)) or any(_free(c) for c in vars(e).values() if isinstance(c, _NODES))
 
 
 def _fold_const(e: Expr, pos: int | None = None) -> float | None:
-    """Value of a constant subtree, or None if it contains a variable.
-
-    A constant that divides by zero, overflows or is not a real number
-    (+-inf are allowed; log of a constant <= 0 is not) raises
-    ExprSyntaxError at offset ``pos``.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        v = _fold_const(e.arg, pos)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        op, args = _ARITH[e.op], (_fold_const(e.left, pos), _fold_const(e.right, pos))
-    elif isinstance(e, Pow):
-        op, args = operator.pow, (_fold_const(e.base, pos), e.exponent)
-    elif isinstance(e, Call):
-        op, args = _CALLS[e.fn], (_fold_const(e.arg, pos),)
-    else:
-        return None
-    if None in args:
+    """Value of a constant subtree, or None if it reads a variable: _eval
+    at the empty point, where a constant that divides by zero, overflows or
+    is not real raises ExprSyntaxError at pos (+-inf is fine; inf/0 is inf)."""
+    if _free(e):
         return None
     try:
-        v = op(*args)
-    except ZeroDivisionError as exc:
-        raise ExprSyntaxError(f"constant {pretty(e)} divides by zero", pos) from exc
-    except OverflowError as exc:
-        raise ExprSyntaxError(f"constant {pretty(e)} overflows", pos) from exc
-    except ValueError as exc:  # math.log of a constant <= 0
-        raise ExprSyntaxError(f"constant {pretty(e)} is not a real number", pos) from exc
-    if isinstance(v, complex) or math.isnan(v):
-        raise ExprSyntaxError(f"constant {pretty(e)} is not a real number", pos)
-    return v
+        return _checked_eval(e, {})
+    except ArithmeticError as exc:
+        raise ExprSyntaxError(f"constant {pretty(e)} {exc}", pos) from exc
 
 
 def _check_constants(e: Expr) -> None:
@@ -237,36 +228,23 @@ def parse(src: str) -> Expr:
 # evaluation
 # --------------------------------------------------------------------------
 
-def _eval(e: Expr, env: dict, strict: bool):
+def _eval(e: Expr, env: dict):
+    """e at the point env (numpy scalars or arrays), by numpy's rules."""
     if isinstance(e, Const):
-        return e.value
+        return np.float64(e.value)
     if isinstance(e, Var):
         try:
             return env[e.name]
         except KeyError:
             raise DomainError(f"variable {e.name!r} is not covered by the evaluation point")
     if isinstance(e, Neg):
-        return -_eval(e.arg, env, strict)
+        return -_eval(e.arg, env)
     if isinstance(e, BinOp):
-        return _ARITH[e.op](_eval(e.left, env, strict), _eval(e.right, env, strict))
+        return _ARITH[e.op](_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Pow):
-        base = _eval(e.base, env, strict)
-        if strict:
-            b = float(base)
-            if b == 0.0 and e.exponent < 0:
-                raise DomainError("0 raised to a negative power")
-            if b < 0.0 and e.exponent != round(e.exponent):
-                raise DomainError(f"negative base {b} with non-integer exponent")
-        return base ** e.exponent
+        return _eval(e.base, env) ** e.exponent
     if isinstance(e, Call):
-        v = _eval(e.arg, env, strict)
-        if e.fn == "exp":
-            return np.exp(v)
-        if e.fn == "abs":
-            return np.abs(v)
-        if strict and not np.all(np.asarray(v) > 0):
-            raise DomainError("log of a non-positive value")
-        return np.log(v)
+        return _CALLS[e.fn](_eval(e.arg, env))
     if isinstance(e, Ind):
         try:
             v = env[e.var]
@@ -276,21 +254,27 @@ def _eval(e: Expr, env: dict, strict: bool):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_expr(e: Expr, point):
-    """Evaluate at a scalar point (1D) or a pair (2D); raises DomainError,
-    or ExprSyntaxError for a bad constant subexpression."""
-    _check_constants(e)
-    if isinstance(point, (tuple, list)):
-        env = {"x": float(point[0]), "y": float(point[1])}
-    else:
-        env = {"x": float(point)}
+def _checked_eval(e: Expr, env: dict) -> float:
+    """e at a scalar point.  Where numpy flags a step, ArithmeticError with
+    the fault it names before "encountered" ("overflow encountered in scalar
+    divide", as in 1/1e-320, is an overflow); an underflow is 0."""
     try:
-        with np.errstate(over="raise"):  # a numpy overflow raises FloatingPointError
-            return float(_eval(e, env, strict=True))
-    except ZeroDivisionError as exc:
-        raise DomainError(f"division by zero in {pretty(e)} at {point}") from exc
-    except (OverflowError, FloatingPointError) as exc:
-        raise DomainError(f"{pretty(e)} overflows at {point}") from exc
+        with np.errstate(all="raise", under="ignore"):
+            return float(_eval(e, env))
+    except FloatingPointError as exc:
+        raise ArithmeticError(_FAULTS[str(exc).split(" encountered")[0]]) from exc
+
+
+def eval_expr(e: Expr, point):
+    """Evaluate at a scalar point (1D) or a pair (2D) as the array path
+    does; DomainError where numpy flags a fault (a NaN such as x*inf at 0
+    included), or ExprSyntaxError for a bad constant subexpression."""
+    _check_constants(e)
+    coords = point if isinstance(point, (tuple, list)) else (point,)
+    try:
+        return _checked_eval(e, {name: np.float64(c) for name, c in zip("xy", coords)})
+    except ArithmeticError as exc:
+        raise DomainError(f"{pretty(e)} {exc} at {point}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +335,7 @@ def _probe_sign(e: Expr, var: str, at: float) -> float:
     env = {"x": np.float64(1.0), "y": np.float64(1.0)}
     env[var] = np.float64(at)  # numpy scalars: a negative base to a fractional power is nan
     with np.errstate(all="ignore"):
-        v = float(_eval(e, env, strict=False))
+        v = float(_eval(e, env))
     return 0.0 if v == 0 or math.isnan(v) else math.copysign(1.0, v)
 
 
@@ -430,7 +414,7 @@ def _collect_breakpoints(e: Expr, var: str) -> set[float]:
         if kink is not None:
             out.add(kink)
     for child in getattr(e, "__dict__", {}).values():
-        if isinstance(child, (Const, Var, BinOp, Neg, Pow, Call, Ind)):
+        if isinstance(child, _NODES):
             out |= _collect_breakpoints(child, var)
     return out
 
@@ -636,7 +620,7 @@ def func1d(src: str | Expr) -> Func1D:
 
     def fn(arr):
         with np.errstate(all="ignore"):
-            return _vanish_outside(_full(_eval(e, {"x": arr}, strict=False), arr), (arr, support))
+            return _vanish_outside(_full(_eval(e, {"x": arr}), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
                   decay_exponent=decay, pieces=_pieces(e))
@@ -653,7 +637,7 @@ def func2d(src: str | Expr) -> Func2D:
 
     def fn(u, v):
         with np.errstate(all="ignore"):
-            vals = _full(_eval(e, {"x": u, "y": v}, strict=False), u, v)
+            vals = _full(_eval(e, {"x": u, "y": v}), u, v)
             return _vanish_outside(vals, (u, u_support), (v, (v_lo, v_hi)))
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,

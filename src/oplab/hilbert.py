@@ -143,11 +143,11 @@ def _series(a, b) -> _Series:
     that is enough.  As z2 <= 1/2, the tables stop at the first N whose
     reach is 1/2 or more for every pair, or at _SERIES_CAP."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    step = 1.0 - b / np.maximum(_ROWS, 1.0)  # coefficient n over n-1
-    step[0] = 1.0
-    coef = np.cumprod(step, axis=0)
     ends = _SERIES_ENDS
     with np.errstate(all="ignore"):
+        step = 1.0 - b / np.maximum(_ROWS, 1.0)  # coefficient n over n-1
+        step[0] = 1.0
+        coef = np.cumprod(step, axis=0)
         grow = np.where(a[:, None] + ends > 1.0, np.maximum(1.0, np.abs(1.0 - b[:, None] / ends)), np.inf)
         size = _SERIES_COND * np.abs(coef[ends - 1].T)
         reach = np.minimum((_SERIES_TAIL * (1.0 - _THETA) / (grow * size)) ** (1.0 / ends),

@@ -112,10 +112,12 @@ def verify_certificate(cert: SchurCertificate, p: float, q: float, a: float, b: 
     residual.  Degenerate exponents (t in {0,1} with p > 1) are flagged
     instead of integrated; a residual above tol raises
     CertificateVerificationError naming the inequality and the smallest
-    failing sample; divergent integrals raise DivergenceError.
+    failing sample; divergent integrals raise DivergenceError.  tol must
+    be in (0, 0.5), as for every drive.
     """
     if (p, q, a, b) != (cert.p, cert.q, cert.a, cert.b) or params != cert.params:
         raise ParameterError("certificate document does not match the supplied tuple")
+    quad._check_tol(tol)
     if n_samples < 1:
         raise ParameterError(f"verification needs at least one sample, got n_samples={n_samples}")
     al, be, ga = params.alpha, params.beta, params.gamma

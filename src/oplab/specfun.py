@@ -50,6 +50,10 @@ def beta(m: float, n: float) -> float:
     """The Beta function B(m, n) for m, n > 0.
 
     Computed as exp(log_beta) so that huge Gamma values cancel in log
-    space instead of overflowing.
+    space instead of overflowing; inf where that exponential exceeds the
+    float range (an argument below about 5.6e-309), as log_gamma is.
     """
-    return math.exp(log_beta(m, n))
+    try:
+        return math.exp(log_beta(m, n))
+    except OverflowError:
+        return math.inf

@@ -600,6 +600,14 @@ def test_reduction_bound_zero_function():
     assert rows[0]["lhs"] == 0.0 and rows[0]["rhs"] == 0.0
 
 
+@pytest.mark.parametrize("gamma", [1e-320, 1e308])
+def test_reduction_with_a_side_that_is_not_finite_is_a_domain_error(gamma):
+    # B(1/2, gamma/2) is inf at gamma = 1e-320; at 1e308 it is nan (inf - inf in log space)
+    with pytest.raises(DomainError) as exc:
+        reduction_bound_check(P(0, 0, gamma), BOX, y_grid=(1.0,), tol=1e-5)
+    assert f"y = 1.0, gamma = {gamma}" in str(exc.value)
+
+
 def test_reduction_requires_positive_gamma():
     with pytest.raises(ParameterError):
         reduction_bound_check(P(0, 0, -0.5), BOX)

@@ -165,6 +165,16 @@ def test_certify_verify_accepts_full_report(capsys, tmp_path):
     assert code == EXIT_OK, err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_certify_verify_needs_a_tolerance_in_range(capsys, tmp_path, monkeypatch, tol):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
+            "--alpha", "0", "--beta", "0", "--gamma", "1", "--out", str(cert_file))
+    assert_parameter_error(capsys, "certify", "verify", "--cert", str(cert_file), "--tol", tol)
+    monkeypatch.setenv("OPLAB_TOL", tol)
+    assert_parameter_error(capsys, "certify", "verify", "--cert", str(cert_file))
+
+
 def test_certify_missing_args(capsys):
     code, out, err = run_cli(capsys, "certify", "--p", "2")
     assert code == EXIT_PARAMS
@@ -469,6 +479,19 @@ def test_bergman_reduction(capsys):
 def test_bergman_reduction_rejects_bad_parameters(capsys, bad):
     assert_parameter_error(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0",
                            "--gamma", "1", *bad.split())
+
+
+@pytest.mark.parametrize("gamma, detail", [
+    ("1e-320", "rhs inf"),  # B(1/2, 5e-321) leaves the floats
+    ("1e300", "underflows to 0"),  # both sides are 0.0
+    ("1e308", "rhs nan"),
+])
+def test_bergman_reduction_at_an_extreme_gamma(capsys, gamma, detail):
+    code, out, err = run_cli(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0",
+                             "--gamma", gamma, "--L", "0.25")
+    assert code == EXIT_PARAMS and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "parameters" and detail in doc["detail"]
 
 
 def test_solve_gamma(capsys):

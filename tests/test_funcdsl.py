@@ -359,6 +359,29 @@ def test_eval_expr_exp_overflow_is_a_domain_error():
     assert eval_expr(parse("exp(0-x)"), 1000.0) == 0.0
 
 
+def test_overflowing_constants_are_expression_errors():
+    # 1/1e-320 is numpy's "overflow encountered in scalar divide", not a division by zero
+    for src in ("1e308*10*ind(1,2)", "(1/1e-320)*ind(1,2)"):
+        with pytest.raises(ExprSyntaxError, match="constant .* overflows"):
+            func1d(src)
+    assert eval_expr(parse("x+inf/0"), 1.0) == INF  # IEEE: inf/0 is inf, not a fault
+
+
+def test_constants_fold_to_the_values_the_function_takes():
+    # math.exp(12.57) is one ulp above np.exp(12.57)
+    f = func1d("exp(12.57)*ind(1,2)")
+    ((c, s, lo, hi),) = f.pieces
+    assert (s, lo, hi) == (0.0, 1.0, 2.0) and c == f(1.5)
+
+
+def test_eval_expr_raises_where_numpy_flags_a_fault():
+    with pytest.raises(DomainError, match=r"x\*inf is not a real number at 0\.0"):
+        eval_expr(parse("x*inf"), 0.0)
+    with pytest.raises(DomainError, match="divides by zero"):
+        eval_expr(parse("ind(0,1)/x"), 0.0)
+    assert eval_expr(parse("x*inf"), 1.0) == INF
+
+
 def test_dilation():
     f = func1d("ind(1,2)")
     g = f.dilate(2.0)

@@ -151,6 +151,11 @@ def test_beta_segment_in_one_batch():
     assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-14
 
 
+def test_series_coefficients_overflow_without_a_warning():
+    # at gamma = 1e308 the coefficient product overflows; the suite makes a warning an error
+    assert apply_H_many(P(0, 0, 1e308), func1d("ind(1,2)"), [0.5]).tolist() == [0.0]
+
+
 def test_series_sizes_every_segment_up_to_one_half():
     # -1 < b < 0 makes the ratio bound g = |1-b/N| exceed 1 at every N, so
     # the bound theta/g with theta = 1/2 alone never reaches z2 = 1/2

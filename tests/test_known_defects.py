@@ -17,6 +17,7 @@ from oplab.bergman import apply_T, apply_Tplus, reduction_bound_check, reproduce
 from oplab.errors import AccuracyError, DomainError
 from oplab.funcdsl import func1d, func2d
 from oplab.hilbert import OperatorParams, WeightedSpaceSpec, apply_H, sharp_norm, weighted_lp_norm
+from oplab.specfun import beta
 
 P = OperatorParams
 DID_NOT_RAISE = pytest.fail.Exception   # what pytest.raises raises when nothing is raised
@@ -155,6 +156,21 @@ def test_sup_of_a_log_singularity():
 def test_sharp_norm_is_pi():
     # today 3.1415926535897953
     assert abs(sharp_norm(WeightedSpaceSpec(2, 0), P(0, 0, 1)) - math.pi) <= math.ulp(math.pi)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: exp(lgamma(m)+lgamma(n)-lgamma(m+n)) cancels at a large argument")
+def test_sharp_norm_at_a_large_alpha():
+    # B(1/2, 100001) by mpmath; today 0.005604970198444856, 1.2e-10 relative, against the CLI's tol 1e-13
+    got = sharp_norm(WeightedSpaceSpec(1, 0), P(100000, 0.5, 100001.5))
+    assert _close(got, 0.005604970197790339117, 1e-13)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: exp(log_beta) keeps no digit of B(1/2, 1e16)")
+def test_beta_at_a_huge_argument():
+    # B(1/2, 1e16) by mpmath; today 1.0
+    assert _close(beta(0.5, 1e16), 1.772453850905516049e-8, 1e-14)
 
 
 # -- ROADMAP item 4(b): the drive's floor ---------------------------------------

@@ -142,6 +142,13 @@ def test_verify_needs_a_sample(n_samples):
         verify_certificate(cert, *CLASSICAL[:4], CLASSICAL[4], n_samples=n_samples)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, 0.5])
+def test_verify_needs_a_tolerance_in_the_drive_range(tol):
+    cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
+    with pytest.raises(ParameterError, match=r"tolerance must be in \(0, 0\.5\)"):
+        verify_certificate(cert, *CLASSICAL[:4], CLASSICAL[4], n_samples=3, tol=tol)
+
+
 def test_verify_tuple_mismatch():
     cert = find_certificate(*CLASSICAL[:4], CLASSICAL[4])
     with pytest.raises(ParameterError):

@@ -38,6 +38,11 @@ def test_log_gamma_beyond_the_float_range_is_inf():
     assert log_gamma(1e306) == math.inf
 
 
+def test_beta_beyond_the_float_range_is_inf():
+    assert beta(0.5, 5e-321) == math.inf
+    assert beta(5e-321, 0.5) == math.inf
+
+
 def test_log_gamma_domain():
     with pytest.raises(DomainError):
         log_gamma(0.0)
