@@ -35,6 +35,12 @@ and at the empty point for constant folding, where a fault numpy flags
 (division by zero, overflow, not real) is a DomainError or an
 ExprSyntaxError.  An underflow is 0, and inf/0 is inf by IEEE rules.
 
+func1d, func2d and eval_expr fold the constants once, bottom up (_fold),
+so the hints see a zero constant such as log(1) as 0 and a bad constant
+is named innermost, as written (0^(-1) in exp(0^(-1))*x).  Every walk
+takes one frame per level, so a sum up to the parser's limit builds in
+linear time; a walk that runs out of stack is "nested too deeply".
+
 Expression trees are immutable and evaluation is pure, so parsed
 functions can be shared freely across concurrent workers.
 """
@@ -153,10 +159,10 @@ def _convert(node: ast.AST, cols: list[int]) -> Expr:
         return Neg(_convert(node.operand, cols))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         base, epos = _convert(node.left, cols), cols[node.right.col_offset]
-        c = _fold_const(_convert(node.right, cols), epos)
-        if c is None:
+        c = _fold(_convert(node.right, cols), epos)
+        if not isinstance(c, Const):
             raise NonConstantExponentError("power exponent must be a constant", epos)
-        return Pow(base, c)
+        return Pow(base, c.value)
     if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
         return BinOp(_OPS[type(node.op)], _convert(node.left, cols), _convert(node.right, cols))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCS
@@ -171,44 +177,39 @@ def _convert(node: ast.AST, cols: list[int]) -> Expr:
             raise ExprArityError(f"ind takes 2 or 3 arguments, got {len(args)}", pos)
         if len(args) == 3 and not isinstance(args[0], Var):
             raise ExprArityError("3-argument ind needs a variable first: ind(y, lo, hi)", pos)
-        lo, hi = (_fold_const(b, pos) for b in args[-2:])
-        if lo is None or hi is None:
+        lo, hi = (_fold(b, pos) for b in args[-2:])
+        if not (isinstance(lo, Const) and isinstance(hi, Const)):
             raise ExprArityError("ind bounds must be constants", pos)
+        lo, hi = lo.value, hi.value
         if not lo < hi:
             raise ExprArityError(f"ind needs lo < hi, got [{lo}, {hi}]", pos)
         return Ind(args[0].name if len(args) == 3 else "x", lo, hi)
     raise ExprSyntaxError("invalid syntax", cols[node.col_offset])
 
 
+_TOO_DEEP = "expression nested too deeply"
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _CALLS = {"exp": np.exp, "log": np.log, "abs": np.abs}
 _FAULTS = {"divide by zero": "divides by zero", "overflow": "overflows",
            "invalid value": "is not a real number"}
 
 
-def _free(e: Expr) -> bool:
-    """Whether e reads a variable (x, y or an indicator)."""
-    return isinstance(e, (Var, Ind)) or any(_free(c) for c in vars(e).values() if isinstance(c, _NODES))
-
-
-def _fold_const(e: Expr, pos: int | None = None) -> float | None:
-    """Value of a constant subtree, or None if it reads a variable: _eval
-    at the empty point, where a constant that divides by zero, overflows or
-    is not real raises ExprSyntaxError at pos (+-inf is fine; inf/0 is inf)."""
-    if _free(e):
-        return None
+def _fold(e: Expr, pos: int | None = None) -> Expr:
+    """e with every node whose children are all constants replaced by its
+    value, _eval at the empty point, bottom up in one walk.  A constant that
+    divides by zero, overflows or is not real raises ExprSyntaxError at pos
+    naming that node as written (+-inf is fine; inf/0 is inf)."""
+    kids = {}
+    for name, child in vars(e).items():
+        if isinstance(child, _NODES):
+            kids[name] = _fold(child, pos)
+    folded = e if all(kids[k] is getattr(e, k) for k in kids) else replace(e, **kids)
+    if not kids or not all(isinstance(k, Const) for k in kids.values()):
+        return folded
     try:
-        return _checked_eval(e, {})
+        return Const(_checked_eval(folded, {}))
     except ArithmeticError as exc:
         raise ExprSyntaxError(f"constant {pretty(e)} {exc}", pos) from exc
-
-
-def _check_constants(e: Expr) -> None:
-    """Fold every maximal constant subtree (ExprSyntaxError if one is bad)."""
-    if _fold_const(e) is None:
-        for child in vars(e).values():
-            if isinstance(child, (BinOp, Neg, Pow, Call)):
-                _check_constants(child)
 
 
 def parse(src: str) -> Expr:
@@ -221,7 +222,17 @@ def parse(src: str) -> Expr:
     except SyntaxError as exc:  # offset 0 or past the end: at the end of src
         raise ExprSyntaxError(exc.msg, cols[min(exc.offset or 0, len(cols)) - 1]) from None
     except (RecursionError, MemoryError):  # nesting past the parser's stacks
-        raise ExprSyntaxError("expression nested too deeply", 0) from None
+        raise ExprSyntaxError(_TOO_DEEP, 0) from None
+
+
+def _deep(walk: Callable, *args, **kwargs):
+    """walk(*args) over a tree, where running out of stack is the parser's
+    ExprSyntaxError: a walk that starts further down the stack than parse
+    (a drive's integrand, say) may not reach the depth the parser allows."""
+    try:
+        return walk(*args, **kwargs)
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP, 0) from None
 
 
 # --------------------------------------------------------------------------
@@ -269,10 +280,10 @@ def eval_expr(e: Expr, point):
     """Evaluate at a scalar point (1D) or a pair (2D) as the array path
     does; DomainError where numpy flags a fault (a NaN such as x*inf at 0
     included), or ExprSyntaxError for a bad constant subexpression."""
-    _check_constants(e)
+    folded = _deep(_fold, e)
     coords = point if isinstance(point, (tuple, list)) else (point,)
     try:
-        return _checked_eval(e, {name: np.float64(c) for name, c in zip("xy", coords)})
+        return _deep(_checked_eval, folded, {name: np.float64(c) for name, c in zip("xy", coords)})
     except ArithmeticError as exc:
         raise DomainError(f"{pretty(e)} {exc} at {point}") from exc
 
@@ -300,30 +311,32 @@ def _prec(e: Expr) -> int:
 
 
 def pretty(e: Expr) -> str:
-    def wrap(child: Expr, minimum: int) -> str:
-        s = pretty(child)
-        return f"({s})" if _prec(child) < minimum else s
+    return _pretty(e, 0)
 
+
+def _pretty(e: Expr, minimum: int) -> str:
+    """pretty(e), in parentheses where e binds less tightly than the
+    precedence minimum of its place (one frame per level)."""
     if isinstance(e, Const):
-        return _fmt_num(e.value) if e.value >= 0 else f"(-{_fmt_num(-e.value)})"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"-{wrap(e.arg, 3)}"
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return f"{wrap(e.left, 1)}{e.op}{wrap(e.right, 2)}"
-        return f"{wrap(e.left, 2)}{e.op}{wrap(e.right, 3)}"
-    if isinstance(e, Pow):
+        s = _fmt_num(e.value) if e.value >= 0 else f"(-{_fmt_num(-e.value)})"
+    elif isinstance(e, Var):
+        s = e.name
+    elif isinstance(e, Neg):
+        s = f"-{_pretty(e.arg, 3)}"
+    elif isinstance(e, BinOp):
+        p = _prec(e)
+        s = f"{_pretty(e.left, p)}{e.op}{_pretty(e.right, p + 1)}"
+    elif isinstance(e, Pow):
         exp = _fmt_num(e.exponent) if e.exponent >= 0 else f"(-{_fmt_num(-e.exponent)})"
-        return f"{wrap(e.base, 5)}^{exp}"
-    if isinstance(e, Call):
-        return f"{e.fn}({pretty(e.arg)})"
-    if isinstance(e, Ind):
-        if e.var == "x":
-            return f"ind({_fmt_num(e.lo)},{_fmt_num(e.hi)})"
-        return f"ind({e.var},{_fmt_num(e.lo)},{_fmt_num(e.hi)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        s = f"{_pretty(e.base, 5)}^{exp}"
+    elif isinstance(e, Call):
+        s = f"{e.fn}({_pretty(e.arg, 0)})"
+    elif isinstance(e, Ind):
+        var = "" if e.var == "x" else f"{e.var},"
+        s = f"ind({var}{_fmt_num(e.lo)},{_fmt_num(e.hi)})"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({s})" if _prec(e) < minimum else s
 
 
 # --------------------------------------------------------------------------
@@ -397,11 +410,10 @@ def _abs_kink(arg: Expr, var: str) -> float | None:
         return 0.0
     if isinstance(arg, BinOp) and arg.op in "+-":
         left, right = arg.left, arg.right
-        cl, cr = _fold_const(left), _fold_const(right)
-        if isinstance(left, Var) and left.name == var and cr is not None:
-            return cr if arg.op == "-" else -cr
-        if isinstance(right, Var) and right.name == var and cl is not None:
-            return cl if arg.op == "-" else -cl
+        if isinstance(left, Var) and left.name == var and isinstance(right, Const):
+            return right.value if arg.op == "-" else -right.value
+        if isinstance(right, Var) and right.name == var and isinstance(left, Const):
+            return left.value if arg.op == "-" else -left.value
     return None
 
 
@@ -447,9 +459,8 @@ def _support(e: Expr, var: str) -> tuple[float, float]:
     """
     if isinstance(e, Ind) and e.var == var:
         return (e.lo, e.hi)
-    c = _fold_const(e)
-    if c is not None:
-        return (math.inf, -math.inf) if c == 0.0 else _WHOLE
+    if isinstance(e, Const):
+        return (math.inf, -math.inf) if e.value == 0.0 else _WHOLE
     if isinstance(e, BinOp) and e.op != "/":
         (la, ha), (lb, hb) = _support(e.left, var), _support(e.right, var)
         if e.op == "*":
@@ -483,9 +494,8 @@ def _piece(e: Expr) -> tuple[float, float, float, float] | None:
     c, factors = _factors(e)
     s, lo, hi, has_ind = 0.0, 0.0, math.inf, False
     for factor in factors:
-        const = _fold_const(factor)
-        if const is not None:
-            c *= const
+        if isinstance(factor, Const):
+            c *= factor.value
         elif isinstance(factor, Var) and factor.name == "x":
             s += 1.0
         elif isinstance(factor, Pow) and factor.base == Var("x"):
@@ -613,31 +623,29 @@ def _vanish_outside(vals, *axes):
 
 def func1d(src: str | Expr) -> Func1D:
     """Build a Func1D (variable x on (0, inf)) from expression text."""
-    e = parse(src) if isinstance(src, str) else src
-    _check_constants(e)
-    bps, left, decay = _axis_hints(e, "x", positive_axis=True)
-    support = _support(e, "x")
+    e = _deep(_fold, parse(src) if isinstance(src, str) else src)
+    bps, left, decay = _deep(_axis_hints, e, "x", positive_axis=True)
+    support, pieces = _deep(_support, e, "x"), _deep(_pieces, e)
 
     def fn(arr):
         with np.errstate(all="ignore"):
-            return _vanish_outside(_full(_eval(e, {"x": arr}), arr), (arr, support))
+            return _vanish_outside(_full(_deep(_eval, e, {"x": arr}), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
-                  decay_exponent=decay, pieces=_pieces(e))
+                  decay_exponent=decay, pieces=pieces)
 
 
 def func2d(src: str | Expr) -> Func2D:
     """Build a Func2D (x along R, y along (0, inf)) from expression text."""
-    e = parse(src) if isinstance(src, str) else src
-    _check_constants(e)
-    u_bps, _, u_decay = _axis_hints(e, "x", positive_axis=False)
-    v_bps, v_left, v_decay = _axis_hints(e, "y", positive_axis=True)
-    u_support = _support(e, "x")
-    v_lo, v_hi = _support(e, "y")
+    e = _deep(_fold, parse(src) if isinstance(src, str) else src)
+    u_bps, _, u_decay = _deep(_axis_hints, e, "x", positive_axis=False)
+    v_bps, v_left, v_decay = _deep(_axis_hints, e, "y", positive_axis=True)
+    u_support = _deep(_support, e, "x")
+    v_lo, v_hi = _deep(_support, e, "y")
 
     def fn(u, v):
         with np.errstate(all="ignore"):
-            vals = _full(_eval(e, {"x": u, "y": v}), u, v)
+            vals = _full(_deep(_eval, e, {"x": u, "y": v}), u, v)
             return _vanish_outside(vals, (u, u_support), (v, (v_lo, v_hi)))
 
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,

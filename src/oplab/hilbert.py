@@ -502,8 +502,9 @@ def _piece_norm(pieces, p: float, a: float) -> float | None:
 
 
 def _image(params: OperatorParams, f: Func1D, tol: float) -> Func1D:
-    """H f as a Func1D: apply_H_many at tol/10, no breakpoints (H f is
-    real-analytic on (0, inf)), and H f's endpoint exponents.  Near 0,
+    """H f as a Func1D: apply_H_many at tol/10, knots at f's scale
+    (_scale_knots; H f is real-analytic on (0, inf), so it needs no
+    breakpoints of its own), and H f's endpoint exponents.  Near 0,
     H f ~ x^alpha, or x^(alpha+1+sigma+beta-gamma) when the mass of
     f(y) y^(beta-gamma) near y = x dominates (sigma+beta-gamma <= -1,
     sigma the left exponent of f); the decay exponent gamma-alpha drops
@@ -516,7 +517,17 @@ def _image(params: OperatorParams, f: Func1D, tol: float) -> Func1D:
     if f.decay_exponent <= be + 1.0:
         decay = ga - al - (be + 1.0 - f.decay_exponent)
     return Func1D(fn=lambda xs: apply_H_many(params, f, xs, tol / 10.0),
-                  left_exponent=left, decay_exponent=decay)
+                  breakpoints=_scale_knots(f.breakpoints), left_exponent=left, decay_exponent=decay)
+
+
+def _scale_knots(breakpoints) -> tuple[float, ...]:
+    """The first of each run of breakpoints in which each lies within a
+    factor 10 of the one before, unless it lies within a factor 10 of 1,
+    the knot of every drive over (0, inf): one knot per cluster of f's
+    edges puts a drive over H f at f's scale with no panel between two
+    edges of one cluster."""
+    bps = sorted(breakpoints)
+    return tuple(b for a, b in zip([0.0] + bps, bps) if b > 10.0 * a and not 0.1 <= b <= 10.0)
 
 
 def image_norm(params: OperatorParams, f: Func1D, q: float, b: float,

@@ -230,6 +230,33 @@ _ESTIMATE = ("estimate", "--p", "2", "--q", "2", "--a", "0", "--b", "0",
              "--alpha", "0", "--beta", "0", "--gamma", "1")
 
 
+def test_estimate_of_400_boxes(capsys):
+    boxes = "+".join(f"ind({k},{k + 1})" for k in range(1, 401))
+    results = run_json(capsys, *_ESTIMATE, "--expr", boxes)["results"]
+    assert results["quotient"]["value"] == 1.7790801411015356
+    assert results["source_norm"]["value"] == 20.0
+    assert results["applied"][0] == {"x": 0.5, "Hf": {"value": 5.589742425278652, "tol": 1e-10}}
+
+
+def test_estimate_reads_a_zero_constant_as_zero(capsys):
+    # x*log(1) is 0: it neither decays nor blocks the quotient
+    results = run_json(capsys, *_ESTIMATE, "--expr", "x*log(1)+ind(1,2)")["results"]
+    assert results["quotient"]["value"] == pytest.approx(0.827059876315992, rel=1e-12)
+
+
+def test_estimate_of_a_sum_at_the_nesting_limit_exits_0_or_2(capsys):
+    # from the parser's limit down to the longest sum the drives evaluate,
+    # running out of stack anywhere is "nested too deeply" (exit 2)
+    codes = {}
+    for n in range(1000, 800, -1):
+        expr = "+".join(f"exp(0-x*{k})" for k in range(1, n + 1))
+        codes[n], _, err = run_cli(capsys, *_ESTIMATE, "--expr", expr)
+        assert codes[n] in (EXIT_OK, EXIT_PARAMS), (n, err)
+        if codes[n] == EXIT_OK:
+            break
+    assert codes[n] == EXIT_OK and EXIT_PARAMS in codes.values()
+
+
 @pytest.mark.parametrize("expr", ["ind(1,2)", "x*exp(0-x)"])
 def test_estimate_with_no_points(capsys, expr):
     doc = run_json(capsys, *_ESTIMATE, "--expr", expr, "--points", "")

@@ -374,6 +374,58 @@ def test_constants_fold_to_the_values_the_function_takes():
     assert (s, lo, hi) == (0.0, 1.0, 2.0) and c == f(1.5)
 
 
+def test_a_bad_constant_is_named_innermost_as_written():
+    with pytest.raises(ExprSyntaxError, match=r"^constant 0\^\(-1\) divides by zero"):
+        func1d("exp(0^(-1))*x")
+    with pytest.raises(ExprSyntaxError, match=r"^constant \(1\+1\)/0 divides by zero"):
+        eval_expr(parse("x*((1+1)/0)"), 1.0)
+
+
+def test_zero_constants_are_zero():
+    # a constant subtree that folds to 0 is zero to the hints as to the values
+    assert func1d("x+log(1)").left_exponent == 1.0
+    assert func1d("x*log(1)+ind(1,2)").decay_exponent == INF
+    assert func1d("(x-x*0^0)+x^0.5").left_exponent == 0.5
+    assert func1d("ind(1,2)*abs(x-log(1))").breakpoints == (1.0, 2.0)
+
+
+_LONG_SUMS = {
+    "boxes": lambda k: f"ind({k},{k + 1})",
+    "pieces": lambda k: f"{k}*x^0.5*ind({k},{k + 1})",
+    "2d": lambda k: f"{k}*ind({k},{k + 1})*ind(y,1,2)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LONG_SUMS))
+def test_long_sums_build(kind):
+    src = "+".join(_LONG_SUMS[kind](k) for k in range(1, 901))
+    f, g = func1d(src), func2d(src)
+    assert g.u_breakpoints == tuple(float(k) for k in range(1, 902))
+    if kind == "2d":
+        assert float(g(np.array(1.5), np.array(1.5))) == 1.0
+    else:
+        assert len(f.pieces) == 900
+        assert float(f(np.array(900.5))) == (900 * 900.5 ** 0.5 if kind == "pieces" else 1.0)
+
+
+def test_a_fault_in_a_long_sum_is_named():
+    src = "+".join(f"ind({k},{k + 1})" for k in range(1, 901)) + "+log(x)"
+    with pytest.raises(DomainError, match=r"\+log\(x\) divides by zero at 0\.0$"):
+        eval_expr(parse(src), 0.0)
+
+
+def test_evaluation_past_the_stack_is_nested_too_deeply():
+    # a tree the parser accepts, evaluated further down the stack than it
+    # was built: an ExprSyntaxError, not a RecursionError
+    f = func1d("+".join(f"exp(0-x*{k})" for k in range(1, 901)))
+
+    def nest(depth):
+        return f(np.array([1.0])) if depth == 0 else nest(depth - 1)
+
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        nest(200)
+
+
 def test_eval_expr_raises_where_numpy_flags_a_fault():
     with pytest.raises(DomainError, match=r"x\*inf is not a real number at 0\.0"):
         eval_expr(parse("x*inf"), 0.0)

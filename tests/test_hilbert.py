@@ -450,6 +450,29 @@ def test_image_norm_validates_its_space(q, b):
         image_norm(P(0, 0, 1), func1d("ind(1,2)"), q, b)
 
 
+@pytest.mark.parametrize("R", [1e-30, 1e-9, 1.0, 1e8, 1e30])
+def test_image_norm_at_the_source_scale(R):
+    # on the diagonal (2, 2, 0, 0; 0, 0, 1) the quotient of ind(R, 2R) does
+    # not depend on R; mpmath gives 0.82705987631599176
+    f = func1d(f"ind({R!r},{2 * R!r})")
+    quotient = image_norm(P(0, 0, 1), f, 2, 0) / weighted_lp_norm(f, WeightedSpaceSpec(2, 0))
+    assert abs(quotient - 0.82705987631599176) <= 1e-10
+
+
+def test_image_norm_of_bumps_decades_apart():
+    # sum of R^(-1/3) ind(R, 2R) at R = 1, 1e6, 1e12 under (0, 0, 7/6): the
+    # reference is 30-point Gauss-Legendre panels in log x
+    f = func1d("ind(1,2)+1e-2*ind(1e6,2e6)+1e-4*ind(1e12,2e12)")
+    assert image_norm(P(0, 0, 7 / 6), f, 2, 0, 1e-8) == pytest.approx(1.17293, abs=1e-5)
+
+
+def test_image_knots_one_per_cluster_of_breakpoints():
+    # a cluster that starts within a decade of the knot 1 needs no knot
+    assert hilbert._scale_knots((1.0, 2.0, 3.0, 50.0, 2e6, 1e6)) == (50.0, 1e6)
+    assert hilbert._scale_knots((0.05, 0.5, 20.0)) == (0.05, 20.0)
+    assert hilbert._scale_knots(tuple(range(1, 402))) == ()
+
+
 def test_space_spec_validation():
     with pytest.raises(ParameterError):
         WeightedSpaceSpec(0.5, 0.0)
