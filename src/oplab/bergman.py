@@ -25,7 +25,8 @@ the phase through its half-angle tangent.
 The module provides mixed norms on L^{p,q}_nu (inner L^p in x, outer
 weighted L^q in y, with the sup-over-y convention at q = inf), kernel
 row integrals J_alpha(y) = B(1/2,(alpha-1)/2) y^(1-alpha), operator
-application by iterated 2D quadrature, boundedness verdicts for the
+application (over u in closed form for a separable source, else by
+iterated 2D quadrature), boundedness verdicts for the
 mixed-norm criteria and the projection corollaries, the exact norms
 
     ||T+||_{Linf -> Linf} = B(1/2, gamma/2) B(beta+1, alpha)
@@ -52,13 +53,30 @@ supports (Func2D.u_support / v_support, the support= of the quad
 integrators): the kernels are finite and nonzero, so a box, slab or
 one-sided source spends no nodes where it vanishes.  T+, T, P_nu and
 each level of the reduction's x drive (_tplus_slice, its abscissae a
-leading batch axis) are one quad.integrate_halfplane of a _compose_kernel
-integrand, whose |f| mass scales the tolerance: sign changes converge.
+batch axis) are one _kernel_integral, whose |f| mass scales the
+tolerance: sign changes converge.
 
-T+, T and P_nu of a source that lives on the whole u line with no u
-knots (_centred: a slab, the reproducing probe, the constant 1 of the
-column integral) integrate over the kernel's angle e = arccot s instead
-of u, s = (u - x)/(y + v).  Then z - conj(w) = (y+v)(i - s) and
+A source f = g(u) h(v) whose u factor g is a sum of constant steps
+c ind(lo, hi) (Func2D.u_steps and v_factor: boxes, slabs, one-sided
+sources, the constant 1 of the column integral) is integrated over u in
+closed form, s = (u - x)/(y + v) (_separable_integral).  A whole-line
+step gives T+ the row integral B(1/2, gamma/2) (y+v)^-gamma, so T+ of a
+slab is B(1/2, gamma/2) H h(y) through apply_H, closed form for a piece
+sum h, and it gives T and P_nu exactly 0 (their kernels are holomorphic
+in w with power above 1).  Every other step runs one integrate_semiaxis
+over v: its u integral is the incomplete Beta difference
+Psi(s2) - Psi(s1) for T+ (_psi_difference, a Horner sum over
+hilbert._series's tables) and [(i - s)^(1-k)]/(k-1) for T and P_nu, or
+an 8-point Gauss-Legendre rule of the kernel on a segment narrow against
+its distance to the kernel's peak (_step_integral).  A kernel power
+k <= 1 (gamma <= 0 for T+ and T), where a whole-line step diverges, and
+a T+ gamma above about 7, where Psi differences would cancel, keep
+the 2D quadrature.
+
+The 2D quadrature runs one quad.integrate_halfplane of a _compose_kernel
+integrand.  A source that lives on the whole u line with no u knots
+(_centred, such as the reproducing probe) integrates over the kernel's
+angle e = arccot s instead of u.  Then z - conj(w) = (y+v)(i - s) and
 |i - s| = 1/|sin e|, so the kernel is a fixed profile of e times
 (y+v)^(1-k), evaluated once per row of e nodes and shared by every v.
 The s line becomes the finite interval [-pi/2, pi/2]: both of its ends
@@ -79,6 +97,7 @@ concurrently and merged in input order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,8 +105,8 @@ import numpy as np
 
 from . import quad
 from .errors import DivergenceError, DomainError, ParameterError
-from .funcdsl import Func1D, Func2D
-from .hilbert import apply_H, weighted_lp_norm
+from .funcdsl import Const, Func1D, Func2D, func2d
+from .hilbert import _SERIES_COND, _series, apply_H, weighted_lp_norm
 from .quad import SingularityHints
 from .specfun import beta as beta_fn
 from .theory import (BergmanVerdictRequest, MixedNormSpec, OperatorParams, WeightedSpaceSpec,
@@ -336,19 +355,178 @@ def _compose_kernel(f: Func2D, x, y: float, kernel_power: float, weight: float,
     )
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(8)
+# written out, so that importing bergman does not import numpy.polynomial (~4 ms)
+_GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_NODES = np.concatenate([-_GL_NODES[::-1], _GL_NODES])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166])
+_GL_WEIGHTS = np.concatenate([_GL_WEIGHTS, _GL_WEIGHTS[::-1]])
+
+
+@functools.lru_cache(maxsize=16)
+def _psi_tables(gamma: float) -> tuple | None:
+    """The rows of hilbert._series for the pairs (1/2, gamma/2) and
+    (gamma/2, 1/2), sized for z <= 1/2, over -(a+n) and in Horner order
+    (last row first), as float lists.  None where no row count is enough,
+    or where B(1/2, gamma/2) = B_{1/2}(1/2, gamma/2) + B_{1/2}(gamma/2, 1/2)
+    exceeds _SERIES_COND times the second, the tail beyond |s| = 1: a
+    difference of Psi values could cancel by more (gamma above about 7)."""
+    tables, halves = [], []
+    for a, b in ((0.5, gamma / 2.0), (gamma / 2.0, 0.5)):
+        series = _series([a], [b])
+        if series.reach[0, -1] < 0.5:
+            return None
+        rows = series.scaled[:, 0]
+        halves.append(-(0.5 ** a) * (rows @ 0.5 ** np.arange(rows.size)))
+        tables.append(rows[::-1].tolist())
+    return tuple(tables) if sum(halves) <= _SERIES_COND * halves[1] else None
+
+
+def _psi_difference(s1: np.ndarray, s2: np.ndarray, gamma: float, psi: tuple) -> np.ndarray:
+    """Psi(s2) - Psi(s1), Psi(s) = int_0^s (1+t^2)^-(1+gamma)/2 dt.
+
+    For |s| <= 1, Psi(s) = sign(s) B_W(1/2, gamma/2)/2, W = s^2/(1+s^2)
+    <= 1/2; beyond, sign(s) (B(1/2, gamma/2) - B_z(gamma/2, 1/2))/2,
+    z = 1/(1+s^2) <= 1/2, formed as r^2/(1+r^2), r = 1/s, so that s = +-inf
+    gives z = 0.  psi is B(1/2, gamma/2) and the _psi_tables: each Beta
+    pair sums the W or z of both ends by Horner, B_z(a, b) =
+    -z^a sum rows_n z^n.  Two ends in one tail subtract their B_z directly."""
+    whole, *tables = psi
+    s = np.concatenate([s1, s2])
+    inner = np.abs(s) <= 1.0
+    t = np.square(np.where(inner, s, 1.0 / s))
+    t /= 1.0 + t
+    q = np.empty(s.size)
+    for part, rows, a in ((inner, tables[0], 0.5), (~inner, tables[1], gamma / 2.0)):
+        z = t[part]
+        total = np.zeros(z.shape)
+        for c in rows:
+            total *= z
+            total += c
+        q[part] = -(z ** a) * total
+    ends = np.copysign(0.5, s) * np.where(inner, q, whole - q)
+    m = s1.size
+    same_tail = ~inner[:m] & ~inner[m:] & (np.sign(s1) == np.sign(s2))
+    return np.where(same_tail, np.copysign(0.5, s1) * (q[:m] - q[m:]), ends[m:] - ends[:m])
+
+
+def _step_integral(x, d, lo: float, hi: float, kernel_power: float, complex_kernel: bool,
+                   psi) -> np.ndarray:
+    """int_lo^hi (x - u + i d)^-k du / d^(1-k) = int_{s1}^{s2} (i - s)^-k ds,
+    k = kernel_power and s = (u - x)/d, or the integral of its modulus,
+    for arrays x and d > 0 of one shape.
+
+    The width s2 - s1 = (hi - lo)/d is formed, never the difference of s
+    values.  A segment narrower than max(|mid s|, 1)/max(8, k) takes an
+    8-point Gauss-Legendre rule of _kernel: the branch points s = +-i lie
+    beyond the Bernstein ellipse of ratio 16, and a large power k cannot
+    make the kernel vary by more than e^(1/2) over the segment.  A wider
+    segment takes the antiderivative: _psi_difference for the modulus,
+    [(i - s)^(1-k)]/(k-1) through _kernel for the complex power."""
+    k = kernel_power
+    s1, s2, width = (lo - x) / d, (hi - x) / d, (hi - lo) / d
+    mid = (0.5 * lo + 0.5 * hi - x) / d
+    narrow = width < np.maximum(np.abs(mid), 1.0) / max(8.0, k)
+    out = np.empty(x.shape, dtype=complex if complex_kernel else float)
+    if narrow.any():
+        half = 0.5 * width[narrow]
+        nodes = mid[narrow][:, None] + half[:, None] * _GL_NODES
+        out[narrow] = half * np.einsum("...k,k->...", _kernel(-nodes, 1.0, k, complex_kernel), _GL_WEIGHTS)
+    wide = ~narrow
+    if narrow.all():
+        return out
+    if complex_kernel:
+        ends = [_kernel(-s[wide], 1.0, k - 1.0, True) for s in (s1, s2)]
+        out[wide] = (ends[1] - ends[0]) / (k - 1.0)
+    else:
+        out[wide] = _psi_difference(s1[wide], s2[wide], k - 1.0, psi)
+    return out
+
+
+def _separable_integral(f: Func2D, xs: np.ndarray, y: float, kernel_power: float, weight: float,
+                        complex_kernel: bool, tables, tol: float) -> np.ndarray:
+    """The integral of _kernel_integral at the abscissae xs (1-D) for a
+    source with u_steps, k = kernel_power > 1.
+
+    A whole-line step c contributes c B(1/2, (k-1)/2) (y+v)^(1-k) to the u
+    integral of the modulus, so c B(1/2, (k-1)/2) H h(y) in all, H with
+    (0, weight, k-1) through apply_H (closed form for a piece sum h), and
+    exactly 0 to the u integral of the complex power.  The other steps
+    run one integrate_semiaxis over v of _step_integral times h(v)
+    (v/d)^weight d^(1+weight-k), d = y+v, in blocks of at most
+    quad._BLOCK_ELEMENTS (x, v) values, with sum |c| |step integral| as
+    the mass channel that scales the tolerance (_channel_magnitude), so
+    that cancelling steps converge."""
+    k, h = kernel_power, f.v_factor
+    whole = sum(c for c, lo, hi in f.u_steps if (lo, hi) == (-math.inf, math.inf))
+    steps = [(c, lo, hi) for c, lo, hi in f.u_steps if (lo, hi) != (-math.inf, math.inf)]
+    v_hints = _kernel_hints(f, k, weight)[1]
+    out = np.zeros(xs.shape, dtype=complex if complex_kernel else float)
+    line = None if complex_kernel else beta_fn(0.5, (k - 1.0) / 2.0)
+    psi = tables and (line, *tables)
+    if whole and not complex_kernel:
+        out += whole * line * apply_H(OperatorParams(0.0, weight, k - 1.0), h, y, tol)
+    elif not steps:   # where the v integral diverges, as the half-plane drive would say
+        quad._support_plan(f.v_support, 0.0, v_hints.breakpoints, v_hints.left_exponent,
+                           v_hints.decay_exponent)
+    if not steps:
+        return out
+
+    def integrand(v):
+        d = y + v
+        hv = h(v) * (v / d) ** weight * d ** (1.0 + weight - k)
+        rows = max(1, quad._BLOCK_ELEMENTS // v.size)
+        for start in range(0, xs.size, rows):
+            x, dd = np.broadcast_arrays(xs[start:start + rows, None], d)
+            value, mass = 0.0, 0.0
+            for c, lo, hi in steps:
+                part = _step_integral(x, dd, lo, hi, k, complex_kernel, psi)
+                value, mass = value + c * part, mass + abs(c) * np.abs(part)
+            yield np.stack([value * hv, mass * np.abs(hv)])
+
+    return out + quad.integrate_semiaxis(integrand, v_hints, tol, support=f.v_support,
+                                         magnitude=quad._channel_magnitude)[0]
+
+
+def _kernel_integral(f: Func2D, x, y: float, kernel_power: float, weight: float,
+                     complex_kernel: bool, tol: float):
+    """int f(w) v^weight (z - conj(w))^(-kernel_power) du dv at z = x+iy,
+    or with the modulus |z - conj(w)| when not complex_kernel, for a float
+    x or a 1-D batch of abscissae (the result has x's shape).
+
+    A source with u_steps whose u integrals converge (kernel_power > 1)
+    and whose finite steps, under the modulus, have well-conditioned
+    _psi_tables integrates over u in closed form (_separable_integral);
+    every other source runs one quad.integrate_halfplane of
+    _compose_kernel, which raises the DivergenceError of a whole-line step
+    at kernel_power <= 1."""
+    k = kernel_power
+    finite = any((lo, hi) != (-math.inf, math.inf) for _, lo, hi in f.u_steps or ())
+    tables = _psi_tables(k - 1.0) if finite and not complex_kernel and k > 1.0 else None
+    if f.u_steps is None or not k > 1.0 or (finite and not complex_kernel and tables is None):
+        integrand = _compose_kernel(f, x if np.ndim(x) == 0 else x[:, None, None], y, k, weight,
+                                    complex_kernel)
+        return quad.integrate_halfplane(integrand, tol)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        out = _separable_integral(f, xs, y, k, weight, complex_kernel, tables, tol)
+    return out.reshape(np.shape(x))
+
+
 def apply_Tplus(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> float:
-    """T+ f(z) by iterated quadrature (inner over u, outer over v)."""
+    """T+ f(z) by iterated quadrature (inner over u, outer over v), or over
+    u in closed form for a source with u_steps (_kernel_integral)."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z.x, z.y, 1.0 + params.gamma, params.beta, complex_kernel=False)
-    return z.y ** params.alpha * float(quad.integrate_halfplane(integrand, tol))
+    integral = _kernel_integral(f, z.x, z.y, 1.0 + params.gamma, params.beta, False, tol)
+    return z.y ** params.alpha * float(integral)
 
 
 def apply_T(params: OperatorParams, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -> complex:
     """T f(z); the kernel power uses the principal branch, which is
     well-defined since Im(z - conj(w)) = y + v > 0."""
     z = HalfPlanePoint.of(z)
-    integrand = _compose_kernel(f, z.x, z.y, 1.0 + params.gamma, params.beta, complex_kernel=True)
-    return z.y ** params.alpha * complex(quad.integrate_halfplane(integrand, tol))
+    integral = _kernel_integral(f, z.x, z.y, 1.0 + params.gamma, params.beta, True, tol)
+    return z.y ** params.alpha * complex(integral)
 
 
 def bergman_constant(nu: float) -> complex:
@@ -374,8 +552,7 @@ def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -
     """P_nu f(z) = c_nu * integral f(w) (z - conj(w))^-(2+nu) v^nu dV(w)."""
     z = HalfPlanePoint.of(z)
     c_nu = bergman_constant(nu)
-    integrand = _compose_kernel(f, z.x, z.y, 2.0 + nu, nu, complex_kernel=True)
-    return c_nu * complex(quad.integrate_halfplane(integrand, tol))
+    return c_nu * complex(_kernel_integral(f, z.x, z.y, 2.0 + nu, nu, True, tol))
 
 
 def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
@@ -437,11 +614,9 @@ def reproduce_check(nu: float, m: int, points=None, tol: float = quad.DEFAULT_TO
 
 def _tplus_slice(params: OperatorParams, f: Func2D, xs: np.ndarray, y: float, tol: float) -> np.ndarray:
     """T+ f(x+iy) for a batch of abscissae x at fixed height y: one
-    integrate_halfplane with the abscissae as a leading batch axis, judged
-    in the batch sup norm (a _centred source shares one kernel profile)."""
-    integrand = _compose_kernel(f, xs[:, None, None], y, 1.0 + params.gamma, params.beta,
-                                complex_kernel=False)
-    return y ** params.alpha * quad.integrate_halfplane(integrand, tol)
+    _kernel_integral with the abscissae as a batch axis, judged in the
+    batch sup norm (a _centred source shares one kernel profile)."""
+    return y ** params.alpha * _kernel_integral(f, xs, y, 1.0 + params.gamma, params.beta, False, tol)
 
 
 def reduction_bound_check(params: OperatorParams, f: Func2D, y_grid=None,
@@ -492,6 +667,7 @@ def column_integral(params: OperatorParams, a: float, w, tol: float = quad.DEFAU
     which is constant in w and equals B(1/2,gamma/2) B(beta-a, alpha+a+1)
     under gamma = alpha+beta+1, -alpha < a+1 < beta+1."""
     # |x-u+i(y+v)| is symmetric in z and w: the column is T+ of the
-    # constant 1 at w, with the exponent triple (beta-a, alpha+a, gamma)
-    one = Func2D(fn=lambda u, v: 1.0, u_decay_exponent=0.0, v_decay_exponent=0.0)
+    # constant 1 at w, with the exponent triple (beta-a, alpha+a, gamma),
+    # in closed form: B(1/2, gamma/2) times H of the one piece 1 on (0, inf)
+    one = func2d(Const(1.0))
     return apply_Tplus(OperatorParams(params.beta - a, params.alpha + a, params.gamma), one, w, tol)

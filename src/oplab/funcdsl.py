@@ -41,6 +41,11 @@ is named innermost, as written (0^(-1) in exp(0^(-1))*x).  Every walk
 takes one frame per level, so a sum up to the parser's limit builds in
 linear time; a walk that runs out of stack is "nested too deeply".
 
+func2d also reads a separable source g(x) h(y), g a sum of constant
+steps c*ind(lo, hi) of x and h the factors that read y alone, off the
+folded tree (_separate), so that bergman can integrate it over x in
+closed form.
+
 Expression trees are immutable and evaluation is pure, so parsed
 functions can be shared freely across concurrent workers.
 """
@@ -488,19 +493,20 @@ def _factors(e: Expr, sign: float = 1.0):
     return sign, [e]
 
 
-def _piece(e: Expr) -> tuple[float, float, float, float] | None:
-    """(c, s, lo, hi) of a product of constants, x, x^s and at least one
-    ind(lo, hi) of x, with the indicators intersected; else None."""
+def _piece(e: Expr, var: str, floor: float) -> tuple[float, float, float, float] | None:
+    """(c, s, lo, hi) of a product of constants, var, var^s and at least one
+    ind(lo, hi) of var, with the indicators intersected and cut at floor;
+    else None."""
     c, factors = _factors(e)
-    s, lo, hi, has_ind = 0.0, 0.0, math.inf, False
+    s, lo, hi, has_ind = 0.0, floor, math.inf, False
     for factor in factors:
         if isinstance(factor, Const):
             c *= factor.value
-        elif isinstance(factor, Var) and factor.name == "x":
+        elif isinstance(factor, Var) and factor.name == var:
             s += 1.0
-        elif isinstance(factor, Pow) and factor.base == Var("x"):
+        elif isinstance(factor, Pow) and factor.base == Var(var):
             s += factor.exponent
-        elif isinstance(factor, Ind) and factor.var == "x":
+        elif isinstance(factor, Ind) and factor.var == var:
             lo, hi, has_ind = max(lo, factor.lo), min(hi, factor.hi), True
         else:
             return None
@@ -509,21 +515,59 @@ def _piece(e: Expr) -> tuple[float, float, float, float] | None:
     return (c, s, lo, hi)
 
 
-def _pieces(e: Expr) -> tuple | None:
+def _pieces(e: Expr, var: str = "x", floor: float = 0.0) -> tuple | None:
     """The terms (c, s, lo, hi) of e when e is a +/- sum of pieces
-    c * x^s * ind(lo, hi) on (0, inf), else None."""
+    c * var^s * ind(lo, hi) on (floor, inf), else None."""
     if isinstance(e, BinOp) and e.op in "+-":
-        left, right = _pieces(e.left), _pieces(e.right)
+        left, right = _pieces(e.left, var, floor), _pieces(e.right, var, floor)
         if left is None or right is None:
             return None
         if e.op == "-":
             right = tuple((-c, s, lo, hi) for c, s, lo, hi in right)
         return left + right
     if isinstance(e, Neg):
-        inner = _pieces(e.arg)
+        inner = _pieces(e.arg, var, floor)
         return None if inner is None else tuple((-c, s, lo, hi) for c, s, lo, hi in inner)
-    term = _piece(e)
+    term = _piece(e, var, floor)
     return None if term is None else (term,)
+
+
+def _reads(e: Expr, var: str) -> bool:
+    """Whether e depends on the variable var (one frame per level)."""
+    if isinstance(e, Var):
+        return e.name == var
+    if isinstance(e, Ind):
+        return e.var == var
+    for child in vars(e).values():
+        if isinstance(child, _NODES) and _reads(child, var):
+            return True
+    return False
+
+
+def _separate(e: Expr) -> tuple[tuple, Expr] | None:
+    """(steps, h) when e = g(x) h(y), g a sum of constant steps
+    c * ind(lo, hi) of x on the real line given as (c, lo, hi), a constant
+    factor being the step (-inf, inf), and h the product of e's factors
+    that read y alone, ind(y, 0, inf) (1 on the half-plane) if there are
+    none; else None.  The steps of several x factors are intersected, and
+    steps with c = 0 dropped; a g that is zero is None."""
+    sign, factors = _factors(e)
+    steps, h = ((sign, -math.inf, math.inf),), None
+    for factor in factors:
+        if isinstance(factor, Const):
+            steps = tuple((c * factor.value, lo, hi) for c, lo, hi in steps)
+        elif not _reads(factor, "x"):
+            h = factor if h is None else BinOp("*", h, factor)
+        else:
+            terms = _pieces(factor, "x", -math.inf)
+            if terms is None or any(s for _, s, _, _ in terms):
+                return None
+            steps = tuple((c * d, max(lo, a), min(hi, b)) for c, lo, hi in steps
+                          for d, _, a, b in terms if max(lo, a) < min(hi, b))
+    steps = tuple(step for step in steps if step[0])
+    if not (steps and all(math.isfinite(c) for c, _, _ in steps)):
+        return None
+    return steps, Ind("y", 0.0, math.inf) if h is None else h
 
 
 # --------------------------------------------------------------------------
@@ -574,7 +618,10 @@ class Func2D:
     at infinity, as in Func1D.  u_support / v_support are intervals
     outside which fn is identically zero (quadrature integrates only over
     them, with their finite ends as knots); func2d derives all of these
-    from the expression.
+    from the expression.  u_steps and v_factor, when set, are f as
+    g(u) * h(v): g the sum of the steps c * ind(lo, hi) of u, given as
+    (c, lo, hi) (a constant is the step (-inf, inf)), and h a Func1D;
+    bergman integrates such a source over u in closed form.
     """
 
     fn: Callable
@@ -585,12 +632,15 @@ class Func2D:
     v_decay_exponent: float = math.inf
     u_support: tuple[float, float] = _WHOLE
     v_support: tuple[float, float] = (0.0, math.inf)
+    u_steps: tuple | None = None
+    v_factor: Func1D | None = None
 
     def __call__(self, u, v):
         return self.fn(np.asarray(u), np.asarray(v))
 
     def dilate(self, R: float) -> "Func2D":
-        """f_R(z) = f(R*z), i.e. both coordinates scaled."""
+        """f_R(z) = f(R*z), i.e. both coordinates scaled: so are the u
+        steps, and the v factor is dilated."""
         R = float(R)
         if not 0.0 < R < math.inf:
             raise DomainError(f"dilation factor must be positive and finite, got {R}")
@@ -599,7 +649,9 @@ class Func2D:
                        u_breakpoints=tuple(b / R for b in self.u_breakpoints),
                        v_breakpoints=tuple(b / R for b in self.v_breakpoints),
                        u_support=tuple(b / R for b in self.u_support),
-                       v_support=tuple(b / R for b in self.v_support))
+                       v_support=tuple(b / R for b in self.v_support),
+                       u_steps=self.u_steps and tuple((c, lo / R, hi / R) for c, lo, hi in self.u_steps),
+                       v_factor=self.v_factor and self.v_factor.dilate(R))
 
 
 def _full(value, *args):
@@ -623,20 +675,26 @@ def _vanish_outside(vals, *axes):
 
 def func1d(src: str | Expr) -> Func1D:
     """Build a Func1D (variable x on (0, inf)) from expression text."""
-    e = _deep(_fold, parse(src) if isinstance(src, str) else src)
-    bps, left, decay = _deep(_axis_hints, e, "x", positive_axis=True)
-    support, pieces = _deep(_support, e, "x"), _deep(_pieces, e)
+    return _func1d(_deep(_fold, parse(src) if isinstance(src, str) else src), "x")
+
+
+def _func1d(e: Expr, var: str) -> Func1D:
+    """The Func1D of a folded expression in the variable var."""
+    bps, left, decay = _deep(_axis_hints, e, var, positive_axis=True)
+    support, pieces = _deep(_support, e, var), _deep(_pieces, e, var)
 
     def fn(arr):
         with np.errstate(all="ignore"):
-            return _vanish_outside(_full(_deep(_eval, e, {"x": arr}), arr), (arr, support))
+            return _vanish_outside(_full(_deep(_eval, e, {var: arr}), arr), (arr, support))
 
     return Func1D(fn=fn, breakpoints=bps, left_exponent=left,
                   decay_exponent=decay, pieces=pieces)
 
 
 def func2d(src: str | Expr) -> Func2D:
-    """Build a Func2D (x along R, y along (0, inf)) from expression text."""
+    """Build a Func2D (x along R, y along (0, inf)) from expression text,
+    with its u_steps and v_factor where it is a product g(x) h(y) of a
+    step sum g of x and factors h that read y alone (_separate)."""
     e = _deep(_fold, parse(src) if isinstance(src, str) else src)
     u_bps, _, u_decay = _deep(_axis_hints, e, "x", positive_axis=False)
     v_bps, v_left, v_decay = _deep(_axis_hints, e, "y", positive_axis=True)
@@ -648,6 +706,9 @@ def func2d(src: str | Expr) -> Func2D:
             vals = _full(_deep(_eval, e, {"x": u, "y": v}), u, v)
             return _vanish_outside(vals, (u, u_support), (v, (v_lo, v_hi)))
 
+    separated = _deep(_separate, e)
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,
-                  v_decay_exponent=v_decay, u_support=u_support, v_support=(max(v_lo, 0.0), v_hi))
+                  v_decay_exponent=v_decay, u_support=u_support, v_support=(max(v_lo, 0.0), v_hi),
+                  u_steps=separated and separated[0],
+                  v_factor=separated and _func1d(separated[1], "y"))

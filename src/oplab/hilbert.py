@@ -65,6 +65,7 @@ __all__ = [
 
 _BATCH = 64  # x-chunk size for batched applications (bounds peak memory)
 _ROW_PROBES = 512  # probes per _beta_segment call of a multi-source _apply_pieces (bounds peak memory)
+_SEGMENTS = 4096  # (probe, piece, side) candidates per _beta_segment call (bounds peak memory)
 
 
 @dataclass(frozen=True)
@@ -315,20 +316,25 @@ def _apply_pieces(params: OperatorParams, sources, xs: np.ndarray) -> np.ndarray
     itself does.  Each probe meets only its own source's pieces.
     The segments of a call go to _beta_segment in chunks of whole rows of
     about _ROW_PROBES probes, so that a family's series stay as small as
-    one source's; a single source is never split.
+    one source's; a chunk with more than _SEGMENTS (probe, piece, side)
+    candidates is split into fewer rows, and a row with more into runs of
+    its probes, so that the series of many pieces stay bounded too.
     """
     lo, hi, edges, e, c, col, diverges, series = _piece_constants(params, tuple(sources))
     out = np.full(xs.shape, np.nan)
     live = np.flatnonzero(~diverges)
-    step = max(1, _ROW_PROBES // max(xs.shape[1], 1))
-    for first in range(0, live.size, step):
-        rows = live[first:first + step]
+    n, sides = xs.shape[1], 2 * lo.shape[1]
+    step = max(1, min(_ROW_PROBES // max(n, 1), _SEGMENTS // max(n * sides, 1)))
+    run = max(1, n if n * sides <= _SEGMENTS else _SEGMENTS // sides)
+    for first, start in itertools.product(range(0, live.size, step), range(0, n, run)):
+        rows, probes = live[first:first + step], slice(start, start + run)
+        x = xs[rows, probes]
         # the segment [y1, y2] of each probe and piece below y = x (side 0) and above it (side 1)
-        exists = edges[rows, None] < xs[rows, :, None, None] * _SIDES
-        row, probe, piece, side = exists.nonzero()
-        row = rows[row]
+        exists = edges[rows, None] < x[:, :, None, None] * _SIDES
+        at, probe, piece, side = exists.nonzero()
+        row = rows[at]
         above = side == 1
-        xe, lo_e, hi_e = xs[row, probe], lo[row, piece], hi[row, piece]
+        xe, lo_e, hi_e = x[at, probe], lo[row, piece], hi[row, piece]
         y1 = np.where(above, np.maximum(lo_e, xe), lo_e)
         y2 = np.where(above, hi_e, np.minimum(hi_e, xe))
         t1, t2 = xe + y1, xe + y2
@@ -342,7 +348,7 @@ def _apply_pieces(params: OperatorParams, sources, xs: np.ndarray) -> np.ndarray
                 dz, xe, e[row, piece])
         seg = np.zeros(exists.shape)
         seg[exists] = segments
-        out[rows] = (c[rows, None] * seg.sum(axis=3)).sum(axis=2)
+        out[rows, probes] = (c[rows, None] * seg.sum(axis=3)).sum(axis=2)
     return out
 
 

@@ -600,12 +600,20 @@ def test_reduction_bound_zero_function():
     assert rows[0]["lhs"] == 0.0 and rows[0]["rhs"] == 0.0
 
 
-@pytest.mark.parametrize("gamma", [1e-320, 1e308])
+@pytest.mark.parametrize("gamma", [1e-320])
 def test_reduction_with_a_side_that_is_not_finite_is_a_domain_error(gamma):
-    # B(1/2, gamma/2) is inf at gamma = 1e-320; at 1e308 it is nan (inf - inf in log space)
+    # B(1/2, gamma/2) is inf at gamma = 1e-320
     with pytest.raises(DomainError) as exc:
         reduction_bound_check(P(0, 0, gamma), BOX, y_grid=(1.0,), tol=1e-5)
     assert f"y = 1.0, gamma = {gamma}" in str(exc.value)
+
+
+@pytest.mark.parametrize("gamma", [1e300, 1e308])
+def test_reduction_at_a_huge_gamma_has_both_sides_zero(gamma):
+    # B(1/2, 5e307) = 2.5e-154 is finite since log_beta's Stirling form (the sum of
+    # lgammas was inf - inf = nan at 1e308), and (y+v)^-gamma underflows on both sides
+    rows = reduction_bound_check(P(0, 0, gamma), BOX, y_grid=(1.0,), tol=1e-5)
+    assert rows == [{"y": 1.0, "lhs": 0.0, "rhs": 0.0, "slack": 0.0}]
 
 
 def test_reduction_requires_positive_gamma():
@@ -628,7 +636,10 @@ PRUNED_SOURCES = ["ind(-0.25,0.25)*ind(y,1,2)", "ind(y,0.5,1.5)",
 
 
 def _unpruned(f):
-    return dataclasses.replace(f, u_support=(-INF, INF), v_support=(0.0, INF))
+    # the whole domain by the 2D quadrature: without the supports, and without
+    # the steps of a separable source, whose closed form f is then checked against
+    return dataclasses.replace(f, u_support=(-INF, INF), v_support=(0.0, INF),
+                               u_steps=None, v_factor=None)
 
 
 def _close(got, want, tol, scale=0.0):
@@ -688,6 +699,188 @@ def test_reduction_height_drive_count(monkeypatch):
 def test_mixed_norm_diverges_at_either_u_end(src):
     with pytest.raises(DivergenceError):
         mixed_norm(func2d(src), MixedNormSpec(1, 1, 0))
+
+
+# -- separable sources: the u integral in closed form ------------------------------
+
+def _no_halfplane_drive(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad.integrate_halfplane ran for a separable source")
+    monkeypatch.setattr(quad, "integrate_halfplane", refuse)
+
+
+def _tplus_u_integral(mpmath, x, d, k, lo, hi):
+    """int_lo^hi ((x-u)^2 + d^2)^(-k/2) du by the incomplete Beta function."""
+    def psi(t):
+        if mpmath.isinf(t):
+            return mpmath.sign(t) * mpmath.beta(0.5, (k - 1) / 2) / 2
+        return mpmath.sign(t) * mpmath.betainc(0.5, (k - 1) / 2, 0, t * t / (1 + t * t)) / 2
+    return d ** (1 - k) * (psi((hi - x) / d) - psi((lo - x) / d))
+
+
+def _step_reference(params, steps, z, complex_kernel, v_lo=1.0, v_hi=2.0):
+    """y^alpha int_{v_lo}^{v_hi} v^beta sum c (u integral of the kernel over [lo, hi]) dv,
+    the u integral in closed form at 60 digits, the v integral by 24-point Gauss-Legendre
+    (the integrand is analytic within distance 1 of [v_lo, v_hi])."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    with mpmath.workdps(60):
+        x, y = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+        k = 1 + mpmath.mpf(params.gamma)
+        total = 0
+        for t, w in zip(nodes, weights):
+            v = (v_lo + v_hi) / 2 + (v_hi - v_lo) / 2 * mpmath.mpf(t)
+            d = y + v
+            for c, lo, hi in steps:
+                lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+                if complex_kernel:
+                    def F(u):
+                        return 0 if mpmath.isinf(u) else (x - u + 1j * d) ** (1 - k) / (k - 1)
+                    part = F(hi) - F(lo)
+                else:
+                    part = _tplus_u_integral(mpmath, x, d, k, lo, hi)
+                total += c * (v_hi - v_lo) / 2 * mpmath.mpf(w) * v ** params.beta * part
+        value = y ** params.alpha * total
+        return complex(value) if complex_kernel else float(value)
+
+
+@pytest.mark.parametrize("alpha, beta_, a", [(0.5, 0.5, 0.2), (0.1, 0.3, 0.0), (0.25, 0.4, -0.5)])
+def test_column_integral_runs_no_halfplane_drive(monkeypatch, alpha, beta_, a):
+    mpmath = pytest.importorskip("mpmath")
+    _no_halfplane_drive(monkeypatch)
+    gamma = alpha + beta_ + 1.0
+    want = mpmath.beta(0.5, mpmath.mpf(gamma) / 2) * mpmath.beta(mpmath.mpf(beta_) - a,
+                                                                   mpmath.mpf(alpha) + a + 1)
+    got = column_integral(P(alpha, beta_, gamma), a, complex(-0.7, 1.3))
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_slab_tplus_is_the_half_line_operator(monkeypatch):
+    # T+ of g = 1 times h(v) is B(1/2, gamma/2) H h(y): slabs in closed form
+    mpmath = pytest.importorskip("mpmath")
+    _no_halfplane_drive(monkeypatch)
+    params, y = P(0.2, 0.3, 1.1), 0.8
+    with mpmath.workdps(30):
+        h = mpmath.quad(lambda v: v ** 0.3 * (y + v) ** -1.1, [0.7, 1.45])
+        want = mpmath.beta(0.5, 0.55) * y ** 0.2 * h
+    got = apply_Tplus(params, func2d("ind(y,0.7,1.45)"), complex(0.4, y))
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_slab_t_and_projection_are_exactly_zero(monkeypatch):
+    _no_halfplane_drive(monkeypatch)
+    slab = func2d("2*ind(y,0.7,1.45)")
+    assert apply_T(P(0.2, 0.3, 1.1), slab, complex(0.4, 0.8)) == 0.0
+    assert bergman_project(0.5, slab, complex(-3.0, 0.2)) == 0.0
+
+
+@pytest.mark.parametrize("src", ["y^(0-2)*ind(y,0,1)", "ind(-1,1)*y^(0-2)*ind(y,0,1)"])
+@pytest.mark.parametrize("operator", [apply_Tplus, apply_T])
+def test_a_divergent_v_factor_raises_as_before(src, operator):
+    # the u integral of T on a slab is 0, but the v integral of |f| diverges
+    with pytest.raises(DivergenceError) as exc:
+        operator(P(0, 0, 1), func2d(src), complex(0.5, 1.0))
+    assert exc.value.endpoint == "origin"
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.2])
+def test_slab_tplus_without_u_decay_diverges(gamma):
+    with pytest.raises(DivergenceError) as exc:
+        apply_Tplus(P(0.2, 0.3, gamma), func2d("ind(y,0.7,1.45)"), complex(0.4, 0.8))
+    assert exc.value.endpoint == "u-infinity"
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 1.37, 2.5])
+def test_box_against_mpmath(monkeypatch, gamma):
+    _no_halfplane_drive(monkeypatch)
+    params, tol = P(0.2, 0.3, gamma), 1e-8
+    for x in (0.0, 0.3, 5.0, 1e3, 1e8, 1e13):
+        for y in (0.1, 1.0):
+            z = complex(x, y)
+            scale = _step_reference(params, [(1.0, -0.25, 0.25)], z, False)
+            assert abs(apply_Tplus(params, BOX, z, tol) - scale) <= tol * scale, z
+            want = _step_reference(params, [(1.0, -0.25, 0.25)], z, True)
+            assert abs(apply_T(params, BOX, z, tol) - want) <= tol * scale, z
+
+
+def test_box_far_out_against_mpmath():
+    z = complex(1e13, 0.5)
+    want = _step_reference(P(0, 0, 1), [(1.0, -0.25, 0.25)], z, False)
+    assert abs(apply_Tplus(P(0, 0, 1), BOX, z) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("src, steps", [("ind(-inf,0)*ind(y,1,2)", [(1.0, -INF, 0.0)]),
+                                        ("ind(0,inf)*ind(y,1,2)", [(1.0, 0.0, INF)])])
+def test_one_sided_steps_against_mpmath(monkeypatch, src, steps):
+    _no_halfplane_drive(monkeypatch)
+    params = P(0.2, 0.3, 1.37)
+    for z in (complex(0.7, 0.5), complex(-3.0, 1.0), complex(40.0, 0.2)):
+        want = _step_reference(params, steps, z, False)
+        assert abs(apply_Tplus(params, func2d(src), z, 1e-8) - want) <= 1e-8 * want
+        tw = _step_reference(params, steps, z, True)
+        assert abs(apply_T(params, func2d(src), z, 1e-8) - tw) <= 1e-8 * want
+
+
+def test_cancelling_steps(monkeypatch):
+    # the mass channel sum |c| |step integral| scales the tolerance, so T+ at x = 0,
+    # where the two steps cancel exactly, converges to 0 within tol times the mass
+    _no_halfplane_drive(monkeypatch)
+    odd, even = func2d("(ind(0,1)-ind(-1,0))*ind(y,1,2)"), func2d("(ind(0,1)+ind(-1,0))*ind(y,1,2)")
+    params, steps = P(0, 0, 1), [(1.0, 0.0, 1.0), (-1.0, -1.0, 0.0)]
+    want = _step_reference(params, steps, complex(0.5, 0.5), False)
+    assert abs(apply_Tplus(params, odd, complex(0.5, 0.5), 1e-8) - want) <= 1e-8 * abs(want)
+    mass = apply_Tplus(params, even, complex(0.0, 0.5))
+    assert abs(apply_Tplus(params, odd, complex(0.0, 0.5))) <= 1e-6 * mass
+
+
+def test_dilated_box_is_the_box_of_the_dilated_expression():
+    f, g = BOX.dilate(4.0), func2d("ind(-0.0625,0.0625)*ind(y,0.25,0.5)")
+    assert f.u_steps == g.u_steps == ((1.0, -0.0625, 0.0625),)
+    assert f.v_factor.pieces == g.v_factor.pieces
+    for z in (complex(0.1, 0.3), complex(-2.0, 0.1)):
+        assert apply_Tplus(P(0.2, 0.3, 1.1), f, z) == pytest.approx(apply_Tplus(P(0.2, 0.3, 1.1), g, z),
+                                                                    rel=1e-15)
+
+
+def test_sources_outside_the_closed_form_keep_the_halfplane_drive():
+    # values recorded before the closed form: a box without u decay of the kernel
+    # (gamma <= 0), the reproducing probe and a non-separable source, bit for bit
+    assert apply_Tplus(P(0.2, 0.3, -1.0), BOX, complex(0.3, 0.5)) == 0.48961398529863925
+    assert apply_Tplus(P(0.2, 0.3, -0.5), BOX, complex(0.3, 0.5)) == 0.34498102647798135
+    assert apply_T(P(0.2, 0.3, -0.5), BOX, complex(0.3, 0.5)) == complex(0.26145511388537973,
+                                                                         -0.22468402738558116)
+    algebraic = func2d("(1+x^2)^(0-1)*y^0.5*exp(0-y)")
+    assert apply_Tplus(P(0.5, 0.3, 2.0), algebraic, complex(10.0, 0.5)) == 0.008165539246052426
+    assert [complex(r["projected_re"], r["projected_im"]) for r in reproduce_check(0.4, 3)] == [
+        complex(0.12500000000000006, 1.3877787807814457e-17),
+        complex(0.016000000000001055, 0.08800000000000012),
+        complex(0.018000000000000006, -0.02599999999999999),
+        complex(0.14400000000000002, 0.20800000000000002),
+        complex(-0.013348616531971388, 0.027393682622132588)]
+
+
+def test_only_sources_without_steps_reach_the_halfplane_drive(monkeypatch):
+    calls = []
+    real = quad.integrate_halfplane
+    monkeypatch.setattr(quad, "integrate_halfplane", lambda *a, **k: calls.append(1) or real(*a, **k))
+    apply_Tplus(P(0, 0, 1), BOX, complex(0.5, 1.0))
+    apply_T(P(0, 0, 1), BOX, complex(0.5, 1.0))
+    bergman_project(0.5, BOX, complex(0.5, 1.0))
+    assert not calls
+    apply_Tplus(P(0, 0, 1), func2d("x*ind(-1,1)*ind(y,1,2)"), complex(0.5, 1.0))
+    bergman_project(0.5, reproducing_probe(3), complex(0.5, 1.0))
+    assert len(calls) == 2
+
+
+def test_ill_conditioned_psi_tables_keep_the_halfplane_drive(monkeypatch):
+    # from gamma ~ 7.15, B(1/2, gamma/2) is over _SERIES_COND times its tail beyond
+    # |s| = 1, and a difference of Psi values could cancel by as much
+    assert bergman._psi_tables(7.0) is not None and bergman._psi_tables(7.5) is None
+    calls = []
+    real = quad.integrate_halfplane
+    monkeypatch.setattr(quad, "integrate_halfplane", lambda *a, **k: calls.append(1) or real(*a, **k))
+    apply_Tplus(P(0, 0, 10.0), BOX, complex(0.5, 1.0))
+    assert len(calls) == 1
 
 
 # -- L1 column integrals -----------------------------------------------------------

@@ -511,7 +511,7 @@ def test_bergman_reduction_rejects_bad_parameters(capsys, bad):
 @pytest.mark.parametrize("gamma, detail", [
     ("1e-320", "rhs inf"),  # B(1/2, 5e-321) leaves the floats
     ("1e300", "underflows to 0"),  # both sides are 0.0
-    ("1e308", "rhs nan"),
+    ("1e308", "underflows to 0"),  # so too since log_beta's Stirling form (was "rhs nan")
 ])
 def test_bergman_reduction_at_an_extreme_gamma(capsys, gamma, detail):
     code, out, err = run_cli(capsys, "bergman", "reduction", "--alpha", "0", "--beta", "0",
@@ -519,6 +519,13 @@ def test_bergman_reduction_at_an_extreme_gamma(capsys, gamma, detail):
     assert code == EXIT_PARAMS and out == ""
     doc = json.loads(err)
     assert doc["error"] == "parameters" and detail in doc["detail"]
+
+
+def test_sharp_norm_at_the_top_of_the_float_range(capsys):
+    # B(1/2, 1e306 + 1/2) ~ sqrt(pi/1e306); the sum of lgammas was NaN, and the command exited 1
+    doc = run_json(capsys, "sharp-norm", "--p", "1", "--a", "0", "--alpha", "1e306",
+                   "--beta", "0.5", "--gamma", "1e306")
+    assert doc["results"]["norm"]["value"] == pytest.approx(1.772453850905516e-153, rel=1e-13)
 
 
 def test_solve_gamma(capsys):

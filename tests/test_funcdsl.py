@@ -479,3 +479,52 @@ def test_dilation_carries_the_pieces():
     f = func1d("3*x^2*ind(1,2)-ind(4,inf)").dilate(2.0)
     assert f.pieces == ((12.0, 2.0, 0.5, 1.0), (-1.0, 0.0, 2.0, math.inf))
     assert func1d("exp(x)*ind(0,1)").dilate(2.0).pieces is None
+
+
+@pytest.mark.parametrize("src, steps, h_pieces", [
+    ("ind(-0.25,0.25)*ind(y,1,2)", ((1.0, -0.25, 0.25),), ((1.0, 0.0, 1.0, 2.0),)),
+    ("ind(y,1,2)", ((1.0, -math.inf, math.inf),), ((1.0, 0.0, 1.0, 2.0),)),
+    ("1", ((1.0, -math.inf, math.inf),), ((1.0, 0.0, 0.0, math.inf),)),
+    ("-ind(-inf,0)", ((-1.0, -math.inf, 0.0),), ((1.0, 0.0, 0.0, math.inf),)),
+    ("(ind(0,1)-ind(-1,0))*ind(y,1,2)", ((1.0, 0.0, 1.0), (-1.0, -1.0, 0.0)), ((1.0, 0.0, 1.0, 2.0),)),
+    ("2*ind(0,2)*(ind(1,3)+3*ind(-5,0.5))*y*exp(0-y)", ((2.0, 1.0, 2.0), (6.0, 0.0, 0.5)), None),
+    ("3*y^0.5*ind(y,0,1)*ind(-1,1)", ((3.0, -1.0, 1.0),), ((1.0, 0.5, 0.0, 1.0),)),
+])
+def test_separable_sources_are_recognised(src, steps, h_pieces):
+    f = func2d(src)
+    assert f.u_steps == steps and f.v_factor.pieces == h_pieces
+
+
+@pytest.mark.parametrize("src", [
+    "x*ind(-1,1)*ind(y,1,2)", "(1+x^2)^(0-1)*y^0.5*exp(0-y)", "ind(-1,1)/2*ind(y,1,2)",
+    "exp(0-x*y)*ind(-1,1)", "ind(0,1)*ind(y,1,2)+ind(2,3)*ind(y,1,2)", "0*ind(y,1,2)",
+    "ind(0,1)*ind(2,3)*ind(y,1,2)", "abs(x)*ind(-1,1)",
+])
+def test_other_sources_are_not_separable(src):
+    f = func2d(src)
+    assert f.u_steps is None and f.v_factor is None
+
+
+def test_the_v_factor_is_h_alone():
+    # the hints of h(v) are those of the source along y, and h evaluates the y factors only
+    f = func2d("2*ind(-1,1)*y^0.5*exp(0-y)*ind(y,0.5,3)")
+    h = f.v_factor
+    assert (h.breakpoints, h.left_exponent, h.decay_exponent) == (
+        f.v_breakpoints, f.v_left_exponent, f.v_decay_exponent)
+    assert func2d("ind(-1,1)*y^0.5*exp(0-y)").v_factor.left_exponent == 0.5
+    v = np.array([0.25, 1.0, 2.0, 4.0])
+    assert np.array_equal(h(v), np.sqrt(v) * np.exp(-v) * ((v >= 0.5) & (v <= 3)))
+    assert np.array_equal(2.0 * h(v), f(np.zeros(4), v))
+
+
+def test_dilation_carries_the_steps():
+    f = func2d("(ind(0,1)-2*ind(-inf,0))*ind(y,1,2)").dilate(4.0)
+    assert f.u_steps == ((1.0, 0.0, 0.25), (-2.0, -math.inf, 0.0))
+    assert f.v_factor.pieces == ((1.0, 0.0, 0.25, 0.5),)
+    assert func2d("x*ind(y,1,2)").dilate(4.0).u_steps is None
+
+
+def test_a_long_separable_sum_builds():
+    # one frame per level in _reads and _pieces: a 900-step sum still builds
+    f = func2d("(" + "+".join(f"ind({k},{k + 1})" for k in range(900)) + ")*ind(y,1,2)")
+    assert len(f.u_steps) == 900

@@ -885,6 +885,25 @@ def test_growth_memory_stays_flat_in_the_number_of_R():
     assert peaks[1] < 2 * peaks[0]
 
 
+def test_many_pieces_at_many_probes_stay_small(monkeypatch):
+    # one source's probes are split so that a _beta_segment call sees at most
+    # _SEGMENTS candidates: 400 boxes at 1,000 probes peaked at 380 MB unsplit
+    tracemalloc = pytest.importorskip("tracemalloc")
+    f = func1d("+".join(f"ind({k},{k + 1})" for k in range(1, 401)))
+    xs = np.geomspace(0.1, 1e4, 1000)
+    tracemalloc.start()
+    try:
+        got = apply_H_many(P(0, 0, 1), f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    # unsplit calls, 50 probes at a time
+    monkeypatch.setattr(hilbert, "_SEGMENTS", 10 ** 9)
+    want = np.concatenate([apply_H_many(P(0, 0, 1), f, xs[i:i + 50]) for i in range(0, xs.size, 50)])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
 # -- norm domination -----------------------------------------------------------
 
 def test_norm_domination_by_sharp():

@@ -158,18 +158,15 @@ def test_sharp_norm_is_pi():
     assert abs(sharp_norm(WeightedSpaceSpec(2, 0), P(0, 0, 1)) - math.pi) <= math.ulp(math.pi)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: exp(lgamma(m)+lgamma(n)-lgamma(m+n)) cancels at a large argument")
 def test_sharp_norm_at_a_large_alpha():
-    # B(1/2, 100001) by mpmath; today 0.005604970198444856, 1.2e-10 relative, against the CLI's tol 1e-13
+    # B(1/2, 100001) by mpmath; the sum of lgammas gave 0.005604970198444856, 1.2e-10
+    # relative, against the CLI's tol 1e-13 (mended by log_beta's Stirling form)
     got = sharp_norm(WeightedSpaceSpec(1, 0), P(100000, 0.5, 100001.5))
     assert _close(got, 0.005604970197790339117, 1e-13)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: exp(log_beta) keeps no digit of B(1/2, 1e16)")
 def test_beta_at_a_huge_argument():
-    # B(1/2, 1e16) by mpmath; today 1.0
+    # B(1/2, 1e16) by mpmath; the sum of lgammas gave 1.0 (mended by log_beta's Stirling form)
     assert _close(beta(0.5, 1e16), 1.772453850905516049e-8, 1e-14)
 
 

@@ -1,5 +1,6 @@
 """Gamma/Beta special functions: spot values, accuracy, algebraic laws."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,27 @@ def test_beta_against_mpmath():
     for m, n in rng.uniform(0.01, 20.0, (300, 2)):
         want = mpmath.beta(mpmath.mpf(m), mpmath.mpf(n))
         assert abs(beta(m, n) - want) <= 1e-13 * want
+
+
+def test_log_beta_over_the_float_range():
+    # no NaN for any pair of positive floats (the sum of lgammas was inf - inf past
+    # ~2.6e305), and within 1e-14 max(1, |ln B|) of mpmath wherever B is a normal float
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.geomspace(1e-300, 1e308, 25).tolist() + [0.5, 3.0, 7.9, 8.0, 8.1, 100.0, 1e5, 1e16]
+    normal = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    with mpmath.workdps(340):
+        for m, n in itertools.product(grid, repeat=2):
+            got = log_beta(m, n)
+            assert not math.isnan(got), (m, n)
+            want = mpmath.loggamma(m) + mpmath.loggamma(n) - mpmath.loggamma(mpmath.mpf(m) + n)
+            if normal[0] <= want <= normal[1]:
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (m, n)
+
+
+def test_beta_at_the_top_of_the_float_range():
+    # B(1/2, 5e305) = sqrt(pi/5e305) (1 - 1/(8 n) ...), where the sum of lgammas was NaN
+    assert beta(0.5, 5e305) == pytest.approx(math.sqrt(math.pi / 5e305), rel=1e-14)
+    assert log_beta(1.7e308, 1.7e308) == -math.inf   # ln B is below the float range
 
 
 def test_log_gamma_beyond_the_float_range_is_inf():
