@@ -51,6 +51,11 @@ The |value| sums are the integrand's mass.  The half-plane drives let
 the |f| mass scale their tolerance and never judge it: |f| has a kink
 where f changes sign, off the knots, so its change need not settle.
 
+integrate_halfplane's outer drive hands each v node's weight down, and
+its inner drive over u stops refining (and evaluating) a v row once the
+row's weighted change is below rounding of the outer level's weighted
+mass; the rows still refining keep their bits.
+
 Divergent requests are rejected up front from the hints (left exponent
 <= -1 or decay exponent <= 1) instead of by runaway refinement; the
 truncated entry point exists for the divergence-exponent experiments.
@@ -84,7 +89,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import GeneratorType
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +116,7 @@ _PI_HALF = math.pi / 2.0
 _MIN_LEVEL = 3         # refinement levels always run before convergence counts
 _MAX_LEVEL = 10        # refinement budget of every drive
 _BLOCK_ELEMENTS = 1 << 15  # values per call of integrate_halfplane's f, batch included
+_EPS = 1e-15           # rounding of a sum relative to its |f| mass (floor and row retirement)
 
 
 @dataclass(frozen=True)
@@ -301,6 +307,22 @@ def _modulus(values, mass):
     return modulus, modulus
 
 
+class _Weighed(NamedTuple):
+    """An integrand of integrate_halfplane's drives, called as fn(x, w,
+    live) on the nodes x, their weights w in the drive's rule (|y|/d at a
+    completion) and the indices of the rows (the last batch axis) still
+    refining, or None for all.  rows holds each row's weight in an outer
+    rule (an inner drive, whose rows may retire), or is None."""
+
+    fn: Callable
+    rows: np.ndarray | None = None
+
+
+def _weighed(integrand) -> _Weighed:
+    """integrand as a _Weighed: itself, or a plain f(x) with no rows."""
+    return integrand if isinstance(integrand, _Weighed) else _Weighed(lambda x, w, live: integrand(x))
+
+
 def _drive(panels, integrand, tol, completion=0.0, magnitude=_modulus):
     """Run all panels in lockstep, refining until the total settles.
 
@@ -309,34 +331,52 @@ def _drive(panels, integrand, tol, completion=0.0, magnitude=_modulus):
     completion) to nonnegative entries.  The drive stops when the largest
     judged entry of the change is within tol of the largest entry, judged
     or scale, of the total, the batch sup norm: scale entries only enlarge
-    the tolerance."""
+    the tolerance.  The rows of a _Weighed integrand with row weights
+    retire by integrate_halfplane's rule, with judged and scale for |I|
+    and M.  A retired row keeps its total and mass, so its change is 0 and
+    the rule judges the live rows' change against every row."""
     _check_tol(tol)
     plan = _plan(panels)
-    partial = mass = prev = None
+    call, rows = _weighed(integrand)
+    retired = None if rows is None else np.zeros(rows.size, dtype=bool)
+    partial = mass = prev = live = None
     change = math.inf
     for level in range(_MAX_LEVEL + 1):
         x, w = _plan_nodes(plan, level)
         with np.errstate(all="ignore"):
-            vals = integrand(x)
+            vals = call(x, w, live)
             if isinstance(vals, GeneratorType):  # blocks of rows, each summed as it comes
                 sums = [_checked_sums(np.asarray(block), x, w, panels, level) for block in vals]
                 contrib, absorb = (np.concatenate(part, axis=-1) for part in zip(*sums))
             else:
                 contrib, absorb = _checked_sums(np.asarray(vals), x, w, panels, level)
-        partial = contrib if partial is None else partial + contrib
-        mass = absorb if mass is None else mass + absorb
+        if live is None:
+            partial = contrib if partial is None else partial + contrib
+            mass = absorb if mass is None else mass + absorb
+        else:   # the sums of the live rows only
+            partial[..., live] += contrib
+            mass[..., live] += absorb
         total = (2.0 ** (-level)) * partial + completion
+        level_mass = (2.0 ** (-level)) * mass
+        if live is not None:
+            total, level_mass = np.where(retired, prev, total), np.where(retired, prev_mass, level_mass)
         if prev is not None:
-            level_mass = (2.0 ** (-level)) * mass
-            change = float(magnitude(total - prev, level_mass)[0].max())
+            delta = magnitude(total - prev, level_mass)[0]
+            change = float(delta.max())
         if level >= _MIN_LEVEL:
             judged, scale = magnitude(total, level_mass)
             # the mass floor recognizes cancellation-to-zero: nothing below
             # machine epsilon times the L1 mass is resolvable anyway
-            floor = 1e-15 * float(level_mass.max()) + 1e-300
+            floor = _EPS * float(level_mass.max()) + 1e-300
             if change <= max(tol * max(float(judged.max()), float(scale.max())), floor):
                 return total
-        prev = total
+            if rows is not None:
+                bound = _EPS * (np.maximum(judged, scale) * rows).sum(axis=-1, keepdims=True) / rows.size
+                retired |= (delta * rows <= bound).reshape(-1, rows.size).all(axis=0)
+                if retired.all():
+                    return total
+                live = np.flatnonzero(~retired) if retired.any() else None
+        prev, prev_mass = total, level_mass
     raise AccuracyError(
         f"quadrature did not reach tol={tol} within {_MAX_LEVEL} refinement levels "
         f"(last change {change:.3e})",
@@ -348,12 +388,13 @@ def _drive(panels, integrand, tol, completion=0.0, magnitude=_modulus):
 def _completion(integrand, ends) -> float | np.ndarray:
     """Power-law completions sum_i f(y_i) |y_i| / d of the mass beyond the
     outermost nodes y_i: one integrand call per (points y, denominator d)
-    end of a plan, each end's term added to the sum of the ends before it."""
+    end of a plan, each end's term added to the sum of the ends before it.
+    A _Weighed integrand is called on every row, with the weights |y_i| / d."""
     total = 0.0
     for k, (y, denominator) in enumerate(ends):
         y = np.array(y, dtype=float)
         with np.errstate(all="ignore"):
-            vals = integrand(y)
+            vals = _weighed(integrand).fn(y, np.abs(y) / denominator, None)
             if isinstance(vals, GeneratorType):  # blocks of rows, small at these few points
                 vals = np.concatenate(list(vals), axis=-2)
             vals = _sanitize(np.asarray(vals))
@@ -498,6 +539,14 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
     so that inner integrals and batches that cancel to noise converge.
     The mass is integrated but never judged: the inner drive's |value|
     row sums, carried to the outer drive as a (value, mass) channel pair.
+
+    The outer drive hands each v row's weight down (its tanh-sinh weight,
+    or |v|/denominator at a completion).  From _MIN_LEVEL on, the inner
+    drive retires row j once w_j |change_j| <= _EPS sum_k w_k max(|I_k|,
+    M_k) / n over its n rows, values I and masses M, at every entry of the
+    batch: together the retired rows move the outer level's sum by at most
+    rounding of its weighted mass.  A retired row keeps its value and mass,
+    and later levels call f on the live rows only, in the same blocks.
     """
     inner_tol = max(tol / 20.0, 1e-13)
     batch = None   # f's batch shape, from its first call
@@ -508,26 +557,27 @@ def integrate_halfplane(f, tol: float = DEFAULT_TOL_2D):
         mass = level_mass
         return np.abs(values), level_mass
 
-    def outer_integrand(v: np.ndarray):
-        def inner_integrand(u: np.ndarray):
+    def outer_integrand(v: np.ndarray, weights: np.ndarray, _):
+        def inner_integrand(u: np.ndarray, _, live):
             nonlocal batch
+            rows = v if live is None else v[live]
             start = 0
-            while start < v.size:
-                rows = 1 if batch is None else max(1, _BLOCK_ELEMENTS // (math.prod(batch) * u.size))
-                vals = np.asarray(f(u[None, :], v[start:start + rows, None]))
+            while start < rows.size:
+                block = 1 if batch is None else max(1, _BLOCK_ELEMENTS // (math.prod(batch) * u.size))
+                vals = np.asarray(f(u[None, :], rows[start:start + block, None]))
                 if batch is None:
                     batch = np.broadcast_shapes(vals.shape, (1, u.size))[:-2]
-                shape = (*batch, min(rows, v.size - start), u.size)
+                shape = (*batch, min(block, rows.size - start), u.size)
                 yield vals if vals.shape == shape else np.broadcast_to(vals, shape)
-                start += rows
+                start += block
 
-        values = integrate_real_line(inner_integrand, inner_tol, breakpoints=tuple(f.u_breakpoints),
-                                     decay_exponent=f.u_decay_exponent, support=f.u_support,
-                                     magnitude=inner_magnitude)
+        values = integrate_real_line(_Weighed(inner_integrand, weights), inner_tol,
+                                     breakpoints=tuple(f.u_breakpoints), decay_exponent=f.u_decay_exponent,
+                                     support=f.u_support, magnitude=inner_magnitude)
         return np.stack([values, mass])
 
     hints = SingularityHints(tuple(f.v_breakpoints), f.v_left_exponent, f.v_decay_exponent)
-    return integrate_semiaxis(outer_integrand, hints, tol, support=f.v_support,
+    return integrate_semiaxis(_Weighed(outer_integrand), hints, tol, support=f.v_support,
                               magnitude=_channel_magnitude)[0]
 
 

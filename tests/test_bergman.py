@@ -305,8 +305,9 @@ def test_projection_of_a_slab_vanishes(nu):
 
 
 def test_reproduction_integrand_values(monkeypatch):
-    # P_nu of the whole-line probe over the angle coordinate; the s line with
-    # expm1 tails took 5,644,880 values
+    # P_nu of the whole-line probe over the angle coordinate, retiring the v
+    # rows whose weighted change is below rounding; the lockstep inner drive
+    # took 2,552,872 values, the s line with expm1 tails 5,644,880 at nu = 0.405
     values = []
 
     def counted(m, t=1.0):
@@ -318,9 +319,63 @@ def test_reproduction_integrand_values(monkeypatch):
         return dataclasses.replace(probe, fn=fn)
 
     monkeypatch.setattr(bergman, "reproducing_probe", counted)
-    rows = bergman.reproduce_check(0.405, 3)
+    rows = bergman.reproduce_check(0.47, 3)
     assert max(row["abs_error"] for row in rows) <= 1e-6
-    assert sum(values) <= 3.0e6
+    assert sum(values) <= 1.2e6
+
+
+# Values of the lockstep inner drive, which refined every v row to the level
+# of the hardest one.  Retiring the rows whose weighted change is below
+# rounding keeps each part within 1e-14 relative, or 1e-17 absolute where it
+# cancels to 0.
+def _agrees(got, want, zero=1e-17):
+    got, want = complex(got), complex(want)
+    return all(abs(g - w) <= max(1e-14 * abs(w), zero)
+               for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+LOCKSTEP_REPRODUCTION = {
+    0.12: [0.12499999999999993 + 2.7755575615628914e-17j, 0.016000000000000448 + 0.088j,
+           0.017999999999998517 - 0.026000000000000693j, 0.1439999999999999 + 0.20799999999999996j,
+           -0.013348616531971391 + 0.027393682622132584j],
+    0.47: [0.12500000000000008 + 3.469446951953614e-17j, 0.016000000000001298 + 0.08800000000000022j,
+           0.018000000000000016 - 0.026j, 0.14400000000000002 + 0.20800000000000007j,
+           -0.013348616531971384 + 0.027393682622132595j],
+    1.7: [0.12500000000000003 - 3.469446951953614e-17j, 0.016000000000000025 + 0.08800000000000001j,
+          0.017999999999999995 - 0.026000000000000002j, 0.14400000000000004 + 0.20799999999999996j,
+          -0.013348616531971383 + 0.027393682622132598j],
+}
+
+
+@pytest.mark.parametrize("nu", sorted(LOCKSTEP_REPRODUCTION))
+def test_reproduction_matches_the_lockstep_drive(nu):
+    rows = reproduce_check(nu, 3)
+    for row, want in zip(rows, LOCKSTEP_REPRODUCTION[nu], strict=True):
+        assert _agrees(complex(row["projected_re"], row["projected_im"]), want)
+
+
+def test_tplus_and_t_of_an_algebraic_slab_match_the_lockstep_drive():
+    f, z = func2d("(1+x^2)^(0-2)*ind(y,1,2)"), complex(20.0, 0.5)
+    assert _agrees(apply_Tplus(P(0.5, 0.3, 2), f, z), 0.00015885918578992917)
+    assert _agrees(apply_T(P(0.5, 0.3, 2), f, z), 0.000148468091499703 - 4.696703432039695e-05j)
+
+
+def test_tplus_slice_matches_the_lockstep_drive():
+    # one batch of abscissae: a v row retires only when every abscissa's
+    # does; the lockstep drive evaluated 42,619,446 (x, v, u) values
+    xs = np.array([-10.0, -3.0, -1.0, -0.25, 0.0, 0.5, 2.0, 5.0, 10.0])
+    want = [0.008165539246052426, 0.08986064825891038, 0.28491572159089273, 0.3753211133116523,
+            0.3834243949882084, 0.35294909303585714, 0.15941448696457308, 0.03538612356693235,
+            0.008165539246052426]
+    values = []
+
+    def fn(u, v):
+        values.append(np.broadcast(u, v).size)
+        return ALGEBRAIC.fn(u, v)
+
+    got = _tplus_slice(P(0.5, 0.3, 2), dataclasses.replace(ALGEBRAIC, fn=fn), xs, 0.5, 1e-6)
+    assert all(_agrees(g, w) for g, w in zip(got, want, strict=True))
+    assert sum(values) <= 1.5e7
 
 
 def test_tplus_of_an_algebraic_slab_off_centre():

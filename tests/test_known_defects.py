@@ -170,6 +170,16 @@ def test_beta_at_a_huge_argument():
     assert _close(beta(0.5, 1e16), 1.772453850905516049e-8, 1e-14)
 
 
+@pytest.mark.xfail(strict=True, raises=AccuracyError,
+                   reason="ROADMAP item 2: abs() of a product that changes sign gets no kink knot")
+def test_Tplus_of_the_modulus_of_a_product():
+    # the same function written abs(x-0.901)*..., whose kink is a u knot, gives
+    # 0.15325339610790017, which the u-translation relation reproduces
+    f = func2d("abs((x-0.901)*(1+x^2)^(0-1.387)*ind(y,0.609,1.744))")
+    got = apply_Tplus(P(0.5, 0.3, 2), f, complex(0.5377965454766451, 1.234309269044201), 1e-6)
+    assert _close(got, 0.15325339610790017, 1e-6)
+
+
 # -- ROADMAP item 4(b): the drive's floor ---------------------------------------
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -178,6 +188,17 @@ def test_reproduction_at_nu_50_is_within_tol_or_raises():
     # today abs_error 9.82e-3 at tol 1e-6
     try:
         (row,) = reproduce_check(50, 3, points=[0.5 + 0.5j], tol=1e-6)
+    except AccuracyError:
+        return
+    assert row["abs_error"] <= 10 * 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4(b): the floor accepts an error of 2e70 at nu = 300")
+def test_reproduction_at_nu_300_is_within_tol_or_raises():
+    # today abs_error 2.04e70 at tol 1e-6, and `bergman reproduce --nu 300` exits 0
+    try:
+        (row,) = reproduce_check(300, 3, points=[0.5 + 0.5j], tol=1e-6)
     except AccuracyError:
         return
     assert row["abs_error"] <= 10 * 1e-6
