@@ -25,8 +25,9 @@ the phase through its half-angle tangent.
 The module provides mixed norms on L^{p,q}_nu (inner L^p in x, outer
 weighted L^q in y, with the sup-over-y convention at q = inf), kernel
 row integrals J_alpha(y) = B(1/2,(alpha-1)/2) y^(1-alpha), operator
-application (over u in closed form for a separable source, else by
-iterated 2D quadrature), boundedness verdicts for the
+application (over u in closed form for a separable source, T and P_nu
+by residues for a source rational in u, else by iterated 2D
+quadrature), boundedness verdicts for the
 mixed-norm criteria and the projection corollaries, the exact norms
 
     ||T+||_{Linf -> Linf} = B(1/2, gamma/2) B(beta+1, alpha)
@@ -73,9 +74,22 @@ k <= 1 (gamma <= 0 for T+ and T), where a whole-line step diverges, and
 a T+ gamma above about 7, where Psi differences would cancel, keep
 the 2D quadrature.
 
+T and P_nu of a source whose u dependence is rational (Func2D.u_poles:
+func2d's partial fractions of a rational g at its poles below the real
+line, or the reproducing probe's pole -i(v+t) of order m) run the same v
+drive with the u integral by residues (_residue_integral): the kernel
+(x - u + i(y+v))^-k is holomorphic in u below the real line, so closing
+the u line there leaves -2 pi i times the residues at those poles.  The
+v integral stays a drive, so that reproduce_check remains a numerical
+check of the reproducing identity: it is within 1e-13 of (i/(z+i))^m
+from nu = 0 to 950, and T of an algebraic source such as
+(1+x^2)^-1 y^0.5 e^-y is right at every |x| (within 2.3e-15 of the
+residue form at 1e6).  T+ of such a source, whose kernel is not
+holomorphic, keeps the 2D quadrature.
+
 The 2D quadrature runs one quad.integrate_halfplane of a _compose_kernel
 integrand.  A source that lives on the whole u line with no u knots
-(_centred, such as the reproducing probe) integrates over the kernel's
+(_centred, such as T+ of an algebraic source) integrates over the kernel's
 angle e = arccot s instead of u.  Then z - conj(w) = (y+v)(i - s) and
 |i - s| = 1/|sin e|, so the kernel is a fixed profile of e times
 (y+v)^(1-k), evaluated once per row of e nodes and shared by every v.
@@ -87,8 +101,9 @@ completion; a power substitution keeps near-critical decays bounded
 the u rule, since its knots would move with v in e.  Far from an
 algebraically decaying source its peak at s = -x/(y+v) is narrower than
 the nodes there: the drives raise AccuracyError over a range of |x| (60
-to 1e5 for the README's example), and beyond it they miss the peak
+to 1e5 for T+ of the README's example), and beyond it they miss the peak
 without noticing; a Gaussian source is missed from about |x| = 1e4.
+Sources rational in u leave this fault behind for T and P_nu only.
 
 All operations are pure; probe grids and quadratures may be evaluated
 concurrently and merged in input order.
@@ -443,45 +458,83 @@ def _step_integral(x, d, lo: float, hi: float, kernel_power: float, complex_kern
     return out
 
 
+def _residue_integral(x, d, v, kernel_power: float, poles: tuple) -> tuple:
+    """int g(u) (x - u + i d)^-k du / d^(1-k), k = kernel_power, for the
+    pole terms A (u - p + i s v)^-j of g (Func2D.u_poles), and the sum of
+    its terms' moduli, for a column x and rows d > 0 and v of one shape.
+
+    The kernel is holomorphic in u below the real line (its branch point
+    u = x + i d lies above), so closing the u line below gives -2 pi i
+    times the residues at the lower poles q = p - i s v, A (k)_(j-1)/(j-1)!
+    (x - q + i d)^(1-k-j); a pole above contributes nothing.  In the
+    kernel's scale d each term is d^-j times the _kernel power k + j - 1 of
+    ((x - Re p) + i (d + s v - Im p))/d, whose imaginary part is at least
+    1, so that no factor over- or underflows where the term does not."""
+    k = kernel_power
+    value = mass = 0.0
+    for p, s, j, a in poles:
+        rising = math.prod((k + i) / (i + 1.0) for i in range(j - 1))   # (k)_(j-1) / (j-1)!
+        part = _kernel((x - p.real) / d, (d + s * v - p.imag) / d, k + j - 1.0, True)
+        part *= (-2j * math.pi * a * rising) * d ** -float(j)
+        value, mass = value + part, mass + np.abs(part)
+    return value, mass
+
+
 def _separable_integral(f: Func2D, xs: np.ndarray, y: float, kernel_power: float, weight: float,
                         complex_kernel: bool, tables, tol: float) -> np.ndarray:
     """The integral of _kernel_integral at the abscissae xs (1-D) for a
-    source with u_steps, k = kernel_power > 1.
+    source with a v_factor h and u_steps, k = kernel_power > 1, or, for T
+    and P_nu, u_poles.
 
     A whole-line step c contributes c B(1/2, (k-1)/2) (y+v)^(1-k) to the u
     integral of the modulus, so c B(1/2, (k-1)/2) H h(y) in all, H with
     (0, weight, k-1) through apply_H (closed form for a piece sum h), and
-    exactly 0 to the u integral of the complex power.  The other steps
-    run one integrate_semiaxis over v of _step_integral times h(v)
-    (v/d)^weight d^(1+weight-k), d = y+v, in blocks of at most
-    quad._BLOCK_ELEMENTS (x, v) values, with sum |c| |step integral| as
-    the mass channel that scales the tolerance (_channel_magnitude), so
-    that cancelling steps converge."""
+    exactly 0 to the u integral of the complex power.  The other steps, or
+    the poles, run one integrate_semiaxis over v of their u form times
+    h(v) (v/d)^weight d^(1+weight-k), d = y+v: the sum of c _step_integral
+    over the steps, or the _residue_integral.  It runs in blocks of at most
+    quad._BLOCK_ELEMENTS (x, v) values, with the sum of the moduli of the
+    u form's terms as the mass channel that scales the tolerance
+    (_channel_magnitude), so that cancelling terms converge.  The v hints
+    of poles are h's, with the u integral's decay k + j - 1 at the lowest
+    order j, also where a pole moves with v."""
     k, h = kernel_power, f.v_factor
-    whole = sum(c for c, lo, hi in f.u_steps if (lo, hi) == (-math.inf, math.inf))
-    steps = [(c, lo, hi) for c, lo, hi in f.u_steps if (lo, hi) != (-math.inf, math.inf)]
-    v_hints = _kernel_hints(f, k, weight)[1]
     out = np.zeros(xs.shape, dtype=complex if complex_kernel else float)
-    line = None if complex_kernel else beta_fn(0.5, (k - 1.0) / 2.0)
-    psi = tables and (line, *tables)
-    if whole and not complex_kernel:
-        out += whole * line * apply_H(OperatorParams(0.0, weight, k - 1.0), h, y, tol)
-    elif not steps:   # where the v integral diverges, as the half-plane drive would say
-        quad._support_plan(f.v_support, 0.0, v_hints.breakpoints, v_hints.left_exponent,
-                           v_hints.decay_exponent)
-    if not steps:
-        return out
+    if complex_kernel and f.u_poles is not None:
+        lowest = min(j for _, _, j, _ in f.u_poles)
+        v_hints = SingularityHints(h.breakpoints, h.left_exponent + weight,
+                                   h.decay_exponent - weight + k + lowest - 1.0)
+
+        def u_form(x, d, v):
+            return _residue_integral(x, d, v, k, f.u_poles)
+    else:
+        whole = sum(c for c, lo, hi in f.u_steps if (lo, hi) == (-math.inf, math.inf))
+        steps = [(c, lo, hi) for c, lo, hi in f.u_steps if (lo, hi) != (-math.inf, math.inf)]
+        v_hints = _kernel_hints(f, k, weight)[1]
+        line = None if complex_kernel else beta_fn(0.5, (k - 1.0) / 2.0)
+        psi = tables and (line, *tables)
+        if whole and not complex_kernel:
+            out += whole * line * apply_H(OperatorParams(0.0, weight, k - 1.0), h, y, tol)
+        elif not steps:   # where the v integral diverges, as the half-plane drive would say
+            quad._support_plan(f.v_support, 0.0, v_hints.breakpoints, v_hints.left_exponent,
+                               v_hints.decay_exponent)
+        if not steps:
+            return out
+
+        def u_form(x, d, v):
+            x, d = np.broadcast_arrays(x, d)
+            value, mass = 0.0, 0.0
+            for c, lo, hi in steps:
+                part = _step_integral(x, d, lo, hi, k, complex_kernel, psi)
+                value, mass = value + c * part, mass + abs(c) * np.abs(part)
+            return value, mass
 
     def integrand(v):
         d = y + v
         hv = h(v) * (v / d) ** weight * d ** (1.0 + weight - k)
         rows = max(1, quad._BLOCK_ELEMENTS // v.size)
         for start in range(0, xs.size, rows):
-            x, dd = np.broadcast_arrays(xs[start:start + rows, None], d)
-            value, mass = 0.0, 0.0
-            for c, lo, hi in steps:
-                part = _step_integral(x, dd, lo, hi, k, complex_kernel, psi)
-                value, mass = value + c * part, mass + abs(c) * np.abs(part)
+            value, mass = u_form(xs[start:start + rows, None], d, v)
             yield np.stack([value * hv, mass * np.abs(hv)])
 
     return out + quad.integrate_semiaxis(integrand, v_hints, tol, support=f.v_support,
@@ -494,16 +547,19 @@ def _kernel_integral(f: Func2D, x, y: float, kernel_power: float, weight: float,
     or with the modulus |z - conj(w)| when not complex_kernel, for a float
     x or a 1-D batch of abscissae (the result has x's shape).
 
-    A source with u_steps whose u integrals converge (kernel_power > 1)
-    and whose finite steps, under the modulus, have well-conditioned
-    _psi_tables integrates over u in closed form (_separable_integral);
-    every other source runs one quad.integrate_halfplane of
-    _compose_kernel, which raises the DivergenceError of a whole-line step
-    at kernel_power <= 1."""
+    Over u in closed form (_separable_integral): T and P_nu of a source
+    with u_poles whose u integral converges (u decay plus kernel_power
+    above 1), by residues, and a source with u_steps whose u integrals
+    converge (kernel_power > 1) and whose finite steps, under the modulus,
+    have well-conditioned _psi_tables.  Every other source runs one
+    quad.integrate_halfplane of _compose_kernel, which raises the
+    DivergenceError of a whole-line step at kernel_power <= 1."""
     k = kernel_power
+    residues = complex_kernel and f.u_poles is not None and f.u_decay_exponent + k > 1.0
     finite = any((lo, hi) != (-math.inf, math.inf) for _, lo, hi in f.u_steps or ())
     tables = _psi_tables(k - 1.0) if finite and not complex_kernel and k > 1.0 else None
-    if f.u_steps is None or not k > 1.0 or (finite and not complex_kernel and tables is None):
+    closed = f.u_steps is not None and k > 1.0 and not (finite and not complex_kernel and tables is None)
+    if not (residues or closed):
         integrand = _compose_kernel(f, x if np.ndim(x) == 0 else x[:, None, None], y, k, weight,
                                     complex_kernel)
         return quad.integrate_halfplane(integrand, tol)
@@ -556,7 +612,8 @@ def bergman_project(nu: float, f: Func2D, z, tol: float = quad.DEFAULT_TOL_2D) -
 
 
 def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
-    """The holomorphic probe f(w) = (i/(w+it))^m, decaying like |w|^-m."""
+    """The holomorphic probe f(w) = (i/(w+it))^m, decaying like |w|^-m: in
+    u, the pole term i^m (u + it + iv)^-m, with the v factor 1."""
     if m != int(m) or m < 2:
         raise ParameterError(f"need an integer m >= 2 for an integrable probe, got {m}")
     bits = bin(int(m))[3:]   # m's binary digits after the leading 1
@@ -579,7 +636,8 @@ def reproducing_probe(m: int, t: float = 1.0) -> Func2D:
         return power
 
     return Func2D(fn=fn, u_decay_exponent=float(m), v_left_exponent=0.0,
-                  v_decay_exponent=float(m))
+                  v_decay_exponent=float(m), u_poles=((-1j * t, 1.0, int(m), 1j ** (int(m) % 4)),),
+                  v_factor=Func1D(fn=np.ones_like, decay_exponent=0.0))
 
 
 def reproduce_check(nu: float, m: int, points=None, tol: float = quad.DEFAULT_TOL_2D) -> list[dict]:

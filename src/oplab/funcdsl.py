@@ -41,10 +41,12 @@ is named innermost, as written (0^(-1) in exp(0^(-1))*x).  Every walk
 takes one frame per level, so a sum up to the parser's limit builds in
 linear time; a walk that runs out of stack is "nested too deeply".
 
-func2d also reads a separable source g(x) h(y), g a sum of constant
-steps c*ind(lo, hi) of x and h the factors that read y alone, off the
-folded tree (_separate), so that bergman can integrate it over x in
-closed form.
+func2d also reads a separable source g(x) h(y), h the factors that read
+y alone and g a sum of constant steps c*ind(lo, hi) of x or a proper
+rational function of x, off the folded tree (_separate), so that bergman
+can integrate it over x in closed form or by residues (oplab.rational
+records the rational g's partial fractions at its poles below the real
+line).
 
 Expression trees are immutable and evaluation is pure, so parsed
 functions can be shared freely across concurrent workers.
@@ -544,30 +546,40 @@ def _reads(e: Expr, var: str) -> bool:
     return False
 
 
-def _separate(e: Expr) -> tuple[tuple, Expr] | None:
-    """(steps, h) when e = g(x) h(y), g a sum of constant steps
-    c * ind(lo, hi) of x on the real line given as (c, lo, hi), a constant
-    factor being the step (-inf, inf), and h the product of e's factors
+def _separate(e: Expr) -> tuple[float, list, Expr] | None:
+    """(c, g, h) when e = c * prod(g) * h(y): c its constant factors, g
+    the list of its factors that read x alone, and h the product of those
     that read y alone, ind(y, 0, inf) (1 on the half-plane) if there are
-    none; else None.  The steps of several x factors are intersected, and
-    steps with c = 0 dropped; a g that is zero is None."""
-    sign, factors = _factors(e)
-    steps, h = ((sign, -math.inf, math.inf),), None
+    none; None when a factor reads both."""
+    c, factors = _factors(e)
+    g, h = [], None
     for factor in factors:
         if isinstance(factor, Const):
-            steps = tuple((c * factor.value, lo, hi) for c, lo, hi in steps)
+            c *= factor.value
         elif not _reads(factor, "x"):
             h = factor if h is None else BinOp("*", h, factor)
+        elif _reads(factor, "y"):
+            return None
         else:
-            terms = _pieces(factor, "x", -math.inf)
-            if terms is None or any(s for _, s, _, _ in terms):
-                return None
-            steps = tuple((c * d, max(lo, a), min(hi, b)) for c, lo, hi in steps
-                          for d, _, a, b in terms if max(lo, a) < min(hi, b))
+            g.append(factor)
+    return c, g, Ind("y", 0.0, math.inf) if h is None else h
+
+
+def _steps(c: float, g: list) -> tuple | None:
+    """c * prod(g) as a sum of constant steps c * ind(lo, hi) of x on the
+    real line given as (c, lo, hi), a constant being the step (-inf, inf),
+    when each factor of g is a step sum; else None.  The steps of several
+    factors are intersected, and steps with c = 0 dropped; a zero sum is
+    None."""
+    steps = ((c, -math.inf, math.inf),)
+    for factor in g:
+        terms = _pieces(factor, "x", -math.inf)
+        if terms is None or any(s for _, s, _, _ in terms):
+            return None
+        steps = tuple((c * d, max(lo, a), min(hi, b)) for c, lo, hi in steps
+                      for d, _, a, b in terms if max(lo, a) < min(hi, b))
     steps = tuple(step for step in steps if step[0])
-    if not (steps and all(math.isfinite(c) for c, _, _ in steps)):
-        return None
-    return steps, Ind("y", 0.0, math.inf) if h is None else h
+    return steps if steps and all(math.isfinite(c) for c, _, _ in steps) else None
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +633,13 @@ class Func2D:
     from the expression.  u_steps and v_factor, when set, are f as
     g(u) * h(v): g the sum of the steps c * ind(lo, hi) of u, given as
     (c, lo, hi) (a constant is the step (-inf, inf)), and h a Func1D;
-    bergman integrates such a source over u in closed form.
+    bergman integrates such a source over u in closed form.  u_poles and
+    v_factor, when set, are f as h(v) times 2 Re of (or, for a complex f,
+    exactly) the sum of the terms A (u - p + i s v)^-j, given as
+    (p, s, j, A) with p in the lower half-plane and s >= 0: the partial
+    fractions of a rational u factor at its lower poles (s = 0), or a
+    holomorphic probe's pole that moves with v; bergman integrates T and
+    P_nu of such a source over u by residues.
     """
 
     fn: Callable
@@ -633,6 +651,7 @@ class Func2D:
     u_support: tuple[float, float] = _WHOLE
     v_support: tuple[float, float] = (0.0, math.inf)
     u_steps: tuple | None = None
+    u_poles: tuple | None = None
     v_factor: Func1D | None = None
 
     def __call__(self, u, v):
@@ -640,7 +659,8 @@ class Func2D:
 
     def dilate(self, R: float) -> "Func2D":
         """f_R(z) = f(R*z), i.e. both coordinates scaled: so are the u
-        steps, and the v factor is dilated."""
+        steps and poles, each pole term A (u - p + i s v)^-j becomes
+        A R^-j (u - p/R + i s v)^-j, and the v factor is dilated."""
         R = float(R)
         if not 0.0 < R < math.inf:
             raise DomainError(f"dilation factor must be positive and finite, got {R}")
@@ -651,6 +671,8 @@ class Func2D:
                        u_support=tuple(b / R for b in self.u_support),
                        v_support=tuple(b / R for b in self.v_support),
                        u_steps=self.u_steps and tuple((c, lo / R, hi / R) for c, lo, hi in self.u_steps),
+                       u_poles=self.u_poles and tuple((p / R, s, j, a * R ** -j)
+                                                      for p, s, j, a in self.u_poles),
                        v_factor=self.v_factor and self.v_factor.dilate(R))
 
 
@@ -693,8 +715,9 @@ def _func1d(e: Expr, var: str) -> Func1D:
 
 def func2d(src: str | Expr) -> Func2D:
     """Build a Func2D (x along R, y along (0, inf)) from expression text,
-    with its u_steps and v_factor where it is a product g(x) h(y) of a
-    step sum g of x and factors h that read y alone (_separate)."""
+    with its v_factor and u_steps or u_poles where it is a product g(x)
+    h(y) of factors h that read y alone and a step sum g of x (_steps) or
+    a rational g (rational.partial_fractions) (_separate)."""
     e = _deep(_fold, parse(src) if isinstance(src, str) else src)
     u_bps, _, u_decay = _deep(_axis_hints, e, "x", positive_axis=False)
     v_bps, v_left, v_decay = _deep(_axis_hints, e, "y", positive_axis=True)
@@ -706,9 +729,17 @@ def func2d(src: str | Expr) -> Func2D:
             vals = _full(_deep(_eval, e, {"x": u, "y": v}), u, v)
             return _vanish_outside(vals, (u, u_support), (v, (v_lo, v_hi)))
 
+    steps = poles = None
     separated = _deep(_separate, e)
+    if separated:
+        c, g, h = separated
+        steps = _deep(_steps, c, g)
+        if steps is None:
+            # compiled only in a process that meets a source beyond the step sums
+            from .rational import partial_fractions
+            poles = _deep(partial_fractions, c, g)
     return Func2D(fn=fn, u_breakpoints=u_bps, v_breakpoints=v_bps,
                   u_decay_exponent=u_decay, v_left_exponent=v_left,
                   v_decay_exponent=v_decay, u_support=u_support, v_support=(max(v_lo, 0.0), v_hi),
-                  u_steps=separated and separated[0],
-                  v_factor=separated and _func1d(separated[1], "y"))
+                  u_steps=steps, u_poles=poles,
+                  v_factor=_func1d(h, "y") if steps or poles else None)

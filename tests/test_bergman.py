@@ -36,6 +36,7 @@ from oplab.funcdsl import Func2D, func1d, func2d
 from oplab.hilbert import OperatorParams, apply_H, hilbert_verdict, solve_gamma
 from oplab.quad import integrate_real_line
 from oplab.specfun import beta
+from test_known_defects import T_ALGEBRAIC
 
 P = OperatorParams
 INF = math.inf
@@ -304,10 +305,17 @@ def test_projection_of_a_slab_vanishes(nu):
     assert abs(bergman_project(nu, slab, z, tol)) <= tol * mass
 
 
+def _drive_probe(monkeypatch):
+    """reproduce_check on the 2D drive: its probe without the pole record."""
+    monkeypatch.setattr(bergman, "reproducing_probe",
+                        lambda m, t=1.0: dataclasses.replace(reproducing_probe(m, t), u_poles=None))
+
+
 def test_reproduction_integrand_values(monkeypatch):
-    # P_nu of the whole-line probe over the angle coordinate, retiring the v
-    # rows whose weighted change is below rounding; the lockstep inner drive
-    # took 2,552,872 values, the s line with expm1 tails 5,644,880 at nu = 0.405
+    # P_nu of the whole-line probe over the angle coordinate, on the 2D drive,
+    # retiring the v rows whose weighted change is below rounding; the lockstep
+    # inner drive took 2,552,872 values, the s line with expm1 tails 5,644,880 at
+    # nu = 0.405
     values = []
 
     def counted(m, t=1.0):
@@ -316,7 +324,7 @@ def test_reproduction_integrand_values(monkeypatch):
         def fn(u, v):
             values.append(np.broadcast(u, v).size)
             return probe.fn(u, v)
-        return dataclasses.replace(probe, fn=fn)
+        return dataclasses.replace(probe, fn=fn, u_poles=None)
 
     monkeypatch.setattr(bergman, "reproducing_probe", counted)
     rows = bergman.reproduce_check(0.47, 3)
@@ -348,16 +356,19 @@ LOCKSTEP_REPRODUCTION = {
 
 
 @pytest.mark.parametrize("nu", sorted(LOCKSTEP_REPRODUCTION))
-def test_reproduction_matches_the_lockstep_drive(nu):
+def test_reproduction_matches_the_lockstep_drive(nu, monkeypatch):
+    _drive_probe(monkeypatch)
     rows = reproduce_check(nu, 3)
     for row, want in zip(rows, LOCKSTEP_REPRODUCTION[nu], strict=True):
         assert _agrees(complex(row["projected_re"], row["projected_im"]), want)
 
 
 def test_tplus_and_t_of_an_algebraic_slab_match_the_lockstep_drive():
+    # T on the 2D drive: the source without its pole record
     f, z = func2d("(1+x^2)^(0-2)*ind(y,1,2)"), complex(20.0, 0.5)
     assert _agrees(apply_Tplus(P(0.5, 0.3, 2), f, z), 0.00015885918578992917)
-    assert _agrees(apply_T(P(0.5, 0.3, 2), f, z), 0.000148468091499703 - 4.696703432039695e-05j)
+    assert _agrees(apply_T(P(0.5, 0.3, 2), dataclasses.replace(f, u_poles=None), z),
+                   0.000148468091499703 - 4.696703432039695e-05j)
 
 
 def test_tplus_slice_matches_the_lockstep_drive():
@@ -459,13 +470,29 @@ def test_halfplane_calls_on_a_batch_keep_the_block_budget(f, n):
         assert any(size > quad._BLOCK_ELEMENTS for size, _ in calls)
 
 
+@pytest.mark.parametrize("x", [100.0, 1e4, 1e6])
+def test_T_of_an_algebraic_source_by_residues(x):
+    # the ledger's residue values of T at x + 0.5i, to 1e-12 at the default tol
+    want = T_ALGEBRAIC[x]
+    assert abs(apply_T(P(0.5, 0.3, 2.0), ALGEBRAIC, complex(x, 0.5)) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("nu", [35.0, 50.0, 100.0, 300.0])
+def test_reproduction_at_a_large_nu_is_within_tol(nu):
+    # on the 2D drive the errors were 2.0e-2, 1.7e11 and 2.0e70 at nu = 50, 100 and 300
+    assert max(row["abs_error"] for row in reproduce_check(nu, 3, tol=1e-6)) <= 1e-6
+
+
 def test_far_field_of_an_algebraic_source_raises():
     # at 1e4 + 0.5i the source's peak sits at s = -1e4/(y+v), narrower than
-    # the s nodes there: the residue form gives T = 2.069e-12 - 2.0e-15i,
-    # where the u coordinates silently returned 2.007e-15
+    # the s nodes there, where the u coordinates silently returned 2.007e-15
+    # for T; T now runs by residues and gives the residue form 2.069e-12 - 2.0e-15i
     for apply in (apply_T, apply_Tplus):
+        f = dataclasses.replace(ALGEBRAIC, u_poles=None) if apply is apply_T else ALGEBRAIC
         with pytest.raises(AccuracyError):
-            apply(P(0.5, 0.3, 2.0), ALGEBRAIC, complex(1e4, 0.5))
+            apply(P(0.5, 0.3, 2.0), f, complex(1e4, 0.5))
+    want = 2.06901295713614e-12 - 2.04832320043418e-15j
+    assert abs(apply_T(P(0.5, 0.3, 2.0), ALGEBRAIC, complex(1e4, 0.5)) - want) <= 1e-12 * abs(want)
 
 
 def test_tplus_of_a_slab_is_the_half_line_operator():
@@ -627,7 +654,7 @@ def test_complex_drives_keep_the_result_types_and_values():
     params = P(0.5, 0.3, 2.12)
     for z, t_old, p_old in zip(grid, _T_BOX, _P_PROBE):
         t_new = apply_T(params, BOX, z, 1e-6)
-        p_new = bergman_project(0.47, reproducing_probe(3), z, 1e-6)
+        p_new = bergman_project(0.47, dataclasses.replace(reproducing_probe(3), u_poles=None), z, 1e-6)
         assert type(t_new) is complex and type(p_new) is complex
         assert abs(t_new - t_old) <= 1e-14 * abs(t_old)
         assert abs(p_new - p_old) <= 1e-14 * abs(p_old)
@@ -897,15 +924,17 @@ def test_dilated_box_is_the_box_of_the_dilated_expression():
                                                                     rel=1e-15)
 
 
-def test_sources_outside_the_closed_form_keep_the_halfplane_drive():
+def test_sources_outside_the_closed_form_keep_the_halfplane_drive(monkeypatch):
     # values recorded before the closed form: a box without u decay of the kernel
-    # (gamma <= 0), the reproducing probe and a non-separable source, bit for bit
+    # (gamma <= 0), the reproducing probe without its pole record and a source
+    # outside the closed forms of T+, bit for bit
     assert apply_Tplus(P(0.2, 0.3, -1.0), BOX, complex(0.3, 0.5)) == 0.48961398529863925
     assert apply_Tplus(P(0.2, 0.3, -0.5), BOX, complex(0.3, 0.5)) == 0.34498102647798135
     assert apply_T(P(0.2, 0.3, -0.5), BOX, complex(0.3, 0.5)) == complex(0.26145511388537973,
                                                                          -0.22468402738558116)
     algebraic = func2d("(1+x^2)^(0-1)*y^0.5*exp(0-y)")
     assert apply_Tplus(P(0.5, 0.3, 2.0), algebraic, complex(10.0, 0.5)) == 0.008165539246052426
+    _drive_probe(monkeypatch)
     assert [complex(r["projected_re"], r["projected_im"]) for r in reproduce_check(0.4, 3)] == [
         complex(0.12500000000000006, 1.3877787807814457e-17),
         complex(0.016000000000001055, 0.08800000000000012),
@@ -922,8 +951,11 @@ def test_only_sources_without_steps_reach_the_halfplane_drive(monkeypatch):
     apply_T(P(0, 0, 1), BOX, complex(0.5, 1.0))
     bergman_project(0.5, BOX, complex(0.5, 1.0))
     assert not calls
-    apply_Tplus(P(0, 0, 1), func2d("x*ind(-1,1)*ind(y,1,2)"), complex(0.5, 1.0))
+    apply_T(P(0.5, 0.3, 2.0), ALGEBRAIC, complex(0.5, 1.0))
     bergman_project(0.5, reproducing_probe(3), complex(0.5, 1.0))
+    assert not calls   # T and P_nu of sources with poles run by residues
+    apply_Tplus(P(0, 0, 1), func2d("x*ind(-1,1)*ind(y,1,2)"), complex(0.5, 1.0))
+    bergman_project(0.5, dataclasses.replace(reproducing_probe(3), u_poles=None), complex(0.5, 1.0))
     assert len(calls) == 2
 
 

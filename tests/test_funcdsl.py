@@ -496,13 +496,59 @@ def test_separable_sources_are_recognised(src, steps, h_pieces):
 
 
 @pytest.mark.parametrize("src", [
-    "x*ind(-1,1)*ind(y,1,2)", "(1+x^2)^(0-1)*y^0.5*exp(0-y)", "ind(-1,1)/2*ind(y,1,2)",
+    "x*ind(-1,1)*ind(y,1,2)", "(1+x^2)^(0-1.5)*y^0.5*exp(0-y)", "ind(-1,1)/2*ind(y,1,2)",
     "exp(0-x*y)*ind(-1,1)", "ind(0,1)*ind(y,1,2)+ind(2,3)*ind(y,1,2)", "0*ind(y,1,2)",
     "ind(0,1)*ind(2,3)*ind(y,1,2)", "abs(x)*ind(-1,1)",
 ])
 def test_other_sources_are_not_separable(src):
     f = func2d(src)
-    assert f.u_steps is None and f.v_factor is None
+    assert f.u_steps is None and f.u_poles is None and f.v_factor is None
+
+
+@pytest.mark.parametrize("src, poles", [
+    # 1/(1+u^2) = 2 Re (i/2)/(u+i) on the real line
+    ("(1+x^2)^(0-1)*y^0.5*exp(0-y)", ((-1j, 0.0, 1, 0.5j),)),
+    ("2/(1+x^2)*ind(y,1,2)", ((-1j, 0.0, 1, 1j),)),
+    # a factor written twice is one pole of the summed order; u/(1+u^2)^2 has no 1/(u+i) term
+    ("(1+x^2)^(0-1)*(1+x^2)^(0-1)*ind(y,1,2)", ((-1j, 0.0, 1, 0.25j), (-1j, 0.0, 2, -0.25))),
+    ("x*(1+x^2)^(0-2)*ind(y,1,2)", ((-1j, 0.0, 2, 0.25j),)),
+    ("(1+(x-2)^2)^(0-1)*ind(y,1,2)", ((2 - 1j, 0.0, 1, 0.5j),)),
+])
+def test_rational_sources_record_their_lower_poles(src, poles):
+    f = func2d(src)
+    assert f.u_steps is None and f.v_factor is not None
+    assert len(f.u_poles) == len(poles)
+    for got, want in zip(f.u_poles, poles):
+        assert got[1:3] == want[1:3]
+        assert abs(got[0] - want[0]) <= 1e-15 and abs(got[3] - want[3]) <= 1e-15
+
+
+@pytest.mark.parametrize("src", [
+    "(x^2)^(0-1)*ind(y,1,2)", "(x-1)^(0-1)*exp(0-y)", "1/(x^2-1)*ind(y,1,2)",   # a real pole
+    "(x^2-0.2*x+0.01)^(0-1)*ind(y,1,2)",   # a double real root, whose discriminant rounds below 0
+    "(x^4+2*x^2+1)^(0-1)*ind(y,1,2)",      # a double root that np.roots splits
+    "(1+x^2)^(0-1)*(1.0201+x^2)^(0-1)*ind(y,1,2)",   # partial fractions that cancel 100-fold
+    "x^2/(1+x^2)*ind(y,1,2)", "(1+x^2)^(0-17)*ind(y,1,2)", "x/0*ind(y,1,2)",
+])
+def test_rational_sources_off_the_record(src):
+    # the integral diverges, the partial fractions are ill-conditioned or
+    # improper, or a power is beyond 16: the source keeps the 2D drive
+    assert func2d(src).u_poles is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, 3), st.integers(-3, 2)), min_size=1, max_size=3),
+       st.floats(-3, 3), st.floats(0.1, 10))
+def test_recorded_partial_fractions_reproduce_the_u_factor(factors, zero, c):
+    # c (u - zero) prod ((u - a)^2 + b^2)^n: wherever poles are recorded,
+    # 2 Re of their terms is g on the real line
+    g = "*".join(f"((x-{a!r})^2+{b * b!r})^({n})" for a, b, n in factors)
+    f = func2d(f"{c!r}*(x-{zero!r})*{g}*ind(y,1,2)")
+    assume(f.u_poles is not None)
+    u = np.linspace(-6.0, 6.0, 49)
+    terms = np.array([a * (u - p) ** -float(j) for p, _, j, a in f.u_poles])
+    want = f(u, 1.5)
+    assert np.all(np.abs(2.0 * terms.sum(axis=0).real - want) <= 1e-11 * 2.0 * np.abs(terms).sum(axis=0))
 
 
 def test_the_v_factor_is_h_alone():
@@ -522,6 +568,15 @@ def test_dilation_carries_the_steps():
     assert f.u_steps == ((1.0, 0.0, 0.25), (-2.0, -math.inf, 0.0))
     assert f.v_factor.pieces == ((1.0, 0.0, 0.25, 0.5),)
     assert func2d("x*ind(y,1,2)").dilate(4.0).u_steps is None
+
+
+def test_dilation_carries_the_poles():
+    # f(4w) is the source written in 4x and 4y: its pole is -i/4, and each A gains 4^-j
+    f = func2d("(1+x^2)^(0-1)*(x-1)*ind(y,1,2)").dilate(4.0)
+    g = func2d("(1+16*x^2)^(0-1)*(4*x-1)*ind(y,0.25,0.5)")
+    assert f.v_factor.pieces == g.v_factor.pieces
+    for (p, s, j, a), (q, t, k, b) in zip(f.u_poles, g.u_poles, strict=True):
+        assert (s, j) == (t, k) and abs(p - q) <= 1e-15 and abs(a - b) <= 1e-15
 
 
 def test_a_long_separable_sum_builds():
